@@ -12,6 +12,7 @@ misses, and recomputes exactly the affected passes.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from collections import OrderedDict
@@ -1174,6 +1175,12 @@ class LocalView:
             )
 
     # -- rendering ---------------------------------------------------------------
+    def _shape(self, data: str) -> tuple[int, ...]:
+        """Concrete shape of *data* at the view's sizes; unlike
+        ``self.result.shape`` it needs no simulation, which the analytic
+        engine may have made unnecessary."""
+        return tuple(int(s.evaluate(self.symbols)) for s in self.sdfg.arrays[data].shape)
+
     def render_container(
         self,
         data: str,
@@ -1183,14 +1190,17 @@ class LocalView:
         value_label: str = "accesses",
     ) -> str:
         """Render one container grid with optional heatmap/highlights."""
-        return render_container(
-            data,
-            self.result.shape(data),
-            values=values,
-            highlights=highlights,
-            selections=selections,
-            value_label=value_label,
-        )
+        shape = self._shape(data)
+        with maybe_span(self.timings, "render") as span:
+            span.set(cells=math.prod(shape))
+            return render_container(
+                data,
+                shape,
+                values=values,
+                highlights=highlights,
+                selections=selections,
+                value_label=value_label,
+            )
 
     def render_container_aggregated(
         self,
@@ -1208,14 +1218,19 @@ class LocalView:
         """
         from repro.viz.containerview import render_container_aggregated
 
-        return render_container_aggregated(
-            data,
-            self.result.shape(data),
-            values,
-            tile,
-            reduce=reduce,
-            value_label=value_label,
-        )
+        shape = self._shape(data)
+        with maybe_span(self.timings, "render") as span:
+            svg = render_container_aggregated(
+                data,
+                shape,
+                values,
+                tile,
+                reduce=reduce,
+                value_label=value_label,
+            )
+            # One cell per tile; the render has validated *tile* by now.
+            span.set(cells=math.prod(-(-s // int(t)) for s, t in zip(shape, tile)))
+        return svg
 
     def render_reuse_histogram(self, data: str, indices: tuple[int, ...]) -> str:
         """The Fig. 5b detail histogram for one selected element."""

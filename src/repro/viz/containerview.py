@@ -11,11 +11,12 @@ overlays), with the exact value available as a tooltip.
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
+from xml.sax.saxutils import escape
 
 from repro.errors import VisualizationError
 from repro.viz.color import GREEN_YELLOW_RED, Color, ColorScale
 from repro.viz.scaling import ScalingMethod, make_scaling
-from repro.viz.svg import SVGDocument
+from repro.viz.svg import SVGDocument, rect_element, rect_style, serialize_attrs
 
 __all__ = ["ContainerGrid", "render_container", "aggregate_tiles", "render_container_aggregated"]
 
@@ -26,6 +27,7 @@ BLOCK_GAP = 10.0
 _DEFAULT_FILL = "#e8e8e2"
 _HIGHLIGHT_FILL = "#37c871"  # the paper highlights accessed elements green
 _SELECT_STROKE = "#1a56c4"
+_NO_VALUE = object()  # for cells that the values mapping leaves out
 
 
 class ContainerGrid:
@@ -46,9 +48,6 @@ class ContainerGrid:
                 f"indices {tuple(indices)} outside shape {self.shape}"
             ) from None
 
-    def elements(self) -> Iterable[tuple[int, ...]]:
-        return self.positions.keys()
-
     def __len__(self) -> int:
         return len(self.positions)
 
@@ -56,7 +55,8 @@ class ContainerGrid:
 def _geometry(
     shape: tuple[int, ...]
 ) -> tuple[dict[tuple[int, ...], tuple[float, float]], tuple[float, float]]:
-    """Recursive placement: indices → (x, y); returns the overall size."""
+    """Recursive placement: indices → (x, y), inserted in row-major index
+    order (``render_container`` relies on it); returns the overall size."""
     if len(shape) == 0:
         return {(): (0.0, 0.0)}, (CELL, CELL)
     if len(shape) == 1:
@@ -120,37 +120,87 @@ def render_container(
         values (Fig. 3) or cache-line neighbors (Fig. 5a).
     selections:
         Elements drawn with a selection stroke (the clicked elements).
+
+    Everything that repeats across cells is serialized once: each distinct
+    coordinate, each distinct value's fill and tooltip suffix, each
+    fill/stroke style and the escaped name.  A cell then costs only string
+    assembly, which keeps re-coloring a large grid (every slider move)
+    cheap; the output is byte-identical to drawing each cell with
+    :meth:`SVGDocument.rect`.
     """
     grid = ContainerGrid(shape)
     label_height = 18.0
     doc = SVGDocument(grid.width + 2 * 6.0, grid.height + label_height + 2 * 6.0)
     doc.text(6.0, 13.0, name, font_size=12, anchor="start")
 
-    scaling = None
-    if values:
-        scaling = make_scaling(method, list(values.values()))
-
+    values = values or {}
+    scaling = make_scaling(method, list(values.values())) if values else None
     highlight_set = {tuple(h) for h in highlights}
     selection_set = {tuple(s) for s in selections}
 
+    xs = _Memo(lambda x: serialize_attrs({"x": x}))
+    ys = _Memo(lambda y: serialize_attrs({"y": y}))
+    styles = _Memo(_cell_style)
+    marks = highlight_set | selection_set
+    # XML escaping works character by character, so escaped parts join
+    # into the escaped title.
+    head = escape(name) + "["
+    # value -> (fill, style of an unmarked cell, escaped tooltip suffix)
+    paints = {_NO_VALUE: (_DEFAULT_FILL, styles[_DEFAULT_FILL, False], "")}
+    cells = []
+    for (idx, (x, y)), index_text in zip(grid.positions.items(), _index_texts(grid.shape)):
+        value = values.get(idx, _NO_VALUE)
+        # Equal values share a paint, but -0.0 == 0.0 prints as "-0" and
+        # nan != nan: zeros and NaNs are keyed by their repr.
+        key = value if value and value == value else repr(value)
+        paint = paints.get(key)
+        if paint is None:
+            fill = colors.sample(scaling.normalize(value)).to_hex()
+            paint = paints[key] = (
+                fill, styles[fill, False], escape(f": {value:g} {value_label}")
+            )
+        fill, style, tip = paint
+        if marks and idx in marks:
+            if idx in highlight_set:
+                fill = _HIGHLIGHT_FILL
+            style = styles[fill, idx in selection_set]
+        cells.append(rect_element(xs[x] + ys[y], style, f"{head}{index_text}]{tip}"))
     doc.begin_group(transform=f"translate(6 {label_height + 6.0})")
-    for idx in grid.elements():
-        x, y = grid.cell_origin(idx)
-        fill = _DEFAULT_FILL
-        title = f"{name}[{', '.join(map(str, idx))}]"
-        if values is not None and idx in values and scaling is not None:
-            fill = colors.sample(scaling.normalize(values[idx])).to_hex()
-            title += f": {values[idx]:g} {value_label}"
-        if idx in highlight_set:
-            fill = _HIGHLIGHT_FILL
-        stroke = _SELECT_STROKE if idx in selection_set else "#666666"
-        stroke_width = 2.0 if idx in selection_set else 0.5
-        doc.rect(
-            x, y, CELL, CELL,
-            fill=fill, stroke=stroke, stroke_width=stroke_width, title=title,
-        )
+    doc.extend(cells)
     doc.end_group()
     return doc.to_string()
+
+
+def _cell_style(fill_and_selected: tuple[str, bool]) -> str:
+    fill, selected = fill_and_selected
+    return rect_style(
+        CELL, CELL, fill=fill,
+        stroke=_SELECT_STROKE if selected else "#666666",
+        stroke_width=2.0 if selected else 0.5,
+    )
+
+
+class _Memo(dict):
+    """A dict that computes each missing entry once, from its key."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _index_texts(shape: tuple[int, ...]) -> list[str]:
+    """``"i, j, k"`` for every element, in the row-major order in which
+    :class:`ContainerGrid` places them; built one dimension at a time, so
+    each element costs one string concatenation."""
+    texts = [""]
+    for dim, extent in enumerate(shape):
+        digits = [f"{', ' if dim else ''}{i}" for i in range(extent)]
+        texts = [prefix + digit for prefix in texts for digit in digits]
+    return texts
 
 
 def aggregate_tiles(

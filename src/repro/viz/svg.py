@@ -8,15 +8,58 @@ requirement for golden-file tests).
 from __future__ import annotations
 
 import xml.sax.saxutils as saxutils
-from typing import Mapping
+from typing import Iterable, Mapping
 
-__all__ = ["SVGDocument"]
+__all__ = ["SVGDocument", "rect_element", "rect_style", "serialize_attrs"]
 
 
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.2f}".rstrip("0").rstrip(".")
     return str(value)
+
+
+def serialize_attrs(values: Mapping[str, object]) -> str:
+    """Serialize attributes, in mapping order, as `` name="value"`` pairs.
+
+    ``None`` values are skipped; a trailing ``_`` is dropped and other
+    underscores become hyphens (``stroke_width`` → ``stroke-width``).
+    Serializations concatenate: ``serialize_attrs(a) + serialize_attrs(b)``
+    equals ``serialize_attrs({**a, **b})`` for disjoint keys, so repeated
+    attributes can be serialized once.
+    """
+    items = []
+    for key, value in values.items():
+        if value is None:
+            continue
+        name = key.rstrip("_").replace("_", "-")
+        items.append(f'{name}="{saxutils.escape(_fmt(value))}"')
+    return (" " + " ".join(items)) if items else ""
+
+
+def rect_style(
+    width: float,
+    height: float,
+    fill: str = "none",
+    stroke: str | None = "#000000",
+    **extra: object,
+) -> str:
+    """The serialized attributes of a ``<rect>`` that follow its position."""
+    return serialize_attrs(
+        {"width": width, "height": height, "fill": fill, "stroke": stroke, **extra}
+    )
+
+
+def rect_element(position: str, style: str, title: str | None = None) -> str:
+    """One serialized ``<rect>``, as :meth:`SVGDocument.rect` writes it.
+
+    *position* is the serialized ``x`` and ``y`` (:func:`serialize_attrs`),
+    *style* comes from :func:`rect_style`, and *title* is tooltip text that
+    is already XML-escaped.
+    """
+    if title:
+        return f"<rect{position}{style}><title>{title}</title></rect>"
+    return f"<rect{position}{style}/>"
 
 
 class SVGDocument:
@@ -29,17 +72,18 @@ class SVGDocument:
         self._group_depth = 0
 
     # -- primitives -----------------------------------------------------------
-    def _attrs(self, attrs: Mapping[str, object]) -> str:
-        items = []
-        for key, value in attrs.items():
-            if value is None:
-                continue
-            name = key.rstrip("_").replace("_", "-")
-            items.append(f'{name}="{saxutils.escape(_fmt(value))}"')
-        return (" " + " ".join(items)) if items else ""
-
     def _emit(self, text: str) -> None:
         self._parts.append("  " * (1 + self._group_depth) + text)
+
+    def extend(self, elements: Iterable[str]) -> None:
+        """Append pre-serialized elements at the current group depth.
+
+        For views that draw many similar elements: they serialize the
+        repeated parts once (:func:`serialize_attrs`, :func:`rect_style`)
+        and hand over the finished elements here.
+        """
+        indent = "  " * (1 + self._group_depth)
+        self._parts.extend(indent + element for element in elements)
 
     def rect(
         self,
@@ -52,14 +96,11 @@ class SVGDocument:
         title: str | None = None,
         **extra: object,
     ) -> None:
-        attrs = self._attrs(
-            {"x": x, "y": y, "width": width, "height": height, "fill": fill,
-             "stroke": stroke, **extra}
-        )
-        if title:
-            self._emit(f"<rect{attrs}><title>{saxutils.escape(title)}</title></rect>")
-        else:
-            self._emit(f"<rect{attrs}/>")
+        self._emit(rect_element(
+            serialize_attrs({"x": x, "y": y}),
+            rect_style(width, height, fill, stroke, **extra),
+            saxutils.escape(title) if title else None,
+        ))
 
     def ellipse(
         self,
@@ -72,7 +113,7 @@ class SVGDocument:
         title: str | None = None,
         **extra: object,
     ) -> None:
-        attrs = self._attrs(
+        attrs = serialize_attrs(
             {"cx": cx, "cy": cy, "rx": rx, "ry": ry, "fill": fill,
              "stroke": stroke, **extra}
         )
@@ -94,7 +135,7 @@ class SVGDocument:
         title: str | None = None,
         **extra: object,
     ) -> None:
-        attrs = self._attrs(
+        attrs = serialize_attrs(
             {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "stroke": stroke,
              "stroke-width": stroke_width, **extra}
         )
@@ -112,7 +153,7 @@ class SVGDocument:
         **extra: object,
     ) -> None:
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        attrs = self._attrs({"points": pts, "fill": fill, "stroke": stroke, **extra})
+        attrs = serialize_attrs({"points": pts, "fill": fill, "stroke": stroke, **extra})
         if title:
             self._emit(
                 f"<polygon{attrs}><title>{saxutils.escape(title)}</title></polygon>"
@@ -128,7 +169,7 @@ class SVGDocument:
         title: str | None = None,
         **extra: object,
     ) -> None:
-        attrs = self._attrs({"d": d, "fill": fill, "stroke": stroke, **extra})
+        attrs = serialize_attrs({"d": d, "fill": fill, "stroke": stroke, **extra})
         if title:
             self._emit(f"<path{attrs}><title>{saxutils.escape(title)}</title></path>")
         else:
@@ -144,7 +185,7 @@ class SVGDocument:
         fill: str = "#000000",
         **extra: object,
     ) -> None:
-        attrs = self._attrs(
+        attrs = serialize_attrs(
             {"x": x, "y": y, "font-size": font_size, "text-anchor": anchor,
              "fill": fill, "font-family": "sans-serif", **extra}
         )
@@ -152,7 +193,7 @@ class SVGDocument:
 
     # -- grouping -----------------------------------------------------------
     def begin_group(self, **attrs: object) -> None:
-        self._emit(f"<g{self._attrs(attrs)}>")
+        self._emit(f"<g{serialize_attrs(attrs)}>")
         self._group_depth += 1
 
     def end_group(self) -> None:

@@ -280,3 +280,16 @@ class TestStaleAnalysisRegression:
         report = session.pass_report()
         assert "global.movement" in report
         assert "MapFusion" in report
+
+
+def test_rendered_heatmap_view_never_simulates():
+    """The slider loop's view — movement, a miss heatmap and its rendered
+    container — at sizes where the analytic window fold engages: the
+    engine answers it all, so the access trace is never simulated."""
+    session = Session(hdiff.build_sdfg())
+    lv = session.local_view({"I": 24, "J": 16, "K": 8}, capacity_lines=32)
+    lv.physical_movement()
+    svg = lv.render_container("in_field", values=lv.miss_heatmap("in_field"))
+    assert svg.startswith("<svg")
+    assert session.pipeline.runs("local.analytic") == 1
+    assert session.pipeline.runs("local.trace") == 0

@@ -102,10 +102,11 @@ class TestSessionTimings:
         session = make_session()
         lv = session.local_view(SIZES)
         lv.miss_counts()
+        lv.render_container("in_field", values=lv.miss_heatmap("in_field"))
         recorded = set(session.timings.stages())
         # The analytic engine serves classification, so the enumeration
         # stage spans (layout/stackdist) are replaced by its own span.
-        assert {"enumerate", "evaluate", "locality:analytic", "classify"} <= recorded
+        assert {"enumerate", "evaluate", "locality:analytic", "classify", "render"} <= recorded
         assert session.timings.total() > 0
 
     def test_report_renders(self):

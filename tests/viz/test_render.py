@@ -1,5 +1,7 @@
 """Tests for SVG rendering: layout, graph view, containers, histograms."""
 
+import hashlib
+import itertools
 import math
 import xml.etree.ElementTree as ET
 
@@ -8,7 +10,12 @@ import pytest
 from repro.errors import VisualizationError
 from repro.frontend import pmap, program
 from repro.sdfg.dtypes import float64
-from repro.viz.containerview import ContainerGrid, render_container
+from repro.viz.color import COLORBLIND_SCALE, GREEN_YELLOW_RED, Color, ColorScale
+from repro.viz.containerview import (
+    ContainerGrid,
+    render_container,
+    render_container_aggregated,
+)
 from repro.viz.graphview import render_state
 from repro.viz.heatmap import Heatmap
 from repro.viz.histogramview import histogram_buckets, render_histogram
@@ -190,6 +197,146 @@ class TestContainerRender:
     def test_selections_stroked(self):
         svg = render_container("A", [2, 2], selections=[(1, 0)])
         assert "#1a56c4" in svg
+
+
+def _cells(shape):
+    return list(itertools.product(*(range(s) for s in shape)))
+
+
+_NAN = float("nan")
+_CUSTOM_SCALE = ColorScale(
+    "custom",
+    [Color.from_hex("#000000"), Color.from_hex("#3060c0"),
+     Color.from_hex("#f0f0f0"), Color.from_hex("#c03020")],
+)
+_RANK4 = (2, 2, 3, 3)
+_RANK3 = (2, 3, 4)
+_SPREAD = {idx: float((1 + (7 * n) % 11) ** 2) for n, idx in enumerate(_cells(_RANK3))}
+
+#: ``render_container`` inputs and the SHA-256 of the SVG each produced
+#: before the renderer was rewritten to per-value tables: the rewrite
+#: must not change a single byte.
+RENDER_CASES = {
+    "rank0": (
+        dict(name="s", shape=(), values={(): 3}),
+        "ce1ce35ba8687bc6ab1734da7b1596228ba5c3685627f00db5d414d71c69171d",
+    ),
+    "rank1_int_overlapping_marks": (
+        dict(name="v", shape=(7,), values={(i,): i * i for i in range(6)},
+             highlights=[(2,), (6,)], selections=[[2], (5,), (9,)]),
+        "7c60c89fd5712afd2d5891d276e8c7c25d356c4256413fc82a040fe0d978ac5a",
+    ),
+    "rank2_float_partial": (
+        dict(name="A", shape=(5, 6), method="mean",
+             values={(r, c): 0.37 * (r * 6 + c) + 0.125
+                     for r, c in _cells((5, 6)) if (r + c) % 3},
+             highlights=[(0, 1), (4, 5)], selections=[(0, 1), (2, 2)]),
+        "273118d6e82d5e322a7f73b0793bc29153080ba68a16d69e82d21514699dee2b",
+    ),
+    "rank3_zero_median": (
+        dict(name="Z", shape=_RANK3,
+             values={idx: (40.0 if idx == (1, 2, 3) else 0.0) for idx in _cells(_RANK3)}),
+        "589338744761c2df09e1f53556a907a12ae332c400ac170fb2926cd64fa8c278",
+    ),
+    "rank3_signed_zero_and_exponents": (
+        dict(name="E", shape=_RANK3, method="linear",
+             values={**{idx: 0.0 for idx in _cells(_RANK3)[:6]},
+                     **{idx: -0.0 for idx in _cells(_RANK3)[6:12]},
+                     (1, 0, 0): 5, (1, 0, 1): 5.0, (1, 1, 0): 1.5e7,
+                     (1, 1, 1): 2.5e-5, (1, 2, 2): 123456789}),
+        "1a676fef94593be86651c69f56235eecdcd72abd418de752776879ec100289ac",
+    ),
+    "rank4_nan_histogram": (
+        dict(name="N", shape=_RANK4, method="histogram",
+             values={idx: (_NAN if sum(idx) % 4 == 0 else float(sum(idx)))
+                     for idx in _cells(_RANK4)},
+             selections=[(0, 0, 0, 0), (1, 1, 2, 2)]),
+        "56b9952949791c1b249526110e5bb96f52bc98a4383ac50da61f99e7619ea024",
+    ),
+    "rank4_nan_median": (
+        # A distinct NaN object per cell (rank4_nan_histogram shares one).
+        dict(name="N", shape=_RANK4,
+             values={idx: (float("nan") if idx[3] == 1 else idx[2] + 0.5)
+                     for idx in _cells(_RANK4)}),
+        "1dd8253c13efb44f640d2ee11272ed9f3f7f3447a029caa29c658ceee6962bfd",
+    ),
+    "escaped_name_and_label": (
+        dict(name="A<&>B", shape=(3, 3), value_label="misses & <hits>",
+             values={(0, 0): 1, (1, 1): 2, (2, 2): 4}, highlights=[(1, 1)]),
+        "de2664f866fca2d61e29de5bbc427ab5a201ad548a52ab704b0b1324f9c763b8",
+    ),
+    "values_outside_the_grid_still_fit_the_scale": (
+        dict(name="O", shape=(2, 3), method="linear",
+             values={(0, 0): 1.0, (1, 2): 2.0, (5, 5): 100.0}, highlights=[(7, 7)]),
+        "2cf9380a5aa498254d95215095c0f78a6f47cf4941e404b324c1e2dbfb1cacdf",
+    ),
+    "empty_values": (
+        dict(name="e", shape=(2, 2), values={}, highlights=[(0, 0)]),
+        "77ebe24b7c2087aa41f7b9d2a26c3250c0d7bd2f8a044244966a84d81e295baa",
+    ),
+    "no_values_marks_only": (
+        dict(name="m", shape=(3, 2), highlights=[(0, 0), (2, 1)], selections=[(2, 1)]),
+        "f7fbbc7a7d039f6c72374f8dc77c308668f3b87b7f0a5ba7f3af061d5d17a9a9",
+    ),
+    "custom_color_scale": (
+        dict(name="C", shape=_RANK3, values=_SPREAD, colors=_CUSTOM_SCALE),
+        "72f5a3f325c0522acabff4ff0a996bd2e69c4d0dbce7f0a442e07dd6e80f2a69",
+    ),
+    "colorblind_scale_reversed": (
+        dict(name="C", shape=_RANK3, values=_SPREAD, method="mean",
+             colors=COLORBLIND_SCALE.reversed()),
+        "d17491328ae3b309df1dcd89d315787c79609d9bd0b0f64cfa21d2a66e462698",
+    ),
+    **{
+        f"method_{method}": (
+            dict(name="M", shape=_RANK3, values=_SPREAD, method=method,
+                 highlights=[(0, 0, 1)], selections=[(0, 0, 1), (1, 2, 3)]),
+            digest,
+        )
+        for method, digest in {
+            "mean": "1e35921f7445a3510e63eaaaf3bbec9d64c26683d7ce383153168274885fe5e2",
+            "median": "67a0f22eba58ebdd235c3dbe595eb8fac070ea81ba5af09a2066d54d734d159f",
+            "histogram": "e77ee9d376579cdbd38404155390712e1dbbae9e86d1fb2f71cf2fe1ac1bda6b",
+            "linear": "1c4b91411b0c5b66217dce4d1e29d40c8b86ef804091b7cbc0a48659fc91f05e",
+            "exponential": "3717c18f6d322fbe72fa018881e8586235ff9edf3f381040c4179766c1a52b52",
+        }.items()
+    },
+}
+
+
+def _render_digest(case: dict) -> str:
+    case = dict(case)
+    svg = render_container(case.pop("name"), case.pop("shape"), **case)
+    return hashlib.sha256(svg.encode("utf-8")).hexdigest()
+
+
+class TestContainerRenderBytes:
+    @pytest.mark.parametrize("case", sorted(RENDER_CASES))
+    def test_byte_identical(self, case):
+        inputs, digest = RENDER_CASES[case]
+        assert _render_digest(inputs) == digest
+
+    def test_aggregated_byte_identical(self):
+        svg = render_container_aggregated(
+            "T", (5, 7), {idx: 1 + sum(idx) % 3 for idx in _cells((5, 7))},
+            tile=(2, 3), reduce="mean",
+        )
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+            "8e8034dbc2e0a3598c7e6cc4c2e26d9aa505e630dc2eb1fc6efceb90180c3f87"
+        )
+
+    def test_color_sampled_once_per_distinct_value(self):
+        class CountingScale(ColorScale):
+            calls = 0
+
+            def sample(self, t):
+                CountingScale.calls += 1
+                return super().sample(t)
+
+        values = {idx: float(sum(idx) % 3) for idx in _cells((6, 8, 5))}
+        render_container("A", (6, 8, 5), values=values,
+                         colors=CountingScale("counting", GREEN_YELLOW_RED.stops))
+        assert CountingScale.calls == len(set(values.values())) == 3
 
 
 class TestHistogram:
