@@ -43,11 +43,8 @@ from repro.analysis.parametric import (
     parameter_grid,
     sweep_local_views,
 )
-from repro.analysis.timing import STAGES, StageTimings
 
 __all__ = [
-    "STAGES",
-    "StageTimings",
     "edge_movement_volumes",
     "edge_movement_bytes",
     "container_movement_bytes",

@@ -1,7 +1,9 @@
 """Fault-tolerant execution of local-view parametric sweeps.
 
-:class:`SweepExecutor` runs the locality pipeline over a parameter grid
-with the error-handling contract a long-running analysis service needs:
+:class:`SweepExecutor` runs the pass pipeline's ``local.point`` over a
+parameter grid — in process or on worker processes, through the same
+:func:`evaluate_point` — with the error-handling contract a long-running
+analysis service needs:
 
 - **per-point outcomes** — a failing point yields a structured
   :class:`SweepPointError` record instead of poisoning the whole grid;
@@ -53,9 +55,44 @@ from repro.resilience.chaos import inject as _chaos
 __all__ = ["CancelToken", "SweepExecutor", "SweepPointError", "SweepRun"]
 
 
-#: Worker-side cache: serialized SDFG text -> deserialized SDFG, so each
-#: worker process pays the JSON round-trip once per program, not per point.
-_SDFG_CACHE: dict[str, Any] = {}
+def evaluate_point(
+    base,
+    params: Mapping[str, int],
+    line_size: int,
+    capacity_lines: int,
+    include_transients: bool,
+    fast: bool,
+    timings=None,
+):
+    """The pass pipeline's ``local.point`` for *params*, on a fresh store.
+
+    *base* is a :class:`~repro.passes.base.PassContext` over the program
+    to evaluate.  Graph fingerprints flow both ways between it and the
+    point's own context, so a grid fingerprints its program once.  The
+    store is fresh because grid points share no pass products.
+    *timings* receives the pass and stage spans.
+    """
+    from repro.passes import PassContext, build_pipeline
+
+    ctx = PassContext(
+        base.sdfg,
+        env=params,
+        line_size=line_size,
+        capacity_lines=capacity_lines,
+        include_transients=include_transients,
+        fast=fast,
+        timings=timings,
+    )
+    ctx.adopt_components(base)
+    point = build_pipeline(tracer=timings).run("local.point", ctx)
+    base.adopt_components(ctx)
+    return point
+
+
+#: Worker-side cache: serialized SDFG text -> base context over its
+#: deserialization, so each worker process pays the JSON round-trip and
+#: the graph fingerprints once per program, not per point.
+_PROGRAMS: dict[str, Any] = {}
 
 
 def _worker_evaluate(
@@ -66,18 +103,18 @@ def _worker_evaluate(
     include_transients: bool,
     fast: bool,
 ):
-    """Default worker entry point: deserialize (cached) and evaluate."""
-    sdfg = _SDFG_CACHE.get(sdfg_text)
-    if sdfg is None:
+    """Default worker entry point: :func:`evaluate_point` on a cached
+    deserialization of *sdfg_text*."""
+    base = _PROGRAMS.get(sdfg_text)
+    if base is None:
+        from repro.passes import PassContext
         from repro.sdfg.serialize import loads
 
-        if len(_SDFG_CACHE) >= 4:
-            _SDFG_CACHE.clear()
-        sdfg = _SDFG_CACHE[sdfg_text] = loads(sdfg_text)
-    from repro.analysis import parametric
-
-    return parametric._evaluate_point(
-        sdfg, params, line_size, capacity_lines, include_transients, fast
+        if len(_PROGRAMS) >= 4:
+            _PROGRAMS.clear()
+        base = _PROGRAMS[sdfg_text] = PassContext(loads(sdfg_text))
+    return evaluate_point(
+        base, params, line_size, capacity_lines, include_transients, fast
     )
 
 
@@ -308,16 +345,18 @@ class SweepExecutor:
     point_fn:
         Evaluation callable ``(sdfg_text, params, line_size,
         capacity_lines, include_transients, fast)``; defaults to the
-        locality pipeline.  Must be picklable for the pool path.
+        pass pipeline's ``local.point`` on the deserialized program.
+        Must be picklable for the pool path.
     serial_fn:
         In-process evaluation callable ``(sdfg, params, line_size,
         capacity_lines, include_transients, fast)`` used on the serial
         path (``workers`` unset and the pool-unavailable fallback).  A
-        session injects its incremental pass pipeline here, so serial
-        sweeps reuse memoized pass results; workers cannot (they live in
-        other processes) and always evaluate from scratch.  When both
+        session injects its memoized pipeline here, so serial sweeps
+        reuse stored pass results; workers cannot (they live in other
+        processes) and run the same passes on a fresh store.  When both
         *point_fn* and *serial_fn* are given, the pool uses *point_fn*
-        and the serial path prefers *serial_fn*.
+        and the serial path prefers *serial_fn*.  With neither, both
+        paths run :func:`evaluate_point`.
     adaptive:
         With ``adaptive=True`` (and ``workers`` set), the executor
         measures the first grid point in-process and only spawns a pool
@@ -440,6 +479,7 @@ class SweepExecutor:
         """
         grid = [dict(point) for point in grid]
         cfg = (line_size, capacity_lines, include_transients, fast)
+        evaluate = self._in_process(sdfg)
         self._count("sweep.points", len(grid))
         span = (
             self.tracer.span("sweep.run", points=len(grid), workers=self.workers)
@@ -466,7 +506,7 @@ class SweepExecutor:
                 # the pool can possibly pay for itself.
                 outcomes = [None] * len(grid)
                 use_pool = self._probe_and_choose(
-                    sdfg, grid, cfg, on_result, fail_fast, outcomes
+                    evaluate, grid, cfg, on_result, fail_fast, outcomes
                 )
                 if active_span is not None:
                     active_span.set(adaptive="pool" if use_pool else "serial")
@@ -487,7 +527,7 @@ class SweepExecutor:
                         self.breaker.record_failure()
                     self._count("sweep.serial_fallbacks")
                     outcomes = self._run_serial(
-                        sdfg, grid, cfg, cancel, on_result, fail_fast,
+                        evaluate, grid, cfg, cancel, on_result, fail_fast,
                         outcomes=exc.outcomes,
                     )
                 else:
@@ -498,26 +538,40 @@ class SweepExecutor:
                             self.breaker.record_success()
             else:
                 outcomes = self._run_serial(
-                    sdfg, grid, cfg, cancel, on_result, fail_fast,
+                    evaluate, grid, cfg, cancel, on_result, fail_fast,
                     outcomes=outcomes,
                 )
         return SweepRun(grid, outcomes)
 
+    def _in_process(self, sdfg) -> Callable[[dict, tuple], Any]:
+        """The in-process evaluator ``(params, cfg) -> point`` for *sdfg*.
+
+        An injected *serial_fn* wins (it reuses the caller's memoized
+        pipeline), then *point_fn* on the serialized program, then
+        :func:`evaluate_point` over one base context for the run.
+        """
+        if self.serial_fn is not None:
+            return lambda params, cfg: self.serial_fn(sdfg, params, *cfg)
+        if self.point_fn is not None:
+            from repro.sdfg.serialize import dumps
+
+            text = dumps(sdfg, indent=None)
+            return lambda params, cfg: self.point_fn(text, params, *cfg)
+        from repro.passes import PassContext
+
+        base = PassContext(sdfg)
+        return lambda params, cfg: evaluate_point(
+            base, params, *cfg, timings=self.tracer
+        )
+
     # -- adaptive serial-vs-pool choice -------------------------------------
     def _probe_and_choose(
-        self, sdfg, grid, cfg, on_result, fail_fast, outcomes
+        self, evaluate, grid, cfg, on_result, fail_fast, outcomes
     ) -> bool:
         """Evaluate ``grid[0]`` serially into ``outcomes[0]``; return
         whether the remaining points should go to a pool."""
-        sdfg_text = None
-        if self.point_fn is not None and self.serial_fn is None:
-            from repro.sdfg.serialize import dumps
-
-            sdfg_text = dumps(sdfg, indent=None)
         start = perf_counter()
-        outcome = self._evaluate_serial(
-            sdfg, sdfg_text, grid[0], cfg, 0, fail_fast
-        )
+        outcome = self._evaluate_serial(evaluate, grid[0], cfg, 0, fail_fast)
         t_point = perf_counter() - start
         outcomes[0] = outcome
         self._count(
@@ -546,7 +600,7 @@ class SweepExecutor:
     # -- serial path -------------------------------------------------------
     def _run_serial(
         self,
-        sdfg,
+        evaluate,
         grid: list[dict],
         cfg: tuple,
         cancel: CancelToken | None,
@@ -556,11 +610,6 @@ class SweepExecutor:
     ) -> list:
         if outcomes is None:
             outcomes = [None] * len(grid)
-        sdfg_text = None
-        if self.point_fn is not None and self.serial_fn is None:
-            from repro.sdfg.serialize import dumps
-
-            sdfg_text = dumps(sdfg, indent=None)
         for index, params in enumerate(grid):
             if outcomes[index] is not None:
                 continue  # already finished by a pool run that went away
@@ -574,7 +623,7 @@ class SweepExecutor:
                     )
                 self._count("sweep.cancelled", len(remaining))
                 break
-            outcome = self._evaluate_serial(sdfg, sdfg_text, params, cfg, index, fail_fast)
+            outcome = self._evaluate_serial(evaluate, params, cfg, index, fail_fast)
             outcomes[index] = outcome
             if isinstance(outcome, SweepPointError):
                 self._count("sweep.failed")
@@ -585,7 +634,7 @@ class SweepExecutor:
         return outcomes
 
     def _evaluate_serial(
-        self, sdfg, sdfg_text, params: dict, cfg: tuple, index: int, fail_fast: bool
+        self, evaluate, params: dict, cfg: tuple, index: int, fail_fast: bool
     ):
         attempts = 0
         while True:
@@ -594,18 +643,7 @@ class SweepExecutor:
             _chaos("eval.slow")
             try:
                 _chaos("eval.error")
-                # An injected in-process evaluator wins over the worker
-                # entry point: it reuses the caller's memoized pipeline.
-                if self.serial_fn is not None:
-                    point = self.serial_fn(sdfg, params, *cfg)
-                elif self.point_fn is not None:
-                    point = self.point_fn(sdfg_text, params, *cfg)
-                else:
-                    from repro.analysis import parametric
-
-                    point = parametric._evaluate_point(
-                        sdfg, params, *cfg, timings=self.tracer
-                    )
+                point = evaluate(params, cfg)
             except ReproError as exc:
                 # Deterministic library error: retrying only repeats the
                 # failure, so record (or raise) immediately.
@@ -658,6 +696,9 @@ class SweepExecutor:
         fail_fast: bool,
         outcomes: list | None = None,
     ) -> list:
+        # Workers run the pass pipeline.  Import it before the pool forks
+        # so every worker inherits it instead of importing it itself.
+        import repro.passes  # noqa: F401
         from repro.sdfg.serialize import dumps
 
         self._pool_gave_up = False

@@ -8,20 +8,19 @@ re-evaluating symbolic expressions with the new values".  A
 input parameters dominate performance.
 
 :func:`sweep_local_views` extends the what-if loop to the *local* view:
-every point of a parameter grid runs the full simulation → layout →
-stack-distance → miss-classification pipeline and yields a
-:class:`LocalSweepPoint`.  Points are independent, so the sweep fans out
-over worker processes via the fault-tolerant
-:class:`~repro.analysis.executor.SweepExecutor` (the SDFG travels as its
-JSON serialization, each worker deserializes once); a serial path
-remains both as the narrow pool-cannot-spawn fallback and for
-``workers<=1``.
+every point of a parameter grid runs the pass pipeline's ``local.point``
+product (analytic locality, else simulation → layout → stack distance →
+miss classification) and yields a :class:`LocalSweepPoint`.  Points are
+independent, so the sweep fans out over worker processes via the
+fault-tolerant :class:`~repro.analysis.executor.SweepExecutor` (the SDFG
+travels as its JSON serialization, each worker deserializes once); the
+serial path (``workers<=1`` and the narrow pool-cannot-spawn fallback)
+runs the same passes in process.
 """
 
 from __future__ import annotations
 
 import itertools
-from time import perf_counter
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.errors import AnalysisError, EvaluationError
@@ -315,90 +314,6 @@ class LocalSweepPoint:
             f"LocalSweepPoint({self.params}, accesses={self.total_accesses}, "
             f"misses={self.total_misses}, moved={self.total_moved_bytes}B)"
         )
-
-
-def _evaluate_point(
-    sdfg,
-    params: Mapping[str, int],
-    line_size: int,
-    capacity_lines: int,
-    include_transients: bool,
-    fast: bool,
-    timings=None,
-) -> LocalSweepPoint:
-    """Run the locality pipeline at one parameter point (array-first).
-
-    *timings* is an optional span collector (a
-    :class:`~repro.analysis.timing.StageTimings` or
-    :class:`~repro.obs.trace.Tracer`) receiving the per-stage spans of
-    this point's pipeline run.
-    """
-    from repro.analysis.timing import maybe_span
-    from repro.errors import ReproError
-    from repro.locality import analyze_locality
-    from repro.simulation import (
-        CacheModel,
-        MemoryModel,
-        build_array_trace,
-        per_container_misses,
-        per_container_misses_array,
-        simulate_state,
-        stack_distances,
-        stack_distances_array,
-    )
-    from repro.simulation.stackdist import line_trace
-
-    start = perf_counter()
-    # Analytic-first: the closed-form engine answers exactly when it
-    # applies; any engine failure falls back to plain enumeration.
-    try:
-        with maybe_span(timings, "locality:analytic"):
-            analytic = analyze_locality(
-                sdfg, params, line_size=line_size,
-                include_transients=include_transients, fast=fast,
-                timings=timings,
-            )
-    except ReproError:
-        analytic = None
-    if analytic is not None:
-        with maybe_span(timings, "classify"):
-            misses = analytic.miss_counts(capacity_lines)
-        moved = {
-            name: counts.misses * line_size for name, counts in misses.items()
-        }
-        return LocalSweepPoint(
-            params=dict(params),
-            misses=misses,
-            moved_bytes=moved,
-            total_accesses=analytic.total_events,
-            seconds=perf_counter() - start,
-        )
-    result = simulate_state(
-        sdfg, params, include_transients=include_transients, fast=fast,
-        timings=timings,
-    )
-    with maybe_span(timings, "layout"):
-        memory = MemoryModel(sdfg, params, line_size=line_size)
-        trace = build_array_trace(result, memory)
-    model = CacheModel(line_size=line_size, capacity_lines=capacity_lines)
-    if trace is not None:
-        with maybe_span(timings, "stackdist"):
-            distances = stack_distances_array(trace.lines)
-        with maybe_span(timings, "classify"):
-            misses = per_container_misses_array(trace, distances, model)
-    else:
-        with maybe_span(timings, "stackdist"):
-            distances = stack_distances(line_trace(result.events, memory))
-        with maybe_span(timings, "classify"):
-            misses = per_container_misses(result.events, memory, model, distances)
-    moved = {name: counts.misses * line_size for name, counts in misses.items()}
-    return LocalSweepPoint(
-        params=dict(params),
-        misses=misses,
-        moved_bytes=moved,
-        total_accesses=result.num_events,
-        seconds=perf_counter() - start,
-    )
 
 
 def sweep_local_views(

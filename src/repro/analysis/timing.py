@@ -1,9 +1,10 @@
-"""Lightweight wall-time instrumentation of the analysis pipeline stages.
+"""Optional span recording for the analysis pipeline stages.
 
 The paper's interactive loop lives or dies by the local view re-running
-"in a fraction of a second"; to keep that property measurable, every
-stage of the pipeline records wall-time spans into a
-:class:`StageTimings` collector owned by the session:
+"in a fraction of a second"; to keep that property measurable, the
+simulation and analysis layers accept an optional ``timings`` span
+collector — the session's :class:`~repro.obs.trace.Tracer` — and record
+one wall-time span per stage:
 
 - ``enumerate`` — concretizing iteration spaces / building index grids,
 - ``evaluate``  — materializing the access trace (vectorized or
@@ -12,113 +13,29 @@ stage of the pipeline records wall-time spans into a
 - ``stackdist`` — reuse-distance computation,
 - ``classify``  — miss classification and movement estimation,
 - ``fanout``    — dispatching parametric-sweep points to workers,
-- ``merge``     — folding worker results back into the session cache.
+- ``merge``     — folding worker results back into the session store.
 
-The collector is queryable from :class:`~repro.tool.session.Session` and
-printed by the CLI under ``--timings``.
-
-The hierarchical :class:`~repro.obs.trace.Tracer` generalizes this
-collector: it exposes the same ``span``/``add`` recording interface, so
-every ``timings=`` parameter in the simulation and analysis layers
-accepts either.  Span context managers yield an attribute sink — a real
-:class:`~repro.obs.trace.Span` from a tracer, a no-op
-:class:`~repro.obs.trace.NullSpan` here — so instrumented code can
-attach metadata (event counts, point parameters) unconditionally.
+The CLI prints the tracer's flat per-name table
+(:meth:`~repro.obs.trace.Tracer.table`) under ``--timings``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Iterator
 
 from repro.obs.trace import NULL_SPAN
 
-__all__ = ["STAGES", "StageTimings", "maybe_span"]
-
-#: Canonical pipeline stage names, in pipeline order.
-STAGES = ("enumerate", "evaluate", "layout", "stackdist", "classify", "fanout", "merge")
-
-
-class StageTimings:
-    """Per-stage wall-time spans with aggregate queries."""
-
-    def __init__(self) -> None:
-        self._spans: dict[str, list[float]] = {}
-
-    # -- recording ---------------------------------------------------------
-    def add(self, stage: str, seconds: float) -> None:
-        self._spans.setdefault(stage, []).append(float(seconds))
-
-    @contextmanager
-    def span(self, stage: str):
-        """Context manager recording one wall-time span for *stage*.
-
-        Yields a no-op attribute sink; the hierarchical tracer yields a
-        real span whose ``set()`` attaches attributes.
-        """
-        start = perf_counter()
-        try:
-            yield NULL_SPAN
-        finally:
-            self.add(stage, perf_counter() - start)
-
-    # -- queries -----------------------------------------------------------
-    def stages(self) -> list[str]:
-        """Stages with at least one span, canonical stages first."""
-        known = [s for s in STAGES if s in self._spans]
-        extra = [s for s in self._spans if s not in STAGES]
-        return known + extra
-
-    def spans(self, stage: str) -> list[float]:
-        return list(self._spans.get(stage, ()))
-
-    def count(self, stage: str) -> int:
-        return len(self._spans.get(stage, ()))
-
-    def total(self, stage: str | None = None) -> float:
-        """Total seconds of one stage (or of the whole pipeline)."""
-        if stage is not None:
-            return sum(self._spans.get(stage, ()))
-        return sum(sum(v) for v in self._spans.values())
-
-    def rows(self) -> list[tuple[str, int, float]]:
-        """``(stage, span count, total seconds)`` per recorded stage."""
-        return [(s, self.count(s), self.total(s)) for s in self.stages()]
-
-    def to_dict(self) -> dict[str, dict[str, float]]:
-        """``{stage: {count, seconds}}`` for JSON export."""
-        return {
-            stage: {"count": count, "seconds": total}
-            for stage, count, total in self.rows()
-        }
-
-    def report(self) -> str:
-        """A small fixed-width table of the recorded stages."""
-        rows = self.rows()
-        if not rows:
-            return "no stages recorded"
-        width = max(len(s) for s, _, _ in rows)
-        lines = [f"{'stage'.ljust(width)}  spans      total"]
-        for stage, count, total in rows:
-            lines.append(f"{stage.ljust(width)}  {count:5d}  {total * 1e3:7.2f}ms")
-        lines.append(f"{'(all)'.ljust(width)}  {'':5}  {self.total() * 1e3:7.2f}ms")
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        self._spans.clear()
-
-    def __repr__(self) -> str:
-        return f"StageTimings({', '.join(self.stages()) or 'empty'})"
+__all__ = ["maybe_span"]
 
 
 @contextmanager
 def maybe_span(timings, stage: str) -> Iterator:
     """Record a span when *timings* is provided; otherwise a no-op.
 
-    *timings* is any collector with a ``span(name)`` context manager —
-    a :class:`StageTimings` or a :class:`~repro.obs.trace.Tracer`.
-    Always yields an attribute sink supporting ``set(**attrs)``.
+    *timings* is any collector with a ``span(name)`` context manager,
+    normally a :class:`~repro.obs.trace.Tracer`.  Always yields an
+    attribute sink supporting ``set(**attrs)``.
     """
     if timings is None:
         yield NULL_SPAN

@@ -6,13 +6,12 @@ fallback, dropped sweep points, stale cache entries) shows the engineer
 a wrong heatmap with full confidence.  This package gives every
 pipeline run an inspectable execution record:
 
-- :mod:`repro.obs.trace` — hierarchical wall-time spans generalizing
-  the flat :class:`~repro.analysis.timing.StageTimings` collector.  A
-  :class:`~repro.obs.trace.Tracer` is duck-compatible with
-  ``StageTimings`` (``span``/``add``), so it threads through the
-  simulation and analysis layers unchanged while additionally
+- :mod:`repro.obs.trace` — hierarchical wall-time spans, the one span
+  collector.  A :class:`~repro.obs.trace.Tracer` threads through the
+  simulation and analysis layers as their ``timings`` argument,
   recording parent/child structure, per-span attributes, and error
-  status — exportable as JSON.
+  status — exportable as JSON, and summarized per span name for the
+  CLI's ``--timings`` table.
 - :mod:`repro.obs.metrics` — a registry of named counters, gauges and
   histograms (sweep retries, timeouts, pool respawns, cache hits,
   per-point latencies), also exportable as JSON.

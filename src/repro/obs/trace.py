@@ -1,18 +1,15 @@
 """Hierarchical wall-time tracing spans.
 
-:class:`Tracer` generalizes the flat per-stage collector
-(:class:`~repro.analysis.timing.StageTimings`): spans carry a name,
-wall-time bounds, arbitrary attributes, an error status, and a parent
-link, forming a tree per thread of execution.  The whole trace exports
-to JSON for offline inspection.
+:class:`Tracer` is the library's one span collector: spans carry a
+name, wall-time bounds, arbitrary attributes, an error status, and a
+parent link, forming a tree per thread of execution.  The whole trace
+exports to JSON for offline inspection.
 
-A tracer is deliberately duck-compatible with ``StageTimings`` — it
-provides the same ``span(name)`` context manager and ``add(name,
-seconds)`` hook — so it can be passed wherever the simulation and
-analysis layers accept a ``timings`` collector, without those layers
-knowing about hierarchy.  Attaching a ``StageTimings`` instance mirrors
-every finished span into it, keeping the existing flat queries
-(``count``/``total``/``report``) alive alongside the tree.
+The simulation and analysis layers take a tracer as their ``timings``
+collector and only open ``span(name)`` context managers on it (through
+:func:`~repro.analysis.timing.maybe_span`), without knowing about
+hierarchy.  Flat per-name queries (:meth:`Tracer.count`,
+:meth:`Tracer.total`, :meth:`Tracer.table`) sit alongside the tree.
 """
 
 from __future__ import annotations
@@ -117,10 +114,7 @@ class Tracer:
         tracer.export("trace.json")
     """
 
-    def __init__(self, timings=None):
-        #: Optional flat mirror (a ``StageTimings``): every finished span
-        #: is also recorded there as ``add(name, seconds)``.
-        self._timings = timings
+    def __init__(self) -> None:
         self._spans: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -166,14 +160,13 @@ class Tracer:
         return span
 
     def add(self, stage: str, seconds: float) -> None:
-        """``StageTimings``-compatible hook: record a finished span."""
+        """Record a finished span of *seconds* (:meth:`record` without
+        attributes)."""
         self.record(stage, seconds)
 
     def _finish(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-        if self._timings is not None:
-            self._timings.add(span.name, span.seconds)
 
     # -- queries -----------------------------------------------------------
     def spans(self, name: str | None = None) -> list[Span]:
@@ -190,6 +183,16 @@ class Tracer:
     def total(self, name: str | None = None) -> float:
         """Total seconds across spans of one name (or all spans)."""
         return sum(s.seconds for s in self.spans(name))
+
+    def rows(self) -> list[tuple[str, int, float]]:
+        """``(name, span count, total seconds)`` per span name, in order
+        of each name's first span."""
+        totals: dict[str, list] = {}
+        for span in self.spans():
+            row = totals.setdefault(span.name, [0, 0.0])
+            row[0] += 1
+            row[1] += span.seconds
+        return [(name, count, seconds) for name, (count, seconds) in totals.items()]
 
     def children(self, span: Span) -> list[Span]:
         return [s for s in self.spans() if s.parent_id == span.span_id]
@@ -208,6 +211,20 @@ class Tracer:
         """Write the trace as JSON to *path*."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
+
+    def table(self) -> str:
+        """A small fixed-width table of :meth:`rows` (the ``--timings``
+        output).  Nested spans overlap their parents, so the ``(all)``
+        line sums overlapping time."""
+        rows = self.rows()
+        if not rows:
+            return "no stages recorded"
+        width = max(len(name) for name, _, _ in rows)
+        lines = [f"{'stage'.ljust(width)}  spans      total"]
+        for name, count, seconds in rows:
+            lines.append(f"{name.ljust(width)}  {count:5d}  {seconds * 1e3:7.2f}ms")
+        lines.append(f"{'(all)'.ljust(width)}  {'':5}  {self.total() * 1e3:7.2f}ms")
+        return "\n".join(lines)
 
     def report(self) -> str:
         """A small indented tree of the recorded spans."""

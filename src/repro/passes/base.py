@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sdfg.sdfg import SDFG
     from repro.sdfg.state import SDFGState
 
-__all__ = ["Pass", "PassContext", "COMPONENTS"]
+__all__ = ["Pass", "PassContext", "COMPONENTS", "GRAPH_COMPONENTS"]
 
 #: Recognized content-component names a pass may list in :attr:`Pass.uses`.
 COMPONENTS = (
@@ -46,6 +46,10 @@ COMPONENTS = (
     "line",           # cache-line size in bytes
     "capacity",       # modeled cache capacity in lines
 )
+
+#: The components that hash graph content alone; the only ones
+#: :meth:`PassContext.adopt_components` shares between contexts.
+GRAPH_COMPONENTS = ("state", "states", "sdfg", "arrays", "arrays.logical")
 
 
 class PassContext:
@@ -104,16 +108,19 @@ class PassContext:
     def adopt_components(self, other: "PassContext") -> None:
         """Share *other*'s already-computed graph fingerprints.
 
-        Valid only when both contexts view the same SDFG under the same
-        configuration and differ at most in their symbol environment —
+        Valid only when both contexts view the same, unchanged SDFG —
         the parameter-sweep case, where fingerprinting the graph once
-        per point would be pure waste.  Environment-dependent entries
-        (``env`` and the per-context key memo) are never copied.
+        per point would be pure waste.  Only :data:`GRAPH_COMPONENTS`
+        are copied (``state`` only under the same focus state), so the
+        contexts may differ in environment, cache model, simulation
+        configuration and scope: those components are always this
+        context's own.
         """
-        for name, value in other._components.items():
-            if name in ("env", "__keys__"):
+        for name in GRAPH_COMPONENTS:
+            if name == "state" and other.state is not self.state:
                 continue
-            self._components.setdefault(name, value)
+            if name in other._components:
+                self._components.setdefault(name, other._components[name])
 
     def _compute_component(self, name: str) -> Hashable:
         if name == "scope":

@@ -9,8 +9,9 @@ it is the absence of the new key in the store.
 The store wraps every value in a cell so that ``None`` (or any falsy
 product) is a legal cached result, and delegates storage to a pluggable
 *backing* cache — any object with the ``get``/``put``/``clear``/``info``
-protocol of :class:`~repro.tool.session.SimulationCache` — so a session
-can keep exposing one shared LRU with one set of hit/miss counters.
+protocol of :class:`_LRUBacking` — so a session exposes one store, with
+one set of hit/miss counters, whether or not a disk tier
+(:class:`~repro.storage.tiered.TieredBacking`) sits behind it.
 """
 
 from __future__ import annotations

@@ -174,11 +174,10 @@ class AnalysisServer:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
-        #: Per-(line_size, capacity) base contexts sharing the graph
-        #: fingerprints: a warm request must not re-hash the (unchanged)
-        #: SDFG.  Keyed by configuration because ``adopt_components`` is
-        #: only valid between same-configuration contexts.
-        self._bases: dict[tuple[int, int], Any] = {}
+        #: The latest request context.  The next one adopts its graph
+        #: fingerprints, which accumulate along the chain, so a warm
+        #: request never re-hashes the (unchanged) SDFG.
+        self._base: Any = None
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -452,23 +451,11 @@ class AnalysisServer:
 
     # -- evaluation plumbing ---------------------------------------------------
     def _point_context(self, params, line_size, capacity):
-        config = (line_size, capacity)
-        base = self._bases.get(config)
-        ctx = self.session.point_context(
-            params, line_size=line_size, capacity_lines=capacity, base=base
+        self._base = self.session.point_context(
+            params, line_size=line_size, capacity_lines=capacity,
+            base=self._base,
         )
-        if base is None:
-            donor = next(iter(self._bases.values()), None)
-            if donor is not None:
-                # Cross-config graph-fingerprint sharing: pin this
-                # config's own components first so the donor's values
-                # (different line/capacity) can never leak in through
-                # adopt_components' setdefault.
-                for name in ("scope", "sim", "line", "capacity"):
-                    ctx.component(name)
-                ctx.adopt_components(donor)
-            self._bases[config] = ctx
-        return ctx
+        return self._base
 
     async def _coalesced(
         self,

@@ -41,7 +41,7 @@ from repro.simulation.affine import AffineSubset
 from repro.simulation.trace import AccessEvent, AccessKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.timing import StageTimings
+    from repro.obs.trace import Tracer
     from repro.simulation.layout import MemoryModel
     from repro.simulation.simulator import SimulationResult
 
@@ -196,7 +196,7 @@ def simulate_scope_vectorized(
     outer_point: tuple[int, ...],
     tracked: Callable[[str], bool],
     compile_subset: Callable[[Memlet], object],
-    timings: "StageTimings | None" = None,
+    timings: "Tracer | None" = None,
 ) -> bool:
     """Vectorized simulation of one flat map scope.
 

@@ -32,14 +32,12 @@ from repro.storage.diskcache import (
 from repro.storage.locks import FileLock
 from repro.storage.sizing import approx_sizeof
 from repro.storage.tiered import TieredBacking
-from repro.storage.worker import DiskCachedPointFn
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "FORMAT_VERSION",
     "SCHEMA_VERSION",
     "DiskCache",
-    "DiskCachedPointFn",
     "FileLock",
     "StorageDegradedWarning",
     "TieredBacking",

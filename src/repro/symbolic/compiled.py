@@ -625,8 +625,6 @@ def compile_expr(
     if metrics is not None:
         metrics.counter("expr.compile.misses").inc()
     if tracer is not None:
-        # Works with both span collectors: the hierarchical Tracer and
-        # StageTimings yield an attribute sink with a ``set()`` method.
         with tracer.span("symbolic:compile") as span:
             span.set(expr=str(canonical)[:120])
             fn = _lower(canonical, params)

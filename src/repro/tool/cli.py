@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"report written to {args.output}")
         if args.timings:
             print("pipeline stage timings:")
-            print(session.timings.report())
+            print(session.tracer.table())
         if args.explain_cache:
             print("analysis-pass cache report:")
             print(session.pass_report())

@@ -153,9 +153,10 @@ class TuningResult:
 class _VariantPointFn:
     """Picklable pool-side evaluator: variant marker -> serialized SDFG.
 
-    Mirrors :class:`~repro.storage.DiskCachedPointFn`'s shape — worker
-    processes cannot share the session pipeline, so they deserialize
-    their assigned variant and evaluate the locality point from scratch.
+    Worker processes cannot share the session pipeline, so each call
+    hands its variant's text to the executor's default worker entry
+    point, which runs the same ``local.point`` passes on a fresh store
+    (and keeps the deserialized variant for repeat calls).
     """
 
     def __init__(self, texts: dict[int, str]):
@@ -165,14 +166,13 @@ class _VariantPointFn:
         self, _sdfg_text, params, line_size, capacity_lines,
         include_transients, fast,
     ):
-        from repro.analysis import parametric
-        from repro.sdfg.serialize import loads
+        from repro.analysis.executor import _worker_evaluate
 
         params = dict(params)
         index = int(params.pop(VARIANT_KEY))
-        sdfg = loads(self.texts[index])
-        return parametric._evaluate_point(
-            sdfg, params, line_size, capacity_lines, include_transients, fast
+        return _worker_evaluate(
+            self.texts[index], params, line_size, capacity_lines,
+            include_transients, fast,
         )
 
 

@@ -345,18 +345,18 @@ class TestSweepLocalViewsContract:
         """Regression: a library error used to silently re-run the whole
         grid serially; now it propagates naming the failing point, and
         evaluation stops there instead of re-running everything."""
-        from repro.analysis import parametric
+        from repro.analysis import executor
 
         calls = []
-        real = parametric._evaluate_point
+        real = executor.evaluate_point
 
-        def counting_poison(sdfg_arg, params, *args, **kwargs):
+        def counting_poison(base, params, *args, **kwargs):
             calls.append(dict(params))
             if params["I"] == 4:
                 raise SimulationError(f"injected failure at {dict(params)}")
-            return real(sdfg_arg, params, *args, **kwargs)
+            return real(base, params, *args, **kwargs)
 
-        monkeypatch.setattr(parametric, "_evaluate_point", counting_poison)
+        monkeypatch.setattr(executor, "evaluate_point", counting_poison)
         grid = parameter_grid({"I": [3, 4, 5], "J": [3], "K": [2]})
         with pytest.raises(AnalysisError, match="'I': 4"):
             sweep_local_views(sdfg, grid)

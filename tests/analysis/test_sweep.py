@@ -18,6 +18,10 @@ from repro.tool.session import Session
 GRID_SPEC = {"I": [3, 4], "J": [3, 4], "K": [2, 3]}  # 8 points
 
 
+def _counter(session, name: str) -> int:
+    return session.metrics.counter(name).value
+
+
 @pytest.fixture(scope="module")
 def sdfg():
     return hdiff.build_sdfg()
@@ -87,20 +91,20 @@ class TestSessionSweep:
     def test_resweep_hits_cache(self, sdfg):
         session = Session(sdfg)
         first = session.sweep(GRID_SPEC, capacity_lines=16)
-        hits_before = session.cache.hits
+        hits_before = _counter(session, "sweep.cache_hits")
         second = session.sweep(GRID_SPEC, capacity_lines=16)
-        assert session.cache.hits - hits_before == len(first)
+        assert _counter(session, "sweep.cache_hits") - hits_before == len(first)
         assert all(a is b for a, b in zip(first, second))
 
     def test_refined_grid_only_pays_for_new_points(self, sdfg):
-        session = Session(sdfg, cache_size=64)
+        session = Session(sdfg)
         session.sweep({"I": [3], "J": [3], "K": [2]})
-        misses_before = session.cache.misses
+        points_before = _counter(session, "sweep.points")
         session.sweep({"I": [3, 4], "J": [3], "K": [2]})
-        assert session.cache.misses - misses_before == 1  # only I=4 is new
+        assert _counter(session, "sweep.points") - points_before == 1  # only I=4 is new
 
     def test_config_is_part_of_the_key(self, sdfg):
-        session = Session(sdfg, cache_size=64)
+        session = Session(sdfg)
         small = session.sweep({"I": [3], "J": [3], "K": [2]}, capacity_lines=2)
         large = session.sweep({"I": [3], "J": [3], "K": [2]}, capacity_lines=4096)
         assert small[0].total_misses > large[0].total_misses
@@ -108,8 +112,8 @@ class TestSessionSweep:
     def test_fanout_and_merge_timed(self, sdfg):
         session = Session(sdfg)
         session.sweep({"I": [3], "J": [3], "K": [2]})
-        assert session.timings.count("fanout") == 1
-        assert session.timings.count("merge") == 1
+        assert session.tracer.count("fanout") == 1
+        assert session.tracer.count("merge") == 1
 
     @pytest.mark.skipif(
         not os.cpu_count() or os.cpu_count() < 2,
@@ -152,19 +156,19 @@ class TestSessionSweepFaultTolerance:
         points: only the failed point is evaluated again."""
         session = Session(sdfg)
         session.sweep(self.BAD_GRID, on_error="record")
-        misses_before = session.cache.misses
+        points_before = _counter(session, "sweep.points")
         run = session.sweep(self.BAD_GRID, on_error="record")
-        assert session.cache.misses - misses_before == 1  # only the bad point
+        assert _counter(session, "sweep.points") - points_before == 1  # only the bad point
         assert run.completed == 2
 
     def test_raise_mode_still_caches_the_good_points(self, sdfg):
         session = Session(sdfg)
         with pytest.raises(AnalysisError):
             session.sweep(self.BAD_GRID)
-        misses_before = session.cache.misses
+        points_before = _counter(session, "sweep.points")
         good = [p for p in self.BAD_GRID if "K" in p]
         points = session.sweep(good)
-        assert session.cache.misses == misses_before  # all served from cache
+        assert _counter(session, "sweep.points") == points_before  # all served from the store
         assert [p.params for p in points] == good
 
     def test_unknown_on_error_mode_rejected(self, sdfg):
@@ -189,8 +193,8 @@ class TestSessionSweepObservability:
         [fanout] = session.tracer.spans("fanout")
         assert fanout.parent_id == sweep_span.span_id
         assert session.tracer.count("sweep.point") == 2
-        # The flat StageTimings mirror keeps working alongside the tree.
-        assert session.timings.count("fanout") == 1
+        # The flat per-name table sits alongside the tree.
+        assert ("fanout", 1) in [(n, c) for n, c, _ in session.tracer.rows()]
 
     def test_metrics_count_points_and_cache_hits(self, sdfg):
         session = Session(sdfg)

@@ -1,13 +1,15 @@
-"""Tests for the stage-timing collector."""
+"""Tests for per-stage timing: the tracer's flat queries and maybe_span."""
 
 import pytest
 
-from repro.analysis.timing import STAGES, StageTimings, maybe_span
+from repro.analysis.timing import maybe_span
+from repro.obs import Tracer
+from repro.obs.trace import NULL_SPAN
 
 
 class TestStageTimings:
     def test_add_and_total(self):
-        t = StageTimings()
+        t = Tracer()
         t.add("evaluate", 0.25)
         t.add("evaluate", 0.75)
         t.add("layout", 0.5)
@@ -16,55 +18,60 @@ class TestStageTimings:
         assert t.count("evaluate") == 2
 
     def test_span_records_elapsed(self):
-        t = StageTimings()
+        t = Tracer()
         with t.span("stackdist"):
             pass
         assert t.count("stackdist") == 1
         assert t.total("stackdist") >= 0.0
 
     def test_span_records_on_exception(self):
-        t = StageTimings()
+        t = Tracer()
         with pytest.raises(RuntimeError):
             with t.span("classify"):
                 raise RuntimeError("boom")
         assert t.count("classify") == 1
 
-    def test_stage_order_canonical_first(self):
-        t = StageTimings()
+    def test_stage_order_first_seen(self):
+        t = Tracer()
         t.add("custom", 1.0)
         t.add("enumerate", 1.0)
+        t.add("custom", 1.0)
         t.add("stackdist", 1.0)
-        assert t.stages() == ["enumerate", "stackdist", "custom"]
-        assert list(STAGES) == [
-            "enumerate",
-            "evaluate",
-            "layout",
-            "stackdist",
-            "classify",
-            "fanout",
-            "merge",
+        assert [name for name, _, _ in t.rows()] == [
+            "custom", "enumerate", "stackdist"
         ]
 
     def test_rows_and_report(self):
-        t = StageTimings()
+        t = Tracer()
         t.add("evaluate", 0.002)
         rows = t.rows()
         assert rows == [("evaluate", 1, pytest.approx(0.002))]
-        assert "evaluate" in t.report()
-        assert StageTimings().report() == "no stages recorded"
+        assert "evaluate" in t.table()
+        assert Tracer().table() == "no stages recorded"
+
+    def test_nested_spans_each_get_a_row(self):
+        t = Tracer()
+        with t.span("evaluate"):
+            with t.span("layout"):
+                pass
+        assert [(name, count) for name, count, _ in t.rows()] == [
+            ("evaluate", 1), ("layout", 1)
+        ]
 
     def test_reset(self):
-        t = StageTimings()
+        t = Tracer()
         t.add("layout", 1.0)
         t.reset()
-        assert t.stages() == [] and t.total() == 0.0
+        assert t.rows() == [] and t.total() == 0.0
 
     def test_maybe_span_none_is_noop(self):
-        with maybe_span(None, "evaluate"):
-            pass  # must not raise
+        with maybe_span(None, "evaluate") as span:
+            assert span is NULL_SPAN
+            assert span.set(marker=1) is span  # no-op sink, chainable
 
     def test_maybe_span_records(self):
-        t = StageTimings()
-        with maybe_span(t, "enumerate"):
-            pass
+        t = Tracer()
+        with maybe_span(t, "enumerate") as span:
+            span.set(marker=1)
         assert t.count("enumerate") == 1
+        assert t.spans("enumerate")[0].attributes == {"marker": 1}

@@ -9,6 +9,25 @@ entry count alone would underestimate its footprint.
 from repro.passes.store import ResultStore, _LRUBacking
 
 
+class TestLRUBacking:
+    def test_lru_eviction(self):
+        backing = _LRUBacking(maxsize=2)
+        backing.put(("a",), 1)
+        backing.put(("b",), 2)
+        assert backing.get(("a",)) == 1  # refresh "a"
+        backing.put(("c",), 3)  # evicts "b", the least recently used
+        assert ("b",) not in backing
+        assert backing.get(("a",)) == 1 and backing.get(("c",)) == 3
+
+    def test_hit_miss_counters(self):
+        backing = _LRUBacking(maxsize=4)
+        assert backing.get(("x",)) is None
+        backing.put(("x",), 42)
+        assert backing.get(("x",)) == 42
+        assert backing.info()["hits"] == 1
+        assert backing.info()["misses"] == 1
+
+
 class TestLRUBackingBytes:
     def test_byte_bound_is_a_second_eviction_trigger(self):
         backing = _LRUBacking(maxsize=100, max_bytes=350, sizeof=len)
@@ -17,6 +36,15 @@ class TestLRUBackingBytes:
         assert len(backing) <= 3  # 100-entry count bound never fired
         assert backing.approx_bytes <= 350
         assert (4,) in backing
+
+    def test_lru_order_respected_by_byte_eviction(self):
+        backing = _LRUBacking(maxsize=100, max_bytes=250, sizeof=len)
+        backing.put(("a",), "x" * 100)
+        backing.put(("b",), "x" * 100)
+        backing.get(("a",))  # refresh: "b" is now least recently used
+        backing.put(("c",), "x" * 100)
+        assert ("a",) in backing and ("c",) in backing
+        assert ("b",) not in backing
 
     def test_count_bound_still_applies(self):
         backing = _LRUBacking(maxsize=2, max_bytes=10_000_000, sizeof=len)
@@ -42,7 +70,10 @@ class TestLRUBackingBytes:
         assert info["max_bytes"] == 9000
 
     def test_no_byte_bound_reports_zero(self):
-        assert _LRUBacking(maxsize=4).info()["max_bytes"] == 0
+        backing = _LRUBacking(maxsize=4)
+        backing.put(("k",), "x" * 100_000)
+        assert ("k",) in backing  # no byte bound: only the count evicts
+        assert backing.info()["max_bytes"] == 0
 
     def test_default_sizeof_orders_by_magnitude(self):
         backing = _LRUBacking(maxsize=4)  # default approx_sizeof
@@ -58,6 +89,7 @@ class TestLRUBackingBytes:
         backing = _LRUBacking(maxsize=4, max_bytes=10, sizeof=broken)
         backing.put(("k",), "a perfectly good value")
         assert backing.get(("k",)) == "a perfectly good value"
+        assert backing.approx_bytes == 0  # unmeasurable counts as zero
 
 
 class TestResultStorePassthrough:

@@ -1,10 +1,12 @@
-"""Tests for the session-level simulation cache and stage timings."""
+"""Tests for the session's result store and stage timings."""
 
 from repro.apps import hdiff
 from repro.frontend import pmap, program
+from repro.passes.store import ResultStore, _LRUBacking
 from repro.sdfg.dtypes import float64
+from repro.sdfg.serialize import state_fingerprint
 from repro.symbolic import symbols
-from repro.tool.session import Session, SimulationCache
+from repro.tool.session import Session
 
 I, J = symbols("I J")
 
@@ -18,28 +20,16 @@ OTHER = {"I": 4, "J": 3, "K": 2}
 
 
 class TestSimulationCache:
-    def test_lru_eviction(self):
-        cache = SimulationCache(maxsize=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1  # refresh "a"
-        cache.put(("c",), 3)  # evicts "b", the least recently used
-        assert ("b",) not in cache
-        assert cache.get(("a",)) == 1 and cache.get(("c",)) == 3
-
-    def test_hit_miss_counters(self):
-        cache = SimulationCache()
-        assert cache.get(("x",)) is None
-        cache.put(("x",), 42)
-        assert cache.get(("x",)) == 42
-        assert cache.info()["hits"] == 1
-        assert cache.info()["misses"] == 1
+    """The session's result cache: the memory tier of its store."""
 
     def test_bounded(self):
-        cache = SimulationCache(maxsize=3)
-        for n in range(10):
-            cache.put((n,), n)
-        assert len(cache) == 3
+        session = make_session()
+        maxsize = session.cache_info()["maxsize"]
+        for n in range(maxsize + 10):
+            session.store.put((n,), n)
+        assert len(session.store) == maxsize
+        assert not session.store.contains((0,))  # oldest evicted
+        assert session.store.get((maxsize + 9,)) == maxsize + 9
 
 
 class TestSessionCaching:
@@ -85,8 +75,7 @@ class TestSessionCaching:
 
         sdfg = hdiff.build_sdfg()
         lv = LocalView(sdfg, SIZES, sdfg.start_state)
-        assert lv.session_cache is None
-        assert lv.result.events  # simulates without a cache attached
+        assert lv.result.events  # simulates on its own pipeline
 
     def test_miss_counts_identical_across_paths(self):
         session = make_session()
@@ -103,16 +92,16 @@ class TestSessionTimings:
         lv = session.local_view(SIZES)
         lv.miss_counts()
         lv.render_container("in_field", values=lv.miss_heatmap("in_field"))
-        recorded = set(session.timings.stages())
+        recorded = {name for name, _, _ in session.tracer.rows()}
         # The analytic engine serves classification, so the enumeration
         # stage spans (layout/stackdist) are replaced by its own span.
         assert {"enumerate", "evaluate", "locality:analytic", "classify", "render"} <= recorded
-        assert session.timings.total() > 0
+        assert session.tracer.total() > 0
 
     def test_report_renders(self):
         session = make_session()
         session.local_view(SIZES).miss_counts()
-        report = session.timings.report()
+        report = session.tracer.table()
         assert "locality:analytic" in report and "ms" in report
 
 
@@ -147,17 +136,19 @@ class TestContentBasedCacheKeys:
 
     def test_sim_key_is_content_based(self):
         session = make_session()
-        key = session.local_view(SIZES)._sim_key()
-        assert key[0] == (session.sdfg.name, 0)  # (scope, ...) prefix
-        assert key[1] == session.sdfg.start_state.name
-        assert id(session.sdfg) not in key
-        assert id(session.sdfg.start_state) not in key
+        ctx = session.local_view(SIZES)._context()
+        scope = ctx.component("scope")
+        assert scope == (session.sdfg.name, 0)
+        state = session.sdfg.start_state
+        assert ctx.component("state") == state_fingerprint(state)
+        assert id(session.sdfg) not in scope
+        assert id(state) not in scope
 
     def test_load_bumps_the_cache_generation(self):
         session = make_session()
-        before = session.local_view(SIZES)._sim_key()
+        before = session.local_view(SIZES)._context().component("scope")
         session.load(hdiff.build_sdfg())
-        after = session.local_view(SIZES)._sim_key()
+        after = session.local_view(SIZES)._context().component("scope")
         assert before != after  # same name, same params — new generation
 
     def test_reload_never_serves_stale_results(self):
@@ -177,9 +168,12 @@ class TestContentBasedCacheKeys:
         session = Session(_make_kernel(0))
         v0 = session.sweep([self.KERNEL_SIZES])
         session.load(_make_kernel(1))
-        misses_before = session.cache.misses
+        hits = session.metrics.counter("sweep.cache_hits")
+        points = session.metrics.counter("sweep.points")
+        hits_before, points_before = hits.value, points.value
         v1 = session.sweep([self.KERNEL_SIZES])
-        assert session.cache.misses > misses_before  # not served from cache
+        assert hits.value == hits_before  # not served from the store
+        assert points.value == points_before + 1  # evaluated afresh
         assert v1[0].total_accesses != v0[0].total_accesses
 
     def test_sdfg_setter_is_equivalent_to_load(self):
@@ -187,51 +181,68 @@ class TestContentBasedCacheKeys:
         session.local_view(self.KERNEL_SIZES).result
         session.sdfg = _make_kernel(1)
         lv = session.local_view(self.KERNEL_SIZES)
-        assert lv._sim_key()[0] == (session.sdfg.name, 1)
+        assert lv._context().component("scope") == (session.sdfg.name, 1)
+
+    def test_base_context_never_leaks_cache_settings(self):
+        """Regression: ``adopt_components`` copied ``capacity`` (and the
+        other configuration components) from the base, so a point run
+        through a capacity-512 context keyed its products at the base's
+        capacity 4 and a later capacity-4 sweep served the wrong misses."""
+        params = {"I": 8, "J": 8, "K": 5}
+        session = make_session()
+        small = session.point_context(params, capacity_lines=4)
+        session.product_key("local.point", small)
+        large = session.point_context(params, capacity_lines=512, base=small)
+        session.pipeline.run("local.point", large)
+        [point] = session.sweep([params], capacity_lines=4)
+        [truth] = make_session().sweep([params], capacity_lines=4)
+        assert point == truth
+        assert point.total_misses == 5888
+
+
+def _value_len(cell):
+    """Size of a stored value: the store wraps each value in a one-tuple cell."""
+    return len(cell[0])
+
+
+def _sized_store(maxsize, max_bytes=None, sizeof=_value_len):
+    """A store over the session's memory-tier LRU with a custom sizeof."""
+    return ResultStore(backing=_LRUBacking(maxsize, max_bytes=max_bytes, sizeof=sizeof))
 
 
 class TestSimulationCacheByteBudget:
     def test_byte_bound_evicts_before_count_bound(self):
-        cache = SimulationCache(maxsize=100, max_bytes=400, sizeof=len)
+        store = _sized_store(maxsize=100, max_bytes=400)
         for n in range(6):
-            cache.put((n,), "x" * 100)
-        assert len(cache) < 6  # count bound alone would keep all six
-        assert cache.approx_bytes <= 400
-        assert (5,) in cache  # newest survives
-
-    def test_lru_order_respected_by_byte_eviction(self):
-        cache = SimulationCache(maxsize=100, max_bytes=250, sizeof=len)
-        cache.put(("a",), "x" * 100)
-        cache.put(("b",), "x" * 100)
-        cache.get(("a",))  # refresh: "b" is now least recently used
-        cache.put(("c",), "x" * 100)
-        assert ("a",) in cache and ("c",) in cache
-        assert ("b",) not in cache
+            store.put((n,), "x" * 100)
+        assert len(store) < 6  # count bound alone would keep all six
+        assert store.info()["approx_bytes"] <= 400
+        assert store.contains((5,))  # newest survives
 
     def test_overwrite_replaces_size(self):
-        cache = SimulationCache(maxsize=8, max_bytes=10_000, sizeof=len)
-        cache.put(("k",), "x" * 5000)
-        cache.put(("k",), "x" * 10)
-        assert cache.approx_bytes == 10
+        store = _sized_store(maxsize=8, max_bytes=10_000)
+        store.put(("k",), "x" * 5000)
+        store.put(("k",), "x" * 10)
+        assert store.info()["approx_bytes"] == 10
 
     def test_info_reports_bytes(self):
-        cache = SimulationCache(maxsize=8, max_bytes=1234, sizeof=len)
-        cache.put(("k",), "x" * 10)
-        info = cache.info()
+        store = _sized_store(maxsize=8, max_bytes=1234)
+        store.put(("k",), "x" * 10)
+        info = store.info()
         assert info["approx_bytes"] == 10
         assert info["max_bytes"] == 1234
 
     def test_unbounded_bytes_by_default(self):
-        cache = SimulationCache(maxsize=3)
-        cache.put(("k",), "x" * 100_000)
-        assert ("k",) in cache
-        assert cache.info()["max_bytes"] == 0  # 0 means "no byte bound"
+        session = make_session()
+        session.store.put(("k",), "x" * 100_000)
+        assert session.store.contains(("k",))
+        assert session.cache_info()["max_bytes"] == 0  # 0 means "no byte bound"
 
     def test_sizing_failure_never_breaks_caching(self):
         def broken(value):
             raise RuntimeError("sizeof exploded")
 
-        cache = SimulationCache(maxsize=4, max_bytes=100, sizeof=broken)
-        cache.put(("k",), "value")
-        assert cache.get(("k",)) == "value"
-        assert cache.approx_bytes == 0  # unmeasurable counts as zero
+        store = _sized_store(maxsize=4, max_bytes=100, sizeof=broken)
+        store.put(("k",), "value")
+        assert store.get(("k",)) == "value"
+        assert store.info()["approx_bytes"] == 0  # unmeasurable counts as zero

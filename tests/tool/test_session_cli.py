@@ -285,7 +285,24 @@ class TestCLIObservability:
         assert "analysis-pass cache report:" in captured
         assert "local.trace" in captured
         assert "first run" in captured
-        assert "simulation cache:" in captured
+        assert "result store:" in captured
+
+    def test_timings_prints_the_stage_table(self, tmp_path, capsys):
+        module = self.write_module(tmp_path)
+        out = tmp_path / "report.html"
+        rc = cli_main([
+            str(module), "--params", "I=8,J=8", "--local", "I=3,J=4",
+            "-o", str(out), "--timings",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr().out
+        table = captured.split("pipeline stage timings:\n", 1)[1].splitlines()
+        assert table[0].split() == ["stage", "spans", "total"]
+        rows = {line.split()[0]: line.split()[1:] for line in table[1:]}
+        for stage in ("pass:local.trace", "evaluate", "classify", "(all)"):
+            assert stage in rows, stage
+        count, total = rows["pass:local.trace"]
+        assert int(count) >= 1 and total.endswith("ms")
 
     def test_failed_sweep_points_are_reported_and_exit_nonzero(
         self, tmp_path, capsys

@@ -166,6 +166,7 @@ class TestControls:
         assert (
             pooled.best.score.moved_bytes == serial.best.score.moved_bytes
         )
+        assert pooled.evaluated == serial.evaluated
 
 
 class TestObjective:
