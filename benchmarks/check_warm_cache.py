@@ -9,6 +9,11 @@ or two developer sessions — and asserts the storage-layer contract:
 - the warm run is faster than the cold run (the cache pays for itself);
 - nothing was quarantined and the cache never degraded.
 
+A second, pooled leg runs the sweep on two workers (``--workers 2
+--no-adaptive``), then once more at another ``--capacity`` over the same
+directory.  The workers' analytic products reach the disk, so that run
+only classifies: it must run zero ``local.analytic`` passes.
+
 Exit code 0 on success; prints the numbers either way.  Run with::
 
     PYTHONPATH=src python benchmarks/check_warm_cache.py
@@ -42,15 +47,21 @@ ARGS = [
     "--local", "I=64,J=64,K=24",
     "--sweep", "K=8,16,24,32",
 ]
+#: The pooled leg's cold run, and its run at another capacity.
+POOLED_COLD = ["--workers", "2", "--no-adaptive"]
+POOLED_RESWEEP = ["--capacity", "256"]
 
 
-def run_once(label: str, module: Path, cache: Path, out_dir: Path) -> dict:
+def run_once(
+    label: str, module: Path, cache: Path, out_dir: Path, extra=()
+) -> dict:
     metrics_path = out_dir / f"{label}-metrics.json"
     start = time.perf_counter()
     subprocess.run(
         [
             sys.executable, "-m", "repro.tool.cli", str(module),
             *ARGS,
+            *extra,
             "--cache-dir", str(cache),
             "--metrics-out", str(metrics_path),
             "-o", str(out_dir / f"{label}-report.html"),
@@ -72,8 +83,15 @@ def main() -> int:
         cold = run_once("cold", module, cache, out_dir)
         warm = run_once("warm", module, cache, out_dir)
 
+        pooled_cache = out_dir / "pooled-cache"
+        pooled = run_once("pooled", module, pooled_cache, out_dir, POOLED_COLD)
+        resweep = run_once(
+            "resweep", module, pooled_cache, out_dir, POOLED_RESWEEP
+        )
+
     failures = []
-    for label, run in (("cold", cold), ("warm", warm)):
+    runs = (("cold", cold), ("warm", warm), ("pooled", pooled), ("resweep", resweep))
+    for label, run in runs:
         counters = run["counters"]
         print(
             f"{label}: {run['seconds']:.2f}s, "
@@ -104,6 +122,17 @@ def main() -> int:
         failures.append(
             f"warm run ({warm['seconds']:.2f}s) not faster than "
             f"cold ({cold['seconds']:.2f}s)"
+        )
+
+    analytic_runs = resweep["counters"].get("pass.local.analytic.runs", 0)
+    print(
+        f"capacity re-sweep of the pooled grid: {analytic_runs} "
+        "local.analytic passes (must be 0)"
+    )
+    if analytic_runs:
+        failures.append(
+            f"re-sweep at another capacity ran {analytic_runs} local.analytic "
+            "passes: the pooled run did not leave its analytic products"
         )
 
     if failures:

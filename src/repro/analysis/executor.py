@@ -47,12 +47,14 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.errors import AnalysisError, ReproError
 from repro.resilience.chaos import inject as _chaos
 
-__all__ = ["CancelToken", "SweepExecutor", "SweepPointError", "SweepRun"]
+__all__ = [
+    "CancelToken", "PooledPoint", "SweepExecutor", "SweepPointError", "SweepRun",
+]
 
 
 def evaluate_point(
@@ -69,9 +71,22 @@ def evaluate_point(
     *base* is a :class:`~repro.passes.base.PassContext` over the program
     to evaluate.  Graph fingerprints flow both ways between it and the
     point's own context, so a grid fingerprints its program once.  The
-    store is fresh because grid points share no pass products.
+    store is fresh because grid points share no pass products, and it
+    dies with the call.  The one product worth keeping is the point's
+    capacity-independent ``local.analytic``: ``Session.sweep``'s workers
+    return it with the point (:func:`_worker_evaluate_shipping`).
     *timings* receives the pass and stage spans.
     """
+    return _evaluate(
+        base, params, line_size, capacity_lines, include_transients, fast,
+        timings,
+    )[0]
+
+
+def _evaluate(
+    base, params, line_size, capacity_lines, include_transients, fast, timings
+):
+    """:func:`evaluate_point`'s point plus its ``local.analytic`` product."""
     from repro.passes import PassContext, build_pipeline
 
     ctx = PassContext(
@@ -84,15 +99,44 @@ def evaluate_point(
         timings=timings,
     )
     ctx.adopt_components(base)
-    point = build_pipeline(tracer=timings).run("local.point", ctx)
+    pipeline = build_pipeline(tracer=timings)
+    point = pipeline.run("local.point", ctx)
     base.adopt_components(ctx)
-    return point
+    # A store hit: ``local.point`` consumed the analytic product.
+    return point, pipeline.run("local.analytic", ctx)
+
+
+class PooledPoint(NamedTuple):
+    """A point evaluated on the pool, with the capacity-independent
+    ``local.analytic`` product (an
+    :class:`~repro.locality.engine.AnalyticLocality`) its worker computed.
+
+    Only :func:`_worker_evaluate_shipping` makes these.  ``Session.sweep``
+    stores the product and passes on :attr:`point` alone, so a re-sweep
+    of the grid at another capacity only classifies.
+    """
+
+    point: Any
+    analytic: Any
 
 
 #: Worker-side cache: serialized SDFG text -> base context over its
 #: deserialization, so each worker process pays the JSON round-trip and
 #: the graph fingerprints once per program, not per point.
 _PROGRAMS: dict[str, Any] = {}
+
+
+def _program_base(sdfg_text: str):
+    """The worker's cached base context over *sdfg_text*."""
+    base = _PROGRAMS.get(sdfg_text)
+    if base is None:
+        from repro.passes import PassContext
+        from repro.sdfg.serialize import loads
+
+        if len(_PROGRAMS) >= 4:
+            _PROGRAMS.clear()
+        base = _PROGRAMS[sdfg_text] = PassContext(loads(sdfg_text))
+    return base
 
 
 def _worker_evaluate(
@@ -105,17 +149,29 @@ def _worker_evaluate(
 ):
     """Default worker entry point: :func:`evaluate_point` on a cached
     deserialization of *sdfg_text*."""
-    base = _PROGRAMS.get(sdfg_text)
-    if base is None:
-        from repro.passes import PassContext
-        from repro.sdfg.serialize import loads
-
-        if len(_PROGRAMS) >= 4:
-            _PROGRAMS.clear()
-        base = _PROGRAMS[sdfg_text] = PassContext(loads(sdfg_text))
     return evaluate_point(
-        base, params, line_size, capacity_lines, include_transients, fast
+        _program_base(sdfg_text), params, line_size, capacity_lines,
+        include_transients, fast,
     )
+
+
+def _worker_evaluate_shipping(
+    sdfg_text: str,
+    params: Mapping[str, int],
+    line_size: int,
+    capacity_lines: int,
+    include_transients: bool,
+    fast: bool,
+):
+    """``Session.sweep``'s worker entry point: like
+    :func:`_worker_evaluate`, but a point whose analytic product exists
+    comes back as a :class:`PooledPoint` carrying it.  Where the engine
+    declined (a ``None`` product) the bare point comes back."""
+    point, analytic = _evaluate(
+        _program_base(sdfg_text), params, line_size, capacity_lines,
+        include_transients, fast, None,
+    )
+    return point if analytic is None else PooledPoint(point, analytic)
 
 
 def _worker_evaluate_batch(
@@ -153,6 +209,14 @@ def _worker_evaluate_batch(
         else:
             out.append(("ok", point))
     return out
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the host
+    has one (cpusets and ``taskset`` restrict it below ``cpu_count``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _PoolUnavailable(Exception):
@@ -371,7 +435,9 @@ class SweepExecutor:
         serialization + worker warmup) used by the adaptive decision.
     cores:
         Physical parallelism assumed by the adaptive decision; defaults
-        to ``os.cpu_count()``.  Injectable for tests.
+        to the CPUs in the process's affinity mask
+        (``os.sched_getaffinity``, else ``os.cpu_count()``).  Injectable
+        for tests.
     batch:
         Points per worker task on the pool path.  ``None`` (default)
         auto-chunks: roughly four tasks per worker, capped at 32 points
@@ -589,7 +655,7 @@ class SweepExecutor:
         points that each take ``t_point`` seconds serially?"""
         if remaining <= 0 or self.workers is None or self.workers < 1:
             return False
-        cores = self.cores if self.cores is not None else (os.cpu_count() or 1)
+        cores = self.cores if self.cores is not None else _usable_cores()
         effective = max(1, min(int(self.workers), cores, remaining))
         if effective <= 1:
             return False  # no real parallelism: the pool only adds overhead

@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """A non-negative int64 *array* as int32 when its values fit."""
+    if array.size and array.max() > np.iinfo(np.int32).max:
+        return array
+    return array.astype(np.int32)
+
+
 class EnumeratedSummary:
     """One region enumerated exactly, with composition hooks.
 
@@ -56,22 +63,33 @@ class EnumeratedSummary:
     the ``inf`` entries — are resolved by the engine's reduced-trace
     composition; until then they default to cold, which is exact for
     single-region programs and for the first region of any program.
+
+    Of the region's per-event columns only the positions and element
+    indices per container are kept, as int32 where they fit: the line
+    ids are read by the composition alone (the engine passes them
+    separately), and the container ids only at the region-first
+    positions.  The product crosses the sweep pool's pipe and lives in
+    the session store, so its size matters.
     """
 
     kind = "enumerated"
 
-    __slots__ = ("cols", "distances", "first_positions", "reduced_positions",
-                 "resolved")
+    __slots__ = ("num_events", "containers", "positions", "index_matrices",
+                 "distances", "first_positions", "first_cids", "resolved")
 
     def __init__(self, cols: RegionColumns):
-        self.cols = cols
+        self.num_events = cols.num_events
+        self.containers = cols.containers
+        self.positions = {
+            name: _narrow(pos) for name, pos in cols.positions.items()
+        }
+        self.index_matrices = {
+            name: _narrow(matrix) for name, matrix in cols.index_matrices.items()
+        }
         self.distances = stack_distances_array(cols.lines)
-        lines = cols.lines
-        _, first_idx = np.unique(lines, return_index=True)
-        _, reversed_idx = np.unique(lines[::-1], return_index=True)
-        last_idx = lines.size - 1 - reversed_idx
+        _, first_idx = np.unique(cols.lines, return_index=True)
         self.first_positions = np.sort(first_idx)
-        self.reduced_positions = np.unique(np.concatenate([first_idx, last_idx]))
+        self.first_cids = cols.container_ids[self.first_positions]
         #: Resolved distance per region-first access (position order);
         #: ``inf`` = globally cold.  Filled by the engine's composition.
         self.resolved = np.full(self.first_positions.size, np.inf)
@@ -79,22 +97,21 @@ class EnumeratedSummary:
     # -- aggregate interface (shared with FoldedSummary) -------------------
     @property
     def total_events(self) -> int:
-        return self.cols.num_events
+        return self.num_events
 
     def events_per_container(self) -> dict[str, int]:
         return {
-            name: int(self.cols.positions[name].size)
-            for name in self.cols.containers
+            name: int(self.positions[name].size)
+            for name in self.containers
         }
 
     def hist_into(self, acc: dict[str, dict[int, int]]) -> None:
-        _hist_add(acc, self.cols, self.distances)
+        _hist_add(acc, self, self.distances)
         finite = np.isfinite(self.resolved)
         if not finite.any():
             return
-        first_cids = self.cols.container_ids[self.first_positions]
-        for cid, name in enumerate(self.cols.containers):
-            member = (first_cids == cid) & finite
+        for cid, name in enumerate(self.containers):
+            member = (self.first_cids == cid) & finite
             if not member.any():
                 continue
             values, counts = np.unique(self.resolved[member], return_counts=True)
@@ -106,17 +123,16 @@ class EnumeratedSummary:
         cold = np.isinf(self.resolved)
         if not cold.any():
             return
-        first_cids = self.cols.container_ids[self.first_positions]
-        for cid, name in enumerate(self.cols.containers):
-            count = int((cold & (first_cids == cid)).sum())
+        for cid, name in enumerate(self.containers):
+            count = int((cold & (self.first_cids == cid)).sum())
             if count:
                 acc[name] = acc.get(name, 0) + count
 
     def has_container(self, container: str) -> bool:
-        return container in self.cols.positions
+        return container in self.positions
 
     def index_span(self, container: str) -> tuple[int, ...]:
-        matrix = self.cols.index_matrices[container]
+        matrix = self.index_matrices[container]
         return tuple(
             int(matrix[:, d].max()) + 1 for d in range(matrix.shape[1])
         )
@@ -130,10 +146,10 @@ class EnumeratedSummary:
         dense_cold: np.ndarray,
         dense_cap: np.ndarray,
     ) -> None:
-        pos = self.cols.positions.get(container)
+        pos = self.positions.get(container)
         if pos is None or not pos.size:
             return
-        keys = self.cols.index_matrices[container] @ mult
+        keys = self.index_matrices[container] @ mult
         _scatter(dense_total, keys)
         d = self.distances[pos]
         cap = np.isfinite(d) & (d >= capacity)
@@ -154,27 +170,31 @@ class EnumeratedSummary:
             _scatter(dense_cap, first_keys[late])
 
 
-def _compose(summaries: list[EnumeratedSummary]) -> None:
+def _compose(summaries: list[EnumeratedSummary], lines: list[np.ndarray]) -> None:
     """Resolve region-first accesses across regions via the reduced trace.
 
-    Per region, each line's first and last occurrence (in order) stand
-    in for all its occurrences; one stack-distance pass over the
-    concatenation yields, at every first entry, the exact number of
-    distinct lines since that line's previous (cross-region) occurrence:
-    any line with a true access inside the reuse window also has a
-    retained first-or-last entry inside it, and retained entries are
-    true accesses — so the reduced count equals the true count.
+    Per region (``lines[i]`` is region *i*'s line trace), each line's
+    first and last occurrence (in order) stand in for all its
+    occurrences; one stack-distance pass over the concatenation yields,
+    at every first entry, the exact number of distinct lines since that
+    line's previous (cross-region) occurrence: any line with a true
+    access inside the reuse window also has a retained first-or-last
+    entry inside it, and retained entries are true accesses — so the
+    reduced count equals the true count.
     """
-    reduced = np.concatenate(
-        [s.cols.lines[s.reduced_positions] for s in summaries]
-    )
-    distances = stack_distances_array(reduced)
+    reduced_positions = []
+    for s, region_lines in zip(summaries, lines):
+        _, reversed_idx = np.unique(region_lines[::-1], return_index=True)
+        last_idx = region_lines.size - 1 - reversed_idx
+        reduced_positions.append(np.union1d(s.first_positions, last_idx))
+    distances = stack_distances_array(np.concatenate(
+        [region_lines[r] for region_lines, r in zip(lines, reduced_positions)]
+    ))
     offset = 0
-    for s in summaries:
-        m = s.reduced_positions.size
-        is_first = np.isin(s.reduced_positions, s.first_positions)
-        s.resolved = distances[offset:offset + m][is_first]
-        offset += m
+    for s, r in zip(summaries, reduced_positions):
+        is_first = np.isin(r, s.first_positions)
+        s.resolved = distances[offset:offset + r.size][is_first]
+        offset += r.size
 
 
 class SymbolicLocality:
@@ -433,6 +453,8 @@ def analyze_locality(
     regions = extract_regions(sdfg, state)
     single = len(regions) == 1
     summaries: list = []
+    # Line trace per summary, read by the composition only.
+    lines: list[np.ndarray] = []
     folded = 0
     enumerated = 0
     symbolic: SymbolicLocality | None = None
@@ -462,6 +484,7 @@ def analyze_locality(
         cols = region_columns(result, memory)
         if cols.num_events:
             summaries.append(EnumeratedSummary(cols))
+            lines.append(cols.lines)
     if len(summaries) > 1:
-        _compose(summaries)
+        _compose(summaries, lines)
     return AnalyticLocality(summaries, folded, enumerated, symbolic, line_size)

@@ -64,9 +64,13 @@ def _scatter(dense: np.ndarray, keys: np.ndarray) -> None:
         dense += np.bincount(keys, minlength=dense.size)
 
 
-def _hist_add(acc, cols: RegionColumns, distances: np.ndarray, weight: int = 1,
+def _hist_add(acc, cols, distances: np.ndarray, weight: int = 1,
               positions=None) -> None:
-    """Accumulate finite distances into per-container histograms."""
+    """Accumulate finite distances into per-container histograms.
+
+    *cols* lists ``containers`` and their event ``positions``: a
+    :class:`RegionColumns` or an enumerated region's summary.
+    """
     for name in cols.containers:
         pos = cols.positions[name] if positions is None else positions[name]
         d = distances[pos]

@@ -114,7 +114,9 @@ class AnalyticPass(Pass):
     Returns ``None`` when the engine declines (→ downstream passes fall
     back to enumeration).  ``capacity`` is deliberately *not* a key
     component: the product carries full histograms, so a capacity
-    re-sweep reuses it.
+    re-sweep reuses it.  That holds for pooled sweeps too: the workers
+    of ``Session.sweep`` return the product with each point, and the
+    session stores it under this pass's key.
     """
 
     name = "local.analytic"

@@ -20,9 +20,11 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.analysis import ParameterSweep
 from repro.analysis.executor import (
     CancelToken,
+    PooledPoint,
     SweepExecutor,
     SweepPointError,
     SweepRun,
+    _worker_evaluate_shipping,
 )
 from repro.analysis.parametric import (
     LocalSweepPoint,
@@ -293,6 +295,13 @@ class Session:
         refined grid) only pays for new points — including after a
         partial failure, where completed points are never re-run.
 
+        A point's ``local.analytic`` product does not depend on the
+        cache capacity.  Pool workers return it with the point and it
+        enters the store too, so a pooled sweep leaves the store as a
+        serial one would.  A point whose product is stored is answered
+        in process, before the executor runs: re-sweeping a grid at
+        another capacity only classifies.
+
         *on_error* selects the failure contract:
 
         - ``"raise"`` (default) — any failed point raises
@@ -307,10 +316,10 @@ class Session:
         (transient-failure retries, per-point timeout in seconds, and a
         cooperative :class:`~repro.analysis.executor.CancelToken`).
 
-        ``adaptive=True`` (default) times the first unevaluated point
-        serially and only spawns a worker pool when the measured
-        per-point cost predicts a wall-clock win over finishing
-        serially — cheap grids never pay pool startup.  Pass
+        ``adaptive=True`` (default) times the first point that needs
+        the analytic engine serially and only spawns a worker pool when
+        the measured per-point cost predicts a wall-clock win over
+        finishing serially — cheap grids never pay pool startup.  Pass
         ``adaptive=False`` to restore the unconditional pool behaviour.
 
         *batch* sets how many points one worker task evaluates
@@ -355,11 +364,20 @@ class Session:
             # creation, so the lookup contexts below cannot be reused.
             return self.pipeline.run("local.point", ctx_of(params))
 
+        def unpooled(outcome: Any) -> Any:
+            return outcome.point if isinstance(outcome, PooledPoint) else outcome
+
         out: list[LocalSweepPoint | SweepPointError | None] = [None] * len(grid)
         with self.tracer.span("sweep", points=len(grid)):
             # Content-addressed: embeds the graph/descriptor fingerprints,
-            # so an in-place transform can never serve a stale point.
-            keys = [self.pipeline.key("local.point", ctx_of(p)) for p in grid]
+            # so an in-place transform can never serve a stale point.  Each
+            # context is keyed as it is made, so the first one's graph
+            # fingerprints are there for the rest to adopt.
+            ctxs: list[PassContext] = []
+            keys: list[tuple] = []
+            for params in grid:
+                ctxs.append(ctx_of(params))
+                keys.append(self.pipeline.key("local.point", ctxs[-1]))
             missing: list[int] = []
             for index, key in enumerate(keys):
                 point = self.store.get(key)
@@ -370,13 +388,43 @@ class Session:
                     if on_result is not None:
                         on_result(index, point)
             self.metrics.counter("sweep.cache_hits").inc(len(grid) - len(missing))
-            if missing:
+            # A point whose capacity-independent analytic product is stored
+            # only classifies: answer it here, like a store hit, so the
+            # executor (and its adaptive probe) sees only points that need
+            # the engine.
+            dispatched: list[int] = []
+            for index in missing:
+                if not self._analytic_stored(ctxs[index]):
+                    dispatched.append(index)
+                    continue
+                if cancel is not None and cancel.cancelled:
+                    outcome = SweepPointError(
+                        grid[index], "cancelled", None, cancel.message(), 0
+                    )
+                    self.metrics.counter("sweep.cancelled").inc()
+                else:
+                    try:
+                        outcome = self.pipeline.run(
+                            "local.point", ctx_of(grid[index])
+                        )
+                    except Exception as exc:  # noqa: BLE001 — fault barrier, as in the executor
+                        outcome = SweepPointError(
+                            grid[index], "error", type(exc).__name__, str(exc), 1
+                        )
+                        self.metrics.counter("sweep.failed").inc()
+                    else:
+                        self.metrics.counter("sweep.classified").inc()
+                out[index] = outcome
+                if on_result is not None:
+                    on_result(index, outcome)
+            if dispatched:
                 executor = SweepExecutor(
                     workers=None if workers is None or workers <= 1 else workers,
                     retries=retries,
                     timeout=timeout,
                     tracer=self.tracer,
                     metrics=self.metrics,
+                    point_fn=_worker_evaluate_shipping,
                     serial_fn=evaluate_inproc,
                     adaptive=adaptive,
                     batch=batch,
@@ -384,15 +432,15 @@ class Session:
                 )
                 forward = None
                 if on_result is not None:
-                    # Executor indices address the missing-points subgrid;
+                    # Executor indices address the dispatched subgrid;
                     # remap them to full-grid order for the caller.
                     forward = lambda sub, outcome: on_result(  # noqa: E731
-                        missing[sub], outcome
+                        dispatched[sub], unpooled(outcome)
                     )
                 with maybe_span(self.tracer, "fanout"):
                     run = executor.run(
                         self.sdfg,
-                        [grid[index] for index in missing],
+                        [grid[index] for index in dispatched],
                         line_size=line_size,
                         capacity_lines=capacity_lines,
                         include_transients=include_transients,
@@ -401,8 +449,14 @@ class Session:
                         on_result=forward,
                     )
                 with maybe_span(self.tracer, "merge"):
-                    for index, outcome in zip(missing, run.outcomes):
-                        out[index] = outcome
+                    for index, outcome in zip(dispatched, run.outcomes):
+                        if isinstance(outcome, PooledPoint):
+                            # The worker's analytic product enters the store
+                            # as a serial sweep would have left it.
+                            key = self.pipeline.key("local.analytic", ctxs[index])
+                            if not self.store.contains(key):
+                                self.store.put(key, outcome.analytic)
+                        out[index] = outcome = unpooled(outcome)
                         if isinstance(outcome, SweepPointError):
                             continue
                         # Pool-evaluated points enter the store here, and
@@ -420,6 +474,16 @@ class Session:
                     f"({outcome.kind}): {outcome.message}"
                 )
         return out  # type: ignore[return-value]
+
+    def _analytic_stored(self, ctx: PassContext) -> bool:
+        """Whether the store holds *ctx*'s ``local.analytic`` product and
+        the engine did not decline it (a ``None`` product): then the
+        point's ``local.point`` only classifies."""
+        key = self.pipeline.key("local.analytic", ctx)
+        if not self.store.contains(key):
+            return False
+        product = self.store.get(key)
+        return product is not None and not ResultStore.is_miss(product)
 
     def apply(self, transform: Any, *args, **kwargs) -> TransformReport:
         """Apply a transformation and report what it modified.

@@ -215,9 +215,11 @@ class ExponentialScale(Scaling):
 
     def normalize(self, value: float) -> float:
         value = max(value, self.lo)
-        if self.hi == self.lo:
+        # Bounds one ulp apart can have equal logarithms.
+        span = math.log(self.hi) - math.log(self.lo)
+        if span == 0:
             return 0.0
-        t = (math.log(value) - math.log(self.lo)) / (math.log(self.hi) - math.log(self.lo))
+        t = (math.log(value) - math.log(self.lo)) / span
         return min(1.0, max(0.0, t))
 
     def domain(self) -> tuple[float, float]:

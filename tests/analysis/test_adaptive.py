@@ -8,6 +8,7 @@ pay process-pool startup (the regression that made an 8-point sweep
 level so they pickle across process boundaries.
 """
 
+import os
 import time
 
 import pytest
@@ -55,6 +56,13 @@ class TestChoosePool:
 
     def test_no_remaining_points_never_pools(self):
         assert self.make()._choose_pool(10.0, remaining=0) is False
+
+    def test_default_cores_follow_the_affinity_mask(self, monkeypatch):
+        # A cpuset or ``taskset`` leaves this process one CPU, whatever
+        # ``os.cpu_count()`` says about the host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        executor = SweepExecutor(workers=4, adaptive=True, pool_overhead=0.5)
+        assert executor._choose_pool(10.0, remaining=100) is False
 
     def test_effective_workers_capped_by_remaining(self):
         # 2 remaining on 8 workers: pool = 0.5 + 1s, serial = 2s -> pool;
@@ -136,3 +144,20 @@ class TestWarmCacheRegression:
         counters = fresh.metrics.to_dict()["counters"]
         assert counters.get("sweep.pool_spawns", 0) == 0
         assert counters["sweep.cache_hits"] == 2
+
+
+class TestStoredProductRegression:
+    def test_points_with_a_stored_product_skip_the_executor(self, sdfg):
+        """A re-sweep at another capacity classifies in process the
+        points whose analytic product is stored: only new points reach
+        the executor, so its adaptive probe times a point that needs the
+        engine, not a classification."""
+        from repro.tool.session import Session
+
+        a, b, c, d = ({"I": 8, "J": 8, "K": k} for k in (3, 4, 5, 6))
+        session = Session(sdfg)
+        session.sweep([a, b], workers=2, adaptive=False, capacity_lines=16)
+        points = session.metrics.counter("sweep.points")
+        before = points.value
+        session.sweep([a, b, c, d], workers=2, capacity_lines=4)
+        assert points.value - before == 2

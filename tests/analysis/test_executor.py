@@ -508,3 +508,39 @@ class TestBatchedExecution:
         assert run.errors[0].error_type == "ValueError"
         good = [p for p in run.points if p is not None]
         assert sorted(p["idx"] for p in good) == [0, 1, 2, 4, 5, 6, 7]
+
+
+class TestShippingWorkerEntry:
+    """``Session.sweep``'s worker entry returns the point together with
+    its capacity-independent analytic product — when there is one."""
+
+    def test_ships_the_analytic_product(self, sdfg):
+        from repro.analysis.executor import PooledPoint, _worker_evaluate_shipping
+        from repro.analysis.parametric import LocalSweepPoint
+        from repro.locality import AnalyticLocality
+        from repro.sdfg.serialize import dumps
+
+        shipped = _worker_evaluate_shipping(
+            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False, True
+        )
+        assert isinstance(shipped, PooledPoint)
+        assert type(shipped.point) is LocalSweepPoint
+        assert isinstance(shipped.analytic, AnalyticLocality)
+
+    def test_declined_engine_ships_the_bare_point(self, sdfg, monkeypatch):
+        import importlib
+
+        from repro.analysis.executor import _worker_evaluate_shipping
+        from repro.analysis.parametric import LocalSweepPoint
+        from repro.sdfg.serialize import dumps
+
+        def decline(*args, **kwargs):
+            raise SimulationError("not analyzable")
+
+        local_passes = importlib.import_module("repro.passes.local_passes")
+        monkeypatch.setattr(local_passes, "analyze_locality", decline)
+        point = _worker_evaluate_shipping(
+            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False, True
+        )
+        assert type(point) is LocalSweepPoint
+        assert point.total_accesses > 0

@@ -184,6 +184,59 @@ class TestSessionSweepFaultTolerance:
         assert all(e.kind == "cancelled" for e in run.errors)
 
 
+class TestSessionSweepStoredProducts:
+    """A point whose ``local.analytic`` product is stored only classifies:
+    the session answers it in process, with the executor's contract."""
+
+    GRID = [{"I": 3, "J": 3, "K": 2}, {"I": 4, "J": 3, "K": 2}]
+
+    def _swept(self, sdfg):
+        session = Session(sdfg)
+        session.sweep(self.GRID, capacity_lines=16)
+        return session
+
+    def test_capacity_resweep_skips_the_executor(self, sdfg):
+        session = self._swept(sdfg)
+        points_before = _counter(session, "sweep.points")
+        streamed = {}
+        points = session.sweep(
+            self.GRID, capacity_lines=4, on_result=streamed.__setitem__
+        )
+        assert _counter(session, "sweep.points") == points_before
+        assert _counter(session, "sweep.classified") == 2
+        assert session.pipeline.runs("local.analytic") == 2  # the first sweep's
+        assert streamed == dict(enumerate(points))
+        fresh = Session(sdfg).sweep(self.GRID, capacity_lines=4)
+        assert [p.misses for p in points] == [p.misses for p in fresh]
+
+    def test_cancelled_resweep_marks_the_points(self, sdfg):
+        session = self._swept(sdfg)
+        token = CancelToken()
+        token.cancel("client disconnected")
+        run = session.sweep(
+            self.GRID, capacity_lines=4, on_error="record", cancel=token
+        )
+        assert run.completed == 0
+        assert all(e.kind == "cancelled" for e in run.errors)
+        assert run.errors[0].message == "sweep cancelled: client disconnected"
+        assert _counter(session, "sweep.cancelled") == 2
+
+    def test_classification_errors_follow_on_error(self, sdfg, monkeypatch):
+        from repro.passes.local_passes import ClassifyPass
+
+        session = self._swept(sdfg)
+
+        def fail(self, ctx, inputs):
+            raise AnalysisError("classification failed")
+
+        monkeypatch.setattr(ClassifyPass, "run", fail)
+        run = session.sweep(self.GRID, capacity_lines=4, on_error="record")
+        assert [e.params for e in run.errors] == self.GRID
+        assert {e.error_type for e in run.errors} == {"AnalysisError"}
+        with pytest.raises(AnalysisError, match="'I': 3"):
+            session.sweep(self.GRID, capacity_lines=4)
+
+
 class TestSessionSweepObservability:
     def test_trace_spans_cover_the_sweep(self, sdfg):
         session = Session(sdfg)

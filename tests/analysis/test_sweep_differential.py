@@ -3,15 +3,23 @@
 A pooled sweep evaluates its points in worker processes, on a
 deserialized copy of the program and a fresh pass store; the serial
 sweep runs them in process.  Every seed app must give the same misses,
-moved bytes and access counts either way.
+moved bytes and access counts either way.  The workers return each
+point's capacity-independent ``local.analytic`` product to the session
+store, so a re-sweep at another capacity only classifies — and must
+still equal a fresh serial session and the enumeration chain.
 """
+
+import pickle
 
 import pytest
 
 from repro.analysis.movement import total_movement_bytes
 from repro.analysis.opcount import program_ops
-from repro.analysis.parametric import sweep_local_views
+from repro.analysis.parametric import LocalSweepPoint, sweep_local_views
 from repro.apps import bert, cloudsc, conv, hdiff, linalg
+from repro.simulation import CacheModel, MemoryModel, simulate_state
+from repro.simulation.arrays import build_array_trace, per_container_misses_array
+from repro.simulation.stackdist import stack_distances_array
 from repro.tool.session import Session
 
 APPS = [
@@ -61,3 +69,48 @@ def test_sweep_local_views_pool_equals_serial(build):
     serial = sweep_local_views(sdfg, grid, capacity_lines=16)
     pooled = sweep_local_views(sdfg, grid, workers=2, capacity_lines=16)
     _assert_same(pooled, serial, grid)
+
+
+def _enumerated_misses(sdfg, params, capacity):
+    """Per-container misses from the enumeration chain."""
+    result = simulate_state(sdfg, params)
+    trace = build_array_trace(result, MemoryModel(sdfg, params, line_size=64))
+    distances = stack_distances_array(trace.lines)
+    return per_container_misses_array(trace, distances, CacheModel(64, capacity))
+
+
+def _pickled_size(point) -> int:
+    return len(pickle.dumps(point))
+
+
+@pytest.mark.parametrize("build", APPS)
+def test_capacity_resweep_of_a_pooled_grid_only_classifies(build):
+    sdfg = build()
+    grid = _grid(sdfg)
+    session = Session(sdfg)
+    streamed = {}
+    pooled = session.sweep(
+        grid, workers=2, adaptive=False, capacity_lines=16,
+        on_result=streamed.__setitem__,
+    )
+    assert session.metrics.counter("sweep.pool_spawns").value == 1
+    runs = session.metrics.counter("pass.local.analytic.runs").value
+    resweep = session.sweep(grid, capacity_lines=4)
+    assert session.metrics.counter("pass.local.analytic.runs").value == runs
+    assert session.metrics.counter("sweep.classified").value == len(grid)
+
+    fresh = Session(sdfg).sweep(grid, capacity_lines=4)
+    _assert_same(resweep, fresh, grid)
+    for point in resweep:
+        assert point.misses == _enumerated_misses(sdfg, point.params, 4)
+
+    # No returned, stored or streamed point carries the worker's product:
+    # each pickles to the size of a point a serial sweep made.
+    serial = Session(sdfg).sweep(grid, capacity_lines=16)
+    stored = [session.store.get(session.product_key(
+        "local.point", session.point_context(p, capacity_lines=16)
+    )) for p in grid]
+    for points in (pooled, stored, [streamed[i] for i in range(len(grid))]):
+        assert all(type(p) is LocalSweepPoint for p in points)
+        assert list(map(_pickled_size, points)) == list(map(_pickled_size, serial))
+    assert list(map(_pickled_size, resweep)) == list(map(_pickled_size, fresh))

@@ -8,6 +8,8 @@ Every test computes both sides and compares miss counts, reuse-distance
 histograms, cold counts, and per-element heatmaps.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,25 @@ class TestExampleApps:
             per_element=False,  # covered per-app above; bert has many arrays
         )
         assert analytic.analytic_regions + analytic.fallback_regions > 10
+
+
+class TestProductSize:
+    """The product crosses the pool's pipe and sits in the session store,
+    so an enumerated region keeps only what the queries read."""
+
+    #: Pickled size of the product below while every enumerated region
+    #: still kept its per-event line ids and container ids.
+    UNTRIMMED_BYTES = 1_213_470
+
+    def test_multi_region_product_is_trimmed(self):
+        analytic = assert_engine_exact(
+            bert.build_sdfg(),
+            {"B": 1, "H": 2, "SM": 8, "EMB": 8, "FF": 16, "P": 4},
+            per_element=False,
+        )
+        assert analytic.fallback_regions > 10
+        size = len(pickle.dumps(analytic, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 0.75 * self.UNTRIMMED_BYTES
 
 
 class TestFoldEngagement:

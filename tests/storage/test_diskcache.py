@@ -5,12 +5,18 @@ Fault injection (corruption, degradation, races) lives in
 ``test_session_disk.py``.
 """
 
+import gc
+import pickle
 import threading
 import time
+import types
 
+import numpy as np
 import pytest
 
+from repro.apps import bert
 from repro.errors import LockTimeout
+from repro.locality import analyze_locality
 from repro.obs import MetricsRegistry, Tracer
 from repro.passes.store import ResultStore, _LRUBacking
 from repro.storage import (
@@ -257,3 +263,47 @@ class TestApproxSizeof:
         loop: list = []
         loop.append(loop)
         assert approx_sizeof(loop) > 0
+
+    def test_counts_arrays_at_any_depth(self):
+        array = np.zeros(100_000)
+        nested: list = [array]
+        for _ in range(10_000):  # deeper than the interpreter stack allows
+            nested = [nested]
+        assert approx_sizeof(nested) >= array.nbytes
+
+    def test_charges_a_view_its_base(self):
+        array = np.zeros(100_000)
+        assert approx_sizeof([array[::2]]) >= array.nbytes
+        unpickled = pickle.loads(pickle.dumps(array, protocol=4))
+        assert unpickled.base is not None  # wraps the pickle's bytes
+        assert approx_sizeof(unpickled) >= array.nbytes
+
+    def test_analytic_product_counts_every_array(self):
+        """The engine keeps its per-region arrays four levels down, and a
+        product shipped from a pool worker arrives unpickled."""
+        product = analyze_locality(
+            bert.build_sdfg(), {"B": 1, "H": 2, "SM": 4, "EMB": 8, "FF": 8, "P": 4}
+        )
+        shipped = pickle.loads(pickle.dumps(product))
+        for value in (product, shipped):
+            arrays = _arrays(value)
+            assert len(arrays) > 100
+            assert approx_sizeof(value) >= sum(a.nbytes for a in arrays)
+
+
+def _arrays(obj) -> list:
+    """Every NumPy array reachable from *obj*, found through the garbage
+    collector's referents rather than the walk under test."""
+    shared = (type, types.FunctionType, types.ModuleType)
+    seen: set[int] = set()
+    found = []
+    layer = [obj]
+    while layer:
+        fresh = []
+        for value in layer:
+            if id(value) not in seen and not isinstance(value, shared):
+                seen.add(id(value))
+                fresh.append(value)
+        found += [v for v in fresh if isinstance(v, np.ndarray)]
+        layer = gc.get_referents(*fresh)
+    return found

@@ -1,9 +1,9 @@
 """Session-level wiring of the persistent cache.
 
 The acceptance bar for the storage layer: a cold session over a warm
-cache directory re-runs **zero** passes; sweeps warm the shared disk
-from pool workers; ``load()`` generation bumps invalidate disk entries
-exactly like memory entries.
+cache directory re-runs **zero** passes; pooled sweeps warm the shared
+disk with their points and analytic products; ``load()`` generation
+bumps invalidate disk entries exactly like memory entries.
 """
 
 import subprocess
@@ -150,6 +150,26 @@ class TestSweepWarming:
         # Every point came off disk in the parent — no pool was needed.
         assert warm.metrics.counter("disk.hits").value >= len(self.GRID)
         assert warm.metrics.counter("sweep.points").value == 0
+
+    def test_pooled_products_leave_another_process_only_classifying(
+        self, tmp_path
+    ):
+        cold = Session(hdiff.build_sdfg(), cache_dir=tmp_path)
+        cold.sweep([dict(p) for p in self.GRID], workers=2, adaptive=False)
+        assert cold.metrics.counter("sweep.pool_spawns").value == 1
+        script = """
+import sys
+from repro.apps import hdiff
+from repro.tool.session import Session
+session = Session(hdiff.build_sdfg(), cache_dir=sys.argv[1])
+session.sweep([{"I": 8, "J": 8, "K": k} for k in (3, 4, 5)], capacity_lines=4)
+print(session.pipeline.runs("local.analytic"), session.pipeline.runs("local.classify"))
+"""
+        output = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert output == ["0", "3"]
 
     def test_serial_resweep_also_warm(self, tmp_path):
         cold = Session(hdiff.build_sdfg(), cache_dir=tmp_path)

@@ -188,6 +188,10 @@ class TestMakeScaling:
         for v in values:
             assert 0.0 <= scale.normalize(v) <= 1.0
 
+    def test_exponential_bounds_one_ulp_apart(self):
+        scale = make_scaling("exponential", [0.001, 0.0010000000000000002])
+        assert scale.normalize(0.001) == scale.normalize(0.0010000000000000002) == 0.0
+
     @given(
         st.sampled_from(["mean", "median", "histogram", "linear", "exponential"]),
         st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=2, max_size=50),
