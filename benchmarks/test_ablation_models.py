@@ -7,7 +7,9 @@
    the same capacity — the conflict share must be a small fraction.
 2. **Olken/Fenwick stack distances**: the O(N log N) algorithm against the
    textbook O(N²) definition — the design choice that keeps the local
-   view interactive.
+   view interactive — with the array kernel that production runs
+   (``stack_distances_array``) timed on the same trace and checked
+   against both.
 3. **Green-yellow-red color scale** (Section IV-C): the inserted yellow
    mid-stop must yield more distinguishable colors on clustered
    mid-range distributions than the plain green-red ramp.
@@ -20,6 +22,7 @@ from repro.simulation import count_three_way, simulate_lru
 from repro.simulation.stackdist import (
     line_trace,
     stack_distances,
+    stack_distances_array,
     stack_distances_bruteforce,
 )
 from repro.tool import Session
@@ -91,7 +94,8 @@ def test_ablation_full_associativity(benchmark):
 
 
 def test_ablation_stackdist_algorithms(benchmark):
-    """Fenwick-tree stack distances match brute force and scale better."""
+    """Fenwick-tree stack distances match brute force and scale better;
+    the array kernel matches both."""
     rng = np.random.default_rng(11)
     lines = list(rng.integers(0, 64, size=4000))
 
@@ -104,10 +108,20 @@ def test_ablation_stackdist_algorithms(benchmark):
     brute_time = time.perf_counter() - t0
     assert fast == slow
     fast_time = benchmark.stats.stats.median
+
+    array_lines = np.asarray(lines, dtype=np.int64)
+    array_times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        array = stack_distances_array(array_lines)
+        array_times.append(time.perf_counter() - t0)
+    assert array.tolist() == fast == slow
+    array_time = min(array_times)
     print_table(
         "Ablation: stack-distance algorithms (4000-access trace)",
         ["algorithm", "time [ms]"],
         [["Olken/Fenwick (O(N log N))", f"{fast_time * 1e3:.2f}"],
+         ["array kernel (NumPy, O(N log N))", f"{array_time * 1e3:.2f}"],
          ["brute force (O(N^2))", f"{brute_time * 1e3:.2f}"]],
     )
     assert fast_time < brute_time

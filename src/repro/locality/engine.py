@@ -13,9 +13,10 @@ of the event count.
 
 The :class:`AnalyticLocality` product answers the enumeration pipeline's
 queries (``miss_counts``, ``per_element_misses``, ``histogram``) with
-exactly equal results, and carries a :class:`SymbolicLocality` when the
-region folded — per-container count expressions over the outer extent,
-evaluable on whole grids via :func:`repro.symbolic.compiled.compile_expr`.
+exactly equal results.  When the region folded, its ``symbolic``
+attribute builds a :class:`SymbolicLocality` on first read —
+per-container count expressions over the outer extent, evaluable on
+whole grids via :func:`repro.symbolic.compiled.compile_expr`.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class EnumeratedSummary:
             name: _narrow(matrix) for name, matrix in cols.index_matrices.items()
         }
         self.distances = stack_distances_array(cols.lines)
-        _, first_idx = np.unique(cols.lines, return_index=True)
-        self.first_positions = np.sort(first_idx)
+        # An access is inf exactly when it is its line's first in the region.
+        self.first_positions = np.flatnonzero(np.isinf(self.distances))
         self.first_cids = cols.container_ids[self.first_positions]
         #: Resolved distance per region-first access (position order);
         #: ``inf`` = globally cold.  Filled by the engine's composition.
@@ -301,8 +302,9 @@ class AnalyticLocality:
 
     __slots__ = (
         "complete", "reason", "containers", "events_per_container",
-        "total_events", "analytic_regions", "fallback_regions", "symbolic",
-        "line_size", "_summaries", "_hist", "_cold", "_element_cache",
+        "total_events", "analytic_regions", "fallback_regions",
+        "line_size", "_summaries", "_symbolic", "_hist", "_cold",
+        "_element_cache",
     )
 
     def __init__(
@@ -310,7 +312,6 @@ class AnalyticLocality:
         summaries: list,
         analytic_regions: int,
         fallback_regions: int,
-        symbolic: SymbolicLocality | None,
         line_size: int,
     ):
         self.complete = True
@@ -318,7 +319,7 @@ class AnalyticLocality:
         self._summaries = summaries
         self.analytic_regions = analytic_regions
         self.fallback_regions = fallback_regions
-        self.symbolic = symbolic
+        self._symbolic: SymbolicLocality | None = None
         self.line_size = line_size
         self.containers: list[str] = []
         self.events_per_container: dict[str, int] = {}
@@ -332,6 +333,16 @@ class AnalyticLocality:
         self._hist: dict[str, dict[int, int]] | None = None
         self._cold: dict[str, int] | None = None
         self._element_cache: dict = {}
+
+    @property
+    def symbolic(self) -> SymbolicLocality | None:
+        """Count expressions of the folded region (``None`` unless one
+        folded), built on first read."""
+        if self._symbolic is None:
+            for summary in self._summaries:
+                if isinstance(summary, FoldedSummary):
+                    self._symbolic = _build_symbolic(summary)
+        return self._symbolic
 
     # -- aggregates --------------------------------------------------------
     def _aggregates(self) -> tuple[dict[str, dict[int, int]], dict[str, int]]:
@@ -457,7 +468,6 @@ def analyze_locality(
     lines: list[np.ndarray] = []
     folded = 0
     enumerated = 0
-    symbolic: SymbolicLocality | None = None
     for region in regions:
         summary = None
         if single and isinstance(region.node, MapEntry):
@@ -473,7 +483,6 @@ def analyze_locality(
                 )
         if summary is not None:
             folded += 1
-            symbolic = _build_symbolic(summary)
             summaries.append(summary)
             continue
         enumerated += 1
@@ -487,4 +496,4 @@ def analyze_locality(
             lines.append(cols.lines)
     if len(summaries) > 1:
         _compose(summaries, lines)
-    return AnalyticLocality(summaries, folded, enumerated, symbolic, line_size)
+    return AnalyticLocality(summaries, folded, enumerated, line_size)

@@ -15,11 +15,14 @@ its own span — impossible.  Two consequences carry the whole analysis:
   ``t mod P`` once ``t ≥ Δmax``, because the window of the last ``Δmax``
   blocks is the same line pattern up to a per-group constant relabeling.
 
-So the engine enumerates the first ``Δmax`` blocks exactly (the prefix)
-plus one ``Δmax+1``-block window per phase — a **constant** number of
-blocks — and multiplies each phase's histogram by its block count
-``m_r(n)``.  Everything else (containers whose allocations share cache
-lines must share ``Δ``; non-uniform structures) declines to per-region
+So the engine enumerates one window of ``Δmax + P`` blocks — a
+**constant** number — and computes its stack distances once: the first
+``Δmax`` blocks are the exact prefix, and each of the last ``P`` blocks
+represents one phase (every reuse lies within ``Δmax`` blocks, so its
+distances equal those over its own ``Δmax+1``-block window).  Each
+phase's histogram is multiplied by its block count ``m_r(n)``.
+Everything else (containers whose allocations share cache lines must
+share ``Δ``; non-uniform structures) declines to per-region
 enumeration, which is always exact.
 """
 
@@ -85,7 +88,7 @@ def _hist_add(acc, cols, distances: np.ndarray, weight: int = 1,
 
 
 class FoldedSummary:
-    """Closed-form region summary built from O(P·Δmax) enumerated blocks.
+    """Closed-form region summary built from ``Δmax + P`` enumerated blocks.
 
     Holds the exact prefix trace (blocks ``[0, Δmax)``), one
     representative block per phase, the block-0 element structure, and
@@ -212,6 +215,58 @@ class FoldedSummary:
                     _scatter(dense_cap, (base_cap[None, :] + offsets).ravel())
 
 
+def _append_blocks(
+    block: RegionColumns, rest: RegionColumns, blocks: int
+) -> RegionColumns | None:
+    """Block 0's columns followed by *rest*, its blocks ``1..blocks-1``.
+
+    ``None`` unless every block repeats block 0's container sequence, so
+    that each block's events line up with block 0's positions.
+    """
+    events = block.num_events
+    if rest.num_events != (blocks - 1) * events or rest.containers != block.containers:
+        return None
+    if not np.array_equal(
+        rest.container_ids.reshape(blocks - 1, events),
+        np.broadcast_to(block.container_ids, (blocks - 1, events)),
+    ):
+        return None
+    return RegionColumns(
+        blocks * events,
+        block.containers,
+        np.concatenate([block.container_ids, rest.container_ids]),
+        np.concatenate([block.lines, rest.lines]),
+        {
+            name: np.concatenate([pos, rest.positions[name] + events])
+            for name, pos in block.positions.items()
+        },
+        {
+            name: np.concatenate([matrix, rest.index_matrices[name]])
+            for name, matrix in block.index_matrices.items()
+        },
+    )
+
+
+def _leading(cols: RegionColumns, num_events: int) -> RegionColumns:
+    """Copies of the first *num_events* events of *cols*.
+
+    Positions are sorted, so each container's cut is one
+    :func:`np.searchsorted`; copies keep the long window collectable.
+    """
+    cuts = {
+        name: int(np.searchsorted(pos, num_events))
+        for name, pos in cols.positions.items()
+    }
+    return RegionColumns(
+        num_events,
+        cols.containers,
+        cols.container_ids[:num_events].copy(),
+        cols.lines[:num_events].copy(),
+        {name: cols.positions[name][:cut].copy() for name, cut in cuts.items()},
+        {name: cols.index_matrices[name][:cut].copy() for name, cut in cuts.items()},
+    )
+
+
 def try_build_fold(
     sdfg,
     symbols: Mapping[str, int],
@@ -227,8 +282,9 @@ def try_build_fold(
     Dynamic guards on top of the statics: in-bounds element indices over
     the whole outer extent (so lines stay inside their allocation and
     groups never alias), a uniform byte delta per line-sharing container
-    group, bounded phase count and block span, and an economic test that
-    the prefix + windows enumerate at most half the region's blocks.
+    group, bounded phase count and block span, an economic test
+    (``n ≥ 2·(Δmax + P·(Δmax+1))``), and a container sequence per
+    enumerated block equal to block 0's.
     """
     entry = candidate.entry
     n = candidate.n
@@ -310,31 +366,31 @@ def try_build_fold(
         delta_max = max(delta_max, span)
     if p_joint > P_JOINT_MAX or delta_max > DELTA_MAX_CAP:
         return None
-    enumerated_blocks = delta_max + p_joint * (delta_max + 1)
-    if n < 2 * enumerated_blocks:
+    # Fold only from twice `valid_from` of the symbolic form (engine.py).
+    if n < 2 * (delta_max + p_joint * (delta_max + 1)):
         return None
 
-    prefix = window(0, delta_max)
-    if prefix.num_events != delta_max * block_events:
+    # One window of blocks [0, Δmax+P) holds the prefix and, as its last
+    # P blocks, one representative block per phase.  Every reuse lies
+    # within Δmax blocks, so a block's distances over this window equal
+    # those over its own (Δmax+1)-block window.  Block 0 is simulated
+    # already; the rest of the window is appended to it.
+    blocks = delta_max + p_joint
+    cols = _append_blocks(block, window(1, blocks), blocks)
+    if cols is None:
         return None
-    prefix_distances = stack_distances_array(prefix.lines)
+    distances = stack_distances_array(cols.lines)
+    prefix = _leading(cols, delta_max * block_events)
+    prefix_distances = distances[:prefix.num_events].copy()
 
     phases: list[_Phase] = []
     covered = 0
     for r in range(p_joint):
         t_r = delta_max + ((r - delta_max) % p_joint)
-        wcols = window(t_r - delta_max, t_r + 1)
-        if wcols.num_events != (delta_max + 1) * block_events:
-            return None
-        tail = slice(wcols.num_events - block_events, wcols.num_events)
-        if wcols.containers != block.containers or not np.array_equal(
-            wcols.container_ids[tail], block.container_ids
-        ):
-            return None
-        distances = stack_distances_array(wcols.lines)
+        tail = slice(t_r * block_events, (t_r + 1) * block_events)
         m_r = (n - 1 - t_r) // p_joint + 1
         phases.append(
-            _Phase(t_r, m_r, wcols.lines[tail].copy(), distances[tail].copy())
+            _Phase(t_r, m_r, cols.lines[tail].copy(), distances[tail].copy())
         )
         covered += m_r
     if covered != n - delta_max:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any
 
+import numpy as np
+
 from repro.analysis.parametric import LocalSweepPoint
 from repro.analysis.timing import maybe_span
 from repro.errors import ReproError
@@ -43,7 +45,7 @@ from repro.simulation.arrays import (
 )
 from repro.simulation.movement import per_container_misses
 from repro.simulation.simulator import SimulationResult
-from repro.simulation.stackdist import stack_distances, stack_distances_array
+from repro.simulation.stackdist import stack_distances_array
 from repro.simulation.vectorized import fast_line_trace
 
 __all__ = [
@@ -84,19 +86,19 @@ class LayoutProduct:
 
 
 class DistanceProduct:
-    """Stack-distance stage output, in array or list representation.
+    """Stack-distance stage output: one float64 distance per event.
 
-    :attr:`array` is a float64 NumPy array in the array pipeline, else
-    ``None``.  :meth:`as_list` converts (and memoizes) a Python list, so
-    repeated consumers observe the *same* list object — the identity
-    contract the session cache always had.
+    :attr:`array` is a float64 NumPy array (``inf`` = cold).  Readers of
+    the object pipeline take :meth:`as_list`, which converts once and
+    memoizes, so repeated consumers observe the *same* list object — the
+    identity contract the session cache always had.
     """
 
     __slots__ = ("array", "_list")
 
-    def __init__(self, array=None, values: list[float] | None = None):
+    def __init__(self, array: np.ndarray):
         self.array = array
-        self._list = values
+        self._list: list[float] | None = None
 
     def as_list(self) -> list[float]:
         if self._list is None:
@@ -190,8 +192,11 @@ class LayoutPass(Pass):
 class StackDistancePass(Pass):
     """LRU stack distances over the interleaved line trace.
 
-    No components of its own: the layout product's key already embeds
-    everything the distances depend on.
+    Every trace runs the array kernel: the columnar trace's lines when
+    the trace is array-representable, else the line ids of the object
+    trace (non-affine scopes the interpreter simulated).  No components
+    of its own: the layout product's key already embeds everything the
+    distances depend on.
     """
 
     name = "local.stackdist"
@@ -200,9 +205,8 @@ class StackDistancePass(Pass):
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> DistanceProduct:
         layout: LayoutProduct = inputs["local.layout"]
         with maybe_span(ctx.timings, "stackdist"):
-            if layout.trace is not None:
-                return DistanceProduct(array=stack_distances_array(layout.trace.lines))
-            return DistanceProduct(values=stack_distances(layout.line_ids()))
+            lines = layout.trace.lines if layout.trace is not None else layout.line_ids()
+            return DistanceProduct(stack_distances_array(lines))
 
 
 class ClassifyPass(Pass):

@@ -9,15 +9,16 @@ referenced yet, its stack distance is set to infinity." (Section V-E)
 Three implementations are provided:
 
 - :func:`stack_distances_array` — the array-native production kernel:
-  Olken's counting argument reformulated as an offline prefix-dominance
-  count over ``np.unique``-factorized line ids, evaluated with a
-  binary-indexed merge tree held in one contiguous NumPy ``int64``
-  buffer (a chunk-batched Fenwick variant with ``np.add.at`` updates is
-  kept alongside for differential testing).  O(N log N) with all
-  per-event work inside NumPy;
+  Olken's counting argument reformulated as an offline count of earlier,
+  smaller ranks over the trace's reuses, after immediate repeats leave
+  the trace.  A top-down partition by rank bits counts it in a fixed
+  number of linear NumPy passes per level (a chunk-batched Fenwick
+  variant with ``np.add.at`` updates is kept alongside for differential
+  testing).  O(N log N) with all per-event work inside NumPy;
 - :func:`stack_distances` — Olken's algorithm with a pure-Python Fenwick
-  (binary indexed) tree over trace positions, O(N log N); retained as the
-  differential oracle for the array kernel;
+  (binary indexed) tree over trace positions, O(N log N); the object
+  pipeline (:mod:`repro.simulation.movement`) runs it, and it is the
+  readable differential oracle for the array kernel;
 - :func:`stack_distances_bruteforce` — the textbook O(N²) definition, kept
   as the property-test oracle.
 """
@@ -133,108 +134,125 @@ def stack_distances(lines: Sequence[int]) -> list[float]:
     return out
 
 
-def _previous_occurrences(ids: np.ndarray) -> np.ndarray:
+def _previous_occurrences(lines: np.ndarray) -> np.ndarray:
     """Position of the previous access to each position's line (-1 = none).
 
-    A stable argsort groups positions by line id while preserving trace
-    order inside each group, so each position's predecessor in its group
-    is exactly its previous occurrence.
+    One stable argsort of the raw line ids groups positions by line
+    while keeping trace order inside each group, so each position's
+    predecessor in its group is exactly its previous occurrence.
     """
-    n = ids.size
-    order = np.argsort(ids, kind="stable")
-    prev_sorted = np.full(n, -1, dtype=np.int64)
+    n = lines.size
+    order = np.argsort(lines, kind="stable")
+    prev = np.full(n, -1, dtype=np.int64)
     if n > 1:
-        grouped = ids[order]
+        grouped = lines[order]
         same = grouped[1:] == grouped[:-1]
-        prev_sorted[1:][same] = order[:-1][same]
-    prev = np.empty(n, dtype=np.int64)
-    prev[order] = prev_sorted
+        prev[order[1:][same]] = order[:-1][same]
     return prev
 
 
-def _prefix_dominance_counts(prev: np.ndarray) -> np.ndarray:
-    """``F[t] = #{s < t : 0 <= prev[s] <= prev[t]}`` for every position.
+#: Width of the dense base case: the lowest four rank bits are counted
+#: by direct comparison inside aligned groups of this many ranks.
+_BASE = 16
 
-    The counting core of the array kernel: a binary-indexed merge tree
-    over one contiguous ``int64`` buffer.  Level by level, adjacent
-    sorted runs of length ``h`` are merged (runs cover contiguous trace
-    ranges, so every left-run element *precedes* every right-run element
-    in trace order); the number of left-run values ``<=`` each right-run
-    value — one batched ``np.searchsorted`` over all runs at once, using
-    per-run key offsets — is exactly the pair count that run pair
-    contributes to ``F``.  Each ``(s, t)`` pair is counted at the unique
-    level where the two positions share a parent run, so the total is
-    exact.  Cold positions (``prev < 0``) are mapped to a sentinel above
-    every real value so they never count as sources; their own query
-    counts are discarded by the caller (positions whose count matters are
-    exactly those with ``prev >= 0``).
 
-    Counts are accumulated per *value* rather than per position: non-cold
-    ``prev`` values are distinct (two positions sharing a previous
-    occurrence would be two next-occurrences of one access), so a plain
-    fancy-indexed add is collision-free on every slot the caller reads,
-    and the slot permutation never has to be tracked through the merges.
-    The lowest four levels are collapsed into one dense broadcast
-    comparison over aligned runs of 16.
+def _earlier_smaller_counts(values: np.ndarray) -> np.ndarray:
+    """``#{j < i : values[j] < values[i]}`` for distinct non-negative *values*.
+
+    The counting core of the array kernel.  The values are replaced by
+    their ranks, a permutation of ``0..M-1``, and counted by a top-down
+    partition by rank bits.  Before the level of bit *b*, the ranks sit
+    grouped into nodes that share their bits above *b*, in trace order
+    within each node.  A rank whose bit *b* is set is larger than every
+    rank of its node with the bit clear, so it adds the number of those
+    that precede it; then each node splits stably, bit clear first.
+    Because the ranks are a permutation, every node but the last is
+    full: a node's start and its count of clear bits are closed-form,
+    and one cumulative sum of the bits gives every count and every
+    destination of the level.  The lowest four bits are counted by a
+    dense comparison inside each node of ``_BASE`` ranks.  Work arrays
+    are int32 while ``M < 2**31``; intermediate overflow wraps
+    harmlessly, since every final value fits.  Up to ``_BASE**2``
+    values, one dense comparison of all pairs is cheaper than the levels.
     """
-    n = prev.size
-    sentinel = n  # > any real prev value, excluded by the <= comparison
-    size = 1 << max(int(n - 1).bit_length(), 0) if n > 1 else 1
-    buf = np.full(size, sentinel, dtype=np.int64)
-    np.copyto(buf[:n], prev)
-    buf[:n][prev < 0] = sentinel
-    # Slot `v` accumulates F for the position whose prev-value is v; slot
-    # `sentinel` (reached as index -1 by cold queries) absorbs the
-    # garbage counts of cold and padding positions.
-    counts_val = np.zeros(n + 1, dtype=np.int64)
-    # Dense base case: all in-run pairs for aligned runs of length `base`.
-    base = 16 if size >= 16 else size
-    if base > 1:
-        blocks = buf.reshape(-1, base)
-        cmp = blocks[:, :, None] <= blocks[:, None, :]
-        cmp &= np.arange(base)[:, None] < np.arange(base)[None, :]
-        counts_val[buf] += cmp.sum(axis=1).ravel()
-        buf = np.sort(blocks, axis=1).ravel()
-    segbits = int(sentinel + 1).bit_length()  # distinct key range per run
-    half = np.arange(size // 2, dtype=np.int64)
-    h = base
-    while h < size:
-        runs = buf.reshape(-1, 2, h)
-        left = runs[:, 0, :].ravel()
-        right = runs[:, 1, :].ravel()
-        # Per-run key offsets make the concatenated runs globally sorted,
-        # so one batched searchsorted ranks every run pair at once.
-        offsets = (half >> (h.bit_length() - 1)) << segbits
-        key_left = left + offsets
-        key_right = right + offsets
-        run_start = half & ~(h - 1)  # run index * h
-        # Left-run values <= each right-run value: the pair count this
-        # run pair contributes to F, and the right values' merge rank.
-        le_right = np.searchsorted(key_left, key_right, side="right") - run_start
-        # Right-run values strictly < each left value: left merge rank.
-        lt_left = np.searchsorted(key_right, key_left, side="left") - run_start
-        counts_val[right] += le_right
-        dest = half + run_start  # run base in the merged buffer + within
-        merged = np.empty_like(buf)
-        merged[dest + lt_left] = left
-        merged[dest + le_right] = right
-        buf = merged
-        h *= 2
-    # prev == -1 (cold) gathers the garbage slot `sentinel` as index -1.
-    return counts_val[prev]
+    m = values.size
+    if m <= _BASE * _BASE:
+        earlier = np.tri(m, k=-1, dtype=bool)  # [i, j]: slot j precedes slot i
+        return (earlier & (values[None, :] < values[:, None])).sum(axis=1)
+    dtype = np.int32 if m < 2**31 else np.int64
+    present = np.zeros(int(values.max()) + 1, dtype=bool)
+    present[values] = True
+    rank = np.cumsum(present, dtype=dtype)[values] - 1
+    # `ranks` and `counts` are kept in node order, `rank` in trace order.
+    ranks = rank.copy()
+    counts = np.zeros(m, dtype=dtype)
+    ranks_next = np.empty_like(ranks)
+    counts_next = np.empty_like(counts)
+    position = np.arange(m, dtype=dtype)
+    bit = np.empty_like(ranks)
+    ones = np.empty_like(ranks)
+    before = np.empty_like(ranks)
+    work = np.empty_like(ranks)
+    dest = np.empty(m, dtype=np.intp)
+    for b in range(int(m - 1).bit_length() - 1, 3, -1):
+        half = 1 << b
+        np.right_shift(ranks, b, out=bit)
+        bit &= 1
+        np.cumsum(bit, out=ones)  # set bits up to and including each slot
+        # Nodes before this one are full: half of their slots hold a
+        # clear bit and half a set bit.
+        np.right_shift(ranks, b + 1, out=before)
+        before <<= b
+        # A set bit adds the clear bits before it in its node.
+        np.subtract(position, ones, out=work)
+        work -= before
+        work += 1
+        work *= bit
+        counts += work
+        # Stable split: a clear bit goes to `before + position - ones`,
+        # a set bit to `before + half + ones - 1`.  (The last node may
+        # hold fewer than `half` clear bits only when it holds no set
+        # bit, so `half` is exact wherever it is used.)
+        np.add(ones, ones, out=work)
+        work -= position
+        work += half - 1
+        work *= bit
+        work += position
+        work -= ones
+        np.add(work, before, out=dest)
+        ranks_next[dest] = ranks
+        counts_next[dest] = counts
+        ranks, ranks_next = ranks_next, ranks
+        counts, counts_next = counts_next, counts
+    # Dense base: within each aligned node of `_BASE` ranks (the tail
+    # padded with the missing ranks), compare every earlier slot.
+    pad = (-m) % _BASE
+    local = np.empty(m + pad, dtype=np.uint8)
+    np.bitwise_and(ranks, _BASE - 1, out=local[:m], casting="unsafe")
+    local[m:] = np.arange(m, m + pad) % _BASE
+    columns = local.reshape(-1, _BASE).T.copy()
+    smaller = np.zeros_like(columns)
+    for j in range(_BASE - 1):
+        smaller[j + 1:] += columns[j] < columns[j + 1:]
+    counts += smaller.T.ravel()[:m]
+    by_rank = np.empty(m, dtype=dtype)
+    by_rank[ranks] = counts
+    return by_rank[rank]
 
 
 def _prefix_dominance_counts_fenwick(prev: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """Chunked-Fenwick reference implementation of :func:`_prefix_dominance_counts`.
+    """``F[t] = #{s < t : 0 <= prev[s] <= prev[t]}`` by a chunked Fenwick tree.
 
-    A Fenwick tree over the value space of ``prev`` stored in one
-    contiguous ``int64`` buffer.  The trace is processed in chunks — each
-    chunk first answers its queries against the tree (batched prefix
-    sums: one gather per Fenwick level, all queries at once), resolves
-    pairs *inside* the chunk with a dense triangular comparison, and
-    finally inserts its own values in one batched update per level
-    (``np.add.at`` handles duplicate paths).  Slower than the merge tree
-    on small traces (per-chunk dispatch overhead); kept as a second,
+    The reference counting engine for :func:`_earlier_smaller_counts`
+    (on warm positions the two counts coincide).  A Fenwick tree over
+    the value space of ``prev`` stored in one contiguous ``int64``
+    buffer.  The trace is processed in chunks — each chunk first answers
+    its queries against the tree (batched prefix sums: one gather per
+    Fenwick level, all queries at once), resolves pairs *inside* the
+    chunk with a dense triangular comparison, and finally inserts its
+    own values in one batched update per level (``np.add.at`` handles
+    duplicate paths).  Cold positions (``prev < 0``) neither count nor
+    are counted.  Slower than the partition counter; kept as a second,
     structurally different implementation for differential testing.
     """
     n = prev.size
@@ -282,13 +300,20 @@ def stack_distances_array(
 
     (the ``D`` term counts lines whose first occurrence falls inside the
     reuse window; ``F`` corrects for lines re-entering the window from
-    before it).  All three arrays are computed with NumPy primitives:
-    line ids are factorized via ``np.unique``, ``prev`` comes from a
-    stable argsort, ``D`` is a cumulative sum, and ``F`` runs through a
-    binary-indexed merge tree (:func:`_prefix_dominance_counts`).  Pass
-    *chunk* to route ``F`` through the chunk-batched Fenwick tree
+    before it).  Three exact reductions keep the work small:
+
+    - an immediate repeat (the line of the access just before) has
+      distance 0 and leaves the trace first: any reuse window that
+      contains it also contains its predecessor on the same line;
+    - ``prev`` comes from one stable argsort of the raw line ids;
+    - ``F`` is counted over warm positions only.  Their ``prev`` values
+      are distinct, so ``F`` is their count of earlier, smaller values
+      (:func:`_earlier_smaller_counts`); ``D[t]`` at the *j*-th warm
+      position *t* is ``t - j``.
+
+    Pass *chunk* to count ``F`` with the chunk-batched Fenwick tree
     (:func:`_prefix_dominance_counts_fenwick`) instead — slower, kept as
-    a structurally independent implementation for differential tests.
+    a structurally independent engine for differential tests.
 
     Returns a ``float64`` array with ``inf`` for cold references.  The
     pure-Python :func:`stack_distances` is the differential oracle; the
@@ -296,17 +321,24 @@ def stack_distances_array(
     """
     arr = np.asarray(lines, dtype=np.int64).ravel()
     n = arr.size
+    out = np.zeros(n, dtype=np.float64)
     if n == 0:
-        return np.empty(0, dtype=np.float64)
-    _, ids = np.unique(arr, return_inverse=True)
-    prev = _previous_occurrences(ids.astype(np.int64, copy=False))
-    distinct = np.cumsum(prev < 0)
+        return out
+    changed = np.empty(n, dtype=bool)
+    changed[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=changed[1:])
+    kept = np.flatnonzero(changed)
+    trace = arr[kept]
+    prev = _previous_occurrences(trace)
+    warm = np.flatnonzero(prev >= 0)
+    warm_prev = prev[warm]
     if chunk is None:
-        dominated = _prefix_dominance_counts(prev)
+        dominated = _earlier_smaller_counts(warm_prev)
     else:
-        dominated = _prefix_dominance_counts_fenwick(prev, max(1, int(chunk)))
-    out = (distinct - prev - 1 + dominated).astype(np.float64)
-    out[prev < 0] = np.inf
+        dominated = _prefix_dominance_counts_fenwick(prev, max(1, int(chunk)))[warm]
+    distances = np.full(trace.size, np.inf)
+    distances[warm] = warm - np.arange(warm.size) - warm_prev - 1 + dominated
+    out[kept] = distances
     return out
 
 

@@ -26,6 +26,7 @@ from repro.simulation.arrays import (
 )
 from repro.simulation.cache import CacheModel
 from repro.simulation.movement import per_container_misses, per_element_misses
+from repro.simulation.simulator import simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
 #: A tiny and a realistic modeled cache — classification must agree at both.
@@ -159,6 +160,32 @@ class TestFoldEngagement:
         sdfg = stencil_1d(600)
         analytic = assert_engine_exact(sdfg, {})
         assert analytic.analytic_regions == 1
+
+    @pytest.mark.parametrize(
+        "build, env, phases",
+        [
+            (hdiff.build_sdfg, HDIFF_FOLD, 1),
+            (lambda: stencil_1d(600), {}, 8),
+        ],
+        ids=["hdiff-P1", "stencil-P8"],
+    )
+    def test_fold_simulates_one_window(self, monkeypatch, build, env, phases):
+        """Block 0 for the guards, then one window holding the prefix and
+        every phase: at most 1 + Δmax + P simulated blocks."""
+        from repro.locality import fold
+
+        simulated = []
+
+        def counting(*args, outer_slice, **kwargs):
+            simulated.append(outer_slice[1] - outer_slice[0])
+            return simulate_region(*args, outer_slice=outer_slice, **kwargs)
+
+        monkeypatch.setattr(fold, "simulate_region", counting)
+        analytic = assert_engine_exact(build(), dict(env))
+        assert analytic.analytic_regions == 1
+        summary = analytic._summaries[0]
+        assert summary.p_joint == phases
+        assert sum(simulated) <= 1 + summary.delta_max + summary.p_joint
 
     def test_declined_fold_falls_back_exactly(self):
         # matmul's inner extents make the fold uneconomic; the engine

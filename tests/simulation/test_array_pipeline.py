@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.apps import bert, conv, hdiff, linalg
+from repro.apps import bert, cloudsc, conv, hdiff, linalg
 from repro.simulation import (
     CacheModel,
     MemoryModel,
@@ -38,8 +38,18 @@ from tests.simulation.test_vectorized_differential import (
     single_map_sdfg,
 )
 
+
+def hdiff_reshaped():
+    """hdiff after the paper's reshape: a quarter of its accesses repeat
+    the line just accessed."""
+    sdfg = hdiff.build_sdfg()
+    hdiff.apply_reshape(sdfg)
+    return sdfg
+
+
 APP_CASES = [
     pytest.param(hdiff.build_sdfg, hdiff.LOCAL_VIEW_SIZES, id="hdiff"),
+    pytest.param(hdiff_reshaped, hdiff.LOCAL_VIEW_SIZES, id="hdiff-reshape"),
     pytest.param(conv.build_conv, conv.FIG4_SIZES, id="conv"),
     pytest.param(linalg.build_matmul, {"I": 5, "J": 4, "K": 3}, id="matmul"),
     pytest.param(
@@ -47,6 +57,7 @@ APP_CASES = [
         {"B": 1, "H": 2, "SM": 2, "EMB": 2, "FF": 2, "P": 2},
         id="bert",
     ),
+    pytest.param(cloudsc.build_sdfg, {"NBLOCKS": 32, "KLEV": 16}, id="cloudsc"),
 ]
 
 

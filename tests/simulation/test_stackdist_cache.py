@@ -59,17 +59,53 @@ class TestBruteforceEquivalence:
         assert stack_distances(lines) == stack_distances_bruteforce(lines)
 
 
+#: Sizes around powers of two and the counter's dense bases (16 ranks
+#: per base node, all pairs up to 256 warm positions).
+KERNEL_LENGTHS = [15, 16, 17, 255, 256, 257, 4095, 4096, 4097]
+
+
+@st.composite
+def kernel_traces(draw):
+    """Line traces for the array kernel: uniform, cyclic (long reuse
+    times, no repeats), runs of immediate repeats, all-cold, one-line
+    and reuse (n distinct lines, then all of them again in random order:
+    exactly n warm positions) shapes, over dense small ids or sparse,
+    negative int64 ids."""
+    n = draw(st.one_of(st.integers(0, 300), st.sampled_from(KERNEL_LENGTHS)))
+    shape = draw(st.sampled_from(
+        ["uniform", "cyclic", "runs", "all_cold", "one_line", "reuse"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = max(1, int(rng.integers(1, max(2, n // 2) + 1)))
+    if shape == "uniform":
+        ids = rng.integers(0, k, n)
+    elif shape == "cyclic":
+        ids = np.arange(n) % max(2, k)
+    elif shape == "runs":
+        ids = np.repeat(rng.integers(0, k, n), rng.integers(1, 40, n))[:n]
+    elif shape == "all_cold":
+        ids = rng.permutation(n)
+    elif shape == "reuse":
+        ids = np.concatenate([np.arange(n), rng.permutation(n)])
+    else:
+        ids = np.zeros(n, dtype=np.int64)
+    if draw(st.booleans()):  # sparse, negative int64 line ids
+        size = int(ids.max()) + 1 if ids.size else 1
+        ids = rng.choice(2**62, size=size, replace=False)[ids] - 2**61
+    return ids.astype(np.int64)
+
+
 class TestArrayKernel:
     """The NumPy stack-distance kernel vs. the pure-Python oracle."""
 
-    @given(st.lists(st.integers(0, 9), max_size=300))
+    @given(kernel_traces())
     @settings(max_examples=200, deadline=None)
-    def test_merge_tree_matches_olken(self, lines):
+    def test_array_kernel_matches_olken(self, lines):
         from repro.simulation import stack_distances_array
 
-        arr = stack_distances_array(np.asarray(lines, dtype=np.int64))
+        arr = stack_distances_array(lines)
         assert arr.dtype == np.float64
-        assert arr.tolist() == stack_distances(lines)
+        assert arr.tolist() == stack_distances(lines.tolist())
 
     @given(
         st.lists(st.integers(-5, 5), max_size=200),
@@ -88,23 +124,22 @@ class TestArrayKernel:
         out = stack_distances_array(np.array([], dtype=np.int64))
         assert out.size == 0 and out.dtype == np.float64
 
-    @given(st.lists(st.integers(0, 30), min_size=1, max_size=256))
+    @given(kernel_traces())
     @settings(max_examples=100, deadline=None)
-    def test_merge_tree_equals_fenwick_on_valid_positions(self, lines):
+    def test_partition_counter_equals_fenwick(self, lines):
         """The two private counting engines agree wherever the count is
-        used (cold positions gather don't-care values in the merge tree)."""
+        used: at every warm position (a line's second or later access)."""
         from repro.simulation.stackdist import (
-            _prefix_dominance_counts,
+            _earlier_smaller_counts,
             _prefix_dominance_counts_fenwick,
             _previous_occurrences,
         )
 
-        ids = np.unique(np.asarray(lines, dtype=np.int64), return_inverse=True)[1]
-        prev = _previous_occurrences(ids)
-        valid = prev >= 0
-        merge = _prefix_dominance_counts(prev)
-        fenwick = _prefix_dominance_counts_fenwick(prev, 16)
-        assert merge[valid].tolist() == fenwick[valid].tolist()
+        prev = _previous_occurrences(lines)
+        warm = np.flatnonzero(prev >= 0)
+        counter = _earlier_smaller_counts(prev[warm])
+        fenwick = _prefix_dominance_counts_fenwick(prev, 16)[warm]
+        assert counter.tolist() == fenwick.tolist()
 
 
 class TestFenwickRangeSum:
