@@ -63,7 +63,6 @@ def evaluate_point(
     line_size: int,
     capacity_lines: int,
     include_transients: bool,
-    fast: bool,
     timings=None,
 ):
     """The pass pipeline's ``local.point`` for *params*, on a fresh store.
@@ -78,14 +77,11 @@ def evaluate_point(
     *timings* receives the pass and stage spans.
     """
     return _evaluate(
-        base, params, line_size, capacity_lines, include_transients, fast,
-        timings,
+        base, params, line_size, capacity_lines, include_transients, timings
     )[0]
 
 
-def _evaluate(
-    base, params, line_size, capacity_lines, include_transients, fast, timings
-):
+def _evaluate(base, params, line_size, capacity_lines, include_transients, timings):
     """:func:`evaluate_point`'s point plus its ``local.analytic`` product."""
     from repro.passes import PassContext, build_pipeline
 
@@ -95,7 +91,6 @@ def _evaluate(
         line_size=line_size,
         capacity_lines=capacity_lines,
         include_transients=include_transients,
-        fast=fast,
         timings=timings,
     )
     ctx.adopt_components(base)
@@ -145,13 +140,12 @@ def _worker_evaluate(
     line_size: int,
     capacity_lines: int,
     include_transients: bool,
-    fast: bool,
 ):
     """Default worker entry point: :func:`evaluate_point` on a cached
     deserialization of *sdfg_text*."""
     return evaluate_point(
         _program_base(sdfg_text), params, line_size, capacity_lines,
-        include_transients, fast,
+        include_transients,
     )
 
 
@@ -161,7 +155,6 @@ def _worker_evaluate_shipping(
     line_size: int,
     capacity_lines: int,
     include_transients: bool,
-    fast: bool,
 ):
     """``Session.sweep``'s worker entry point: like
     :func:`_worker_evaluate`, but a point whose analytic product exists
@@ -169,7 +162,7 @@ def _worker_evaluate_shipping(
     declined (a ``None`` product) the bare point comes back."""
     point, analytic = _evaluate(
         _program_base(sdfg_text), params, line_size, capacity_lines,
-        include_transients, fast, None,
+        include_transients, None,
     )
     return point if analytic is None else PooledPoint(point, analytic)
 
@@ -181,7 +174,6 @@ def _worker_evaluate_batch(
     line_size: int,
     capacity_lines: int,
     include_transients: bool,
-    fast: bool,
 ) -> list[tuple]:
     """Evaluate a chunk of grid points in one worker task.
 
@@ -201,8 +193,7 @@ def _worker_evaluate_batch(
         try:
             _chaos("eval.error")
             point = fn(
-                sdfg_text, params, line_size, capacity_lines,
-                include_transients, fast,
+                sdfg_text, params, line_size, capacity_lines, include_transients
             )
         except ReproError as exc:
             out.append(("error", type(exc).__name__, str(exc)))
@@ -408,12 +399,12 @@ class SweepExecutor:
         Optional observability sinks (see :mod:`repro.obs`).
     point_fn:
         Evaluation callable ``(sdfg_text, params, line_size,
-        capacity_lines, include_transients, fast)``; defaults to the
+        capacity_lines, include_transients)``; defaults to the
         pass pipeline's ``local.point`` on the deserialized program.
         Must be picklable for the pool path.
     serial_fn:
         In-process evaluation callable ``(sdfg, params, line_size,
-        capacity_lines, include_transients, fast)`` used on the serial
+        capacity_lines, include_transients)`` used on the serial
         path (``workers`` unset and the pool-unavailable fallback).  A
         session injects its memoized pipeline here, so serial sweeps
         reuse stored pass results; workers cannot (they live in other
@@ -530,7 +521,6 @@ class SweepExecutor:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         cancel: CancelToken | None = None,
         on_result: Callable[[int, Any], None] | None = None,
         fail_fast: bool = False,
@@ -544,7 +534,7 @@ class SweepExecutor:
         finished point (it may call ``cancel.cancel()``).
         """
         grid = [dict(point) for point in grid]
-        cfg = (line_size, capacity_lines, include_transients, fast)
+        cfg = (line_size, capacity_lines, include_transients)
         evaluate = self._in_process(sdfg)
         self._count("sweep.points", len(grid))
         span = (

@@ -323,7 +323,6 @@ def sweep_local_views(
     line_size: int = 64,
     capacity_lines: int = 512,
     include_transients: bool = False,
-    fast: bool = True,
     tracer=None,
     metrics=None,
     adaptive: bool = False,
@@ -364,7 +363,6 @@ def sweep_local_views(
         line_size=line_size,
         capacity_lines=capacity_lines,
         include_transients=include_transients,
-        fast=fast,
         fail_fast=True,
     )
     return run.points

@@ -449,7 +449,6 @@ def analyze_locality(
     state: SDFGState | None = None,
     line_size: int = 64,
     include_transients: bool = False,
-    fast: bool = True,
     timings=None,
 ) -> AnalyticLocality:
     """Run the analytic locality engine over a parameterized program.
@@ -478,8 +477,7 @@ def analyze_locality(
             if candidate is not None:
                 summary = try_build_fold(
                     sdfg, env, region.state, candidate, memory,
-                    include_transients=include_transients,
-                    fast=fast, timings=timings,
+                    include_transients=include_transients, timings=timings,
                 )
         if summary is not None:
             folded += 1
@@ -488,7 +486,7 @@ def analyze_locality(
         enumerated += 1
         result = simulate_region(
             sdfg, env, region.state, region.node,
-            include_transients=include_transients, fast=fast, timings=timings,
+            include_transients=include_transients, timings=timings,
         )
         cols = region_columns(result, memory)
         if cols.num_events:

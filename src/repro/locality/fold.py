@@ -274,7 +274,6 @@ def try_build_fold(
     candidate: FoldCandidate,
     memory: MemoryModel,
     include_transients: bool = False,
-    fast: bool = True,
     timings=None,
 ) -> FoldedSummary | None:
     """Build a :class:`FoldedSummary`, or return ``None`` to enumerate.
@@ -293,7 +292,7 @@ def try_build_fold(
     def window(lo: int, hi: int) -> RegionColumns:
         result = simulate_region(
             sdfg, symbols, state, entry,
-            include_transients=include_transients, fast=fast, timings=timings,
+            include_transients=include_transients, timings=timings,
             outer_slice=(lo, hi),
         )
         return region_columns(result, memory)

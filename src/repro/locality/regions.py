@@ -32,7 +32,6 @@ from repro.simulation.affine import AffineSubset
 from repro.simulation.arrays import build_array_trace
 from repro.simulation.layout import MemoryModel
 from repro.simulation.simulator import SimulationResult
-from repro.simulation.stackdist import line_trace
 from repro.symbolic.expr import Expr
 
 __all__ = [
@@ -113,59 +112,25 @@ class RegionColumns:
 
 
 def region_columns(result: SimulationResult, memory: MemoryModel) -> RegionColumns:
-    """Build the columnar view of a region's simulation result.
-
-    Array-representable traces come straight from the vector blocks;
-    interpreted traces fall back to the (batched) object-event path.
-    Both produce identical columns.
-    """
-    n = result.num_events
-    if n == 0:
-        return RegionColumns(0, [], np.empty(0, np.int64), np.empty(0, np.int64), {}, {})
+    """Build the columnar view of a region's simulation result."""
     trace = build_array_trace(result, memory)
-    if trace is not None:
-        containers = list(trace.containers)
-        container_ids = trace.container_ids
-        lines = trace.lines
-        positions: dict[str, np.ndarray] = {}
-        index_matrices: dict[str, np.ndarray] = {}
-        for cid, name in enumerate(containers):
-            pos = np.flatnonzero(container_ids == cid)
-            positions[name] = pos
-            shape = trace.key_shapes[cid]
-            if shape:
-                cols = np.unravel_index(trace.element_keys[pos], shape)
-                index_matrices[name] = np.column_stack(
-                    [c.astype(np.int64, copy=False) for c in cols]
-                )
-            else:
-                index_matrices[name] = np.empty((pos.size, 0), dtype=np.int64)
-        return RegionColumns(n, containers, container_ids, lines, positions, index_matrices)
-    events = result.events
-    lines = np.asarray(line_trace(events, memory), dtype=np.int64)
-    containers = []
-    index_of: dict[str, int] = {}
-    container_ids = np.empty(n, dtype=np.int64)
-    rows: dict[str, list[tuple[int, ...]]] = {}
-    for t, event in enumerate(events):
-        cid = index_of.get(event.data)
-        if cid is None:
-            cid = index_of[event.data] = len(containers)
-            containers.append(event.data)
-        container_ids[t] = cid
-        rows.setdefault(event.data, []).append(event.indices)
-    positions = {
-        name: np.flatnonzero(container_ids == cid)
-        for name, cid in index_of.items()
-    }
-    index_matrices = {}
-    for name, tuples in rows.items():
-        ndims = len(tuples[0])
-        if ndims:
-            index_matrices[name] = np.array(tuples, dtype=np.int64)
+    positions: dict[str, np.ndarray] = {}
+    index_matrices: dict[str, np.ndarray] = {}
+    for cid, name in enumerate(trace.containers):
+        pos = np.flatnonzero(trace.container_ids == cid)
+        positions[name] = pos
+        shape = trace.key_shapes[cid]
+        if shape:
+            cols = np.unravel_index(trace.element_keys[pos], shape)
+            index_matrices[name] = np.column_stack(
+                [c.astype(np.int64, copy=False) for c in cols]
+            )
         else:
-            index_matrices[name] = np.empty((len(tuples), 0), dtype=np.int64)
-    return RegionColumns(n, containers, container_ids, lines, positions, index_matrices)
+            index_matrices[name] = np.empty((pos.size, 0), dtype=np.int64)
+    return RegionColumns(
+        trace.num_events, list(trace.containers), trace.container_ids,
+        trace.lines, positions, index_matrices,
+    )
 
 
 class FoldCandidate:

@@ -42,7 +42,7 @@ COMPONENTS = (
     "arrays",         # physical descriptor hashes, in allocation order
     "arrays.logical", # descriptor hashes w/o layout fields (dtype/shape)
     "env",            # the concrete symbol assignment
-    "sim",            # simulation configuration (transients, fast path)
+    "sim",            # simulation configuration (transients)
     "line",           # cache-line size in bytes
     "capacity",       # modeled cache capacity in lines
 )
@@ -69,7 +69,6 @@ class PassContext:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         scope: tuple = (),
         timings=None,
         metrics=None,
@@ -80,7 +79,6 @@ class PassContext:
         self.line_size = int(line_size)
         self.capacity_lines = int(capacity_lines)
         self.include_transients = bool(include_transients)
-        self.fast = bool(fast)
         self.scope = tuple(scope)
         self.timings = timings
         self.metrics = metrics
@@ -140,7 +138,7 @@ class PassContext:
         if name == "env":
             return None if self.env is None else tuple(sorted(self.env.items()))
         if name == "sim":
-            return (self.include_transients, self.fast)
+            return (self.include_transients,)
         if name == "line":
             return self.line_size
         if name == "capacity":

@@ -43,10 +43,8 @@ from repro.simulation.arrays import (
     build_array_trace,
     per_container_misses_array,
 )
-from repro.simulation.movement import per_container_misses
 from repro.simulation.simulator import SimulationResult
 from repro.simulation.stackdist import stack_distances_array
-from repro.simulation.vectorized import fast_line_trace
 
 __all__ = [
     "LayoutProduct",
@@ -63,47 +61,23 @@ __all__ = [
 
 
 class LayoutProduct:
-    """Physical-layout stage output: memory model plus columnar trace.
+    """Physical-layout stage output: memory model plus columnar trace."""
 
-    :attr:`trace` is the columnar :class:`ArrayTrace` when the access
-    trace is array-representable, else ``None`` (object pipeline).
-    :meth:`line_ids` materializes the per-event cache-line ids lazily —
-    the array pipeline never needs them.
-    """
-
-    __slots__ = ("result", "memory", "trace", "_line_ids")
+    __slots__ = ("memory", "trace")
 
     def __init__(self, result: SimulationResult, memory: MemoryModel):
-        self.result = result
         self.memory = memory
-        self.trace: ArrayTrace | None = build_array_trace(result, memory)
-        self._line_ids: list[int] | None = None
-
-    def line_ids(self) -> list[int]:
-        if self._line_ids is None:
-            self._line_ids = fast_line_trace(self.result, self.memory)
-        return self._line_ids
+        self.trace: ArrayTrace = build_array_trace(result, memory)
 
 
 class DistanceProduct:
-    """Stack-distance stage output: one float64 distance per event.
+    """Stack-distance stage output: :attr:`array` holds one float64
+    distance per event (``inf`` = cold)."""
 
-    :attr:`array` is a float64 NumPy array (``inf`` = cold).  Readers of
-    the object pipeline take :meth:`as_list`, which converts once and
-    memoizes, so repeated consumers observe the *same* list object — the
-    identity contract the session cache always had.
-    """
-
-    __slots__ = ("array", "_list")
+    __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
         self.array = array
-        self._list: list[float] | None = None
-
-    def as_list(self) -> list[float]:
-        if self._list is None:
-            self._list = self.array.tolist()
-        return self._list
 
 
 class AnalyticPass(Pass):
@@ -134,7 +108,6 @@ class AnalyticPass(Pass):
                     state=ctx.state,
                     line_size=ctx.line_size,
                     include_transients=ctx.include_transients,
-                    fast=ctx.fast,
                     timings=ctx.timings,
                 )
         except ReproError:
@@ -170,7 +143,6 @@ class TracePass(Pass):
             env,
             state=ctx.state,
             include_transients=ctx.include_transients,
-            fast=ctx.fast,
             timings=ctx.timings,
         )
 
@@ -190,13 +162,10 @@ class LayoutPass(Pass):
 
 
 class StackDistancePass(Pass):
-    """LRU stack distances over the interleaved line trace.
+    """LRU stack distances over the columnar trace's interleaved lines.
 
-    Every trace runs the array kernel: the columnar trace's lines when
-    the trace is array-representable, else the line ids of the object
-    trace (non-affine scopes the interpreter simulated).  No components
-    of its own: the layout product's key already embeds everything the
-    distances depend on.
+    No components of its own: the layout product's key already embeds
+    everything the distances depend on.
     """
 
     name = "local.stackdist"
@@ -205,8 +174,7 @@ class StackDistancePass(Pass):
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> DistanceProduct:
         layout: LayoutProduct = inputs["local.layout"]
         with maybe_span(ctx.timings, "stackdist"):
-            lines = layout.trace.lines if layout.trace is not None else layout.line_ids()
-            return DistanceProduct(stack_distances_array(lines))
+            return DistanceProduct(stack_distances_array(layout.trace.lines))
 
 
 class ClassifyPass(Pass):
@@ -218,9 +186,7 @@ class ClassifyPass(Pass):
     """
 
     name = "local.classify"
-    depends_on = (
-        "local.analytic", "local.trace", "local.layout", "local.stackdist"
-    )
+    depends_on = ("local.analytic", "local.layout", "local.stackdist")
     uses = ("line", "capacity")
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> dict:
@@ -234,16 +200,7 @@ class ClassifyPass(Pass):
             line_size=ctx.line_size, capacity_lines=ctx.capacity_lines
         )
         with maybe_span(ctx.timings, "classify"):
-            if layout.trace is not None:
-                return per_container_misses_array(
-                    layout.trace, distances.array, model
-                )
-            return per_container_misses(
-                inputs["local.trace"].events,
-                layout.memory,
-                model,
-                distances.as_list(),
-            )
+            return per_container_misses_array(layout.trace, distances.array, model)
 
 
 class PhysicalMovementPass(Pass):

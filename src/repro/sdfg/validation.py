@@ -41,8 +41,9 @@ def _check_bounds(memlet, desc, edge) -> None:
     """Flag subsets provably outside the container's extent.
 
     Only *provable* violations raise: when both a subset bound and the
-    corresponding shape extent are integer constants (symbolic bounds with
-    free parameters are checked at simulation time instead).
+    corresponding shape extent are integer constants.  For symbolic
+    bounds, the simulator rejects a negative element index when it
+    records it; an index past the end of a container is not checked.
     """
     from repro.symbolic.expr import Integer
 

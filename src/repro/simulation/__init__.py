@@ -7,8 +7,9 @@ parameterized with small concrete sizes, it
    (:mod:`~repro.simulation.iterspace`),
 2. evaluates every memlet's symbolic subset at every iteration to obtain
    the *exact access pattern* per data container
-   (:mod:`~repro.simulation.simulator`, producing
-   :mod:`~repro.simulation.trace` events),
+   (:mod:`~repro.simulation.simulator`, recorded as columnar
+   :mod:`~repro.simulation.trace` blocks; affine scopes by
+   :mod:`~repro.simulation.vectorized`),
 3. maps logical elements to physical bytes and cache lines from the data
    descriptors' strides/alignment (:mod:`~repro.simulation.layout`),
 4. computes stack (reuse) distances at cache-line granularity
@@ -18,14 +19,18 @@ parameterized with small concrete sizes, it
 6. estimates the resulting *physical* data movement
    (:mod:`~repro.simulation.movement`).
 
+There is one trace representation: every simulated scope records
+:class:`~repro.simulation.trace.TraceBlock` columns, and stages 3–6 run
+as NumPy kernels over the :class:`~repro.simulation.arrays.ArrayTrace`
+built from them (:mod:`~repro.simulation.arrays`).  The per-event
+functions that remain — the interpreter (``simulate_state(fast=False)``),
+``line_trace``, Olken's ``stack_distances``, the brute-force distances,
+``element_stack_distances``, ``classify_accesses``, ``count_misses`` and
+the movement module's per-event aggregations — are the differential
+oracles of that pipeline; no production module calls them.
+
 Related-access derivation (which elements are touched by the same
 computations, Section V-C) lives in :mod:`~repro.simulation.related`.
-
-Stages 3–6 exist twice: as the per-event *object pipeline* (the modules
-above) and as the NumPy *array pipeline*
-(:mod:`~repro.simulation.arrays`), which runs whenever the trace was
-produced entirely by the vectorized fast path.  The two are
-differentially tested to agree exactly.
 """
 
 from repro.simulation.arrays import (
@@ -64,18 +69,18 @@ from repro.simulation.stackdist import (
     stack_distances_array,
     stack_distances_bruteforce,
 )
-from repro.simulation.trace import AccessEvent, AccessKind
+from repro.simulation.trace import AccessEvent, AccessKind, TraceBlock
 from repro.simulation.affine import AffineForm, AffineSubset, affine_form
-from repro.simulation.vectorized import fast_line_trace, simulate_scope_vectorized
+from repro.simulation.vectorized import simulate_scope_vectorized
 
 __all__ = [
     "AffineForm",
     "AffineSubset",
     "affine_form",
-    "fast_line_trace",
     "simulate_scope_vectorized",
     "AccessEvent",
     "AccessKind",
+    "TraceBlock",
     "AccessPatternSimulator",
     "SimulationResult",
     "simulate_state",

@@ -1,14 +1,12 @@
-"""Array-native access trace and locality aggregation (the fast pipeline).
+"""Array-native access trace and locality aggregation.
 
-The object pipeline walks per-event :class:`~repro.simulation.trace.AccessEvent`
-objects through line projection, stack distances, miss classification and
-per-element aggregation — a Python loop per stage.  When a trace was
-produced entirely by the vectorized fast path, the
-:class:`~repro.simulation.vectorized.VectorBlock` index matrices carry the
-same information in columnar form; :func:`build_array_trace` assembles them
-into an :class:`ArrayTrace` — parallel ``int64`` columns of container ids,
-flattened element keys and global cache-line ids — and every downstream
-stage runs as NumPy kernels:
+The simulator records every trace as
+:class:`~repro.simulation.trace.TraceBlock` columns — an index matrix
+plus trace positions per (container, kind, tasklet).
+:func:`build_array_trace` assembles them into an :class:`ArrayTrace` —
+parallel ``int64`` columns of container ids, flattened element keys and
+global cache-line ids — and every downstream stage of the local view runs
+as NumPy kernels over it:
 
 - stack distances via
   :func:`~repro.simulation.stackdist.stack_distances_array` on
@@ -19,9 +17,9 @@ stage runs as NumPy kernels:
   columns.
 
 Each function is differentially tested to produce results exactly equal
-to its object-pipeline counterpart; traces with interpreted portions
-return ``None`` from :func:`build_array_trace` and fall back to the
-object pipeline.
+to its per-event reference in :mod:`~repro.simulation.movement` and
+:mod:`~repro.simulation.stackdist`, computed from the interpreter's
+:attr:`~repro.simulation.simulator.SimulationResult.events`.
 """
 
 from __future__ import annotations
@@ -98,19 +96,14 @@ class ArrayTrace:
         )
 
 
-def build_array_trace(
-    result: SimulationResult, memory: MemoryModel
-) -> ArrayTrace | None:
-    """Assemble the columnar trace from the result's vector blocks.
+def build_array_trace(result: SimulationResult, memory: MemoryModel) -> ArrayTrace:
+    """Assemble the columnar trace from the result's blocks.
 
-    Returns ``None`` when the blocks do not cover the whole trace (some
-    scope ran through the interpreter) or an index is negative — the
-    caller then uses the object pipeline.
+    The simulator has rejected negative indices, so every element key
+    is a non-negative row-major offset.
     """
-    blocks = getattr(result, "vector_blocks", None)
+    blocks = result.blocks
     n = result.num_events
-    if not blocks or sum(b.count for b in blocks) != n:
-        return None
     containers: list[str] = []
     index_of: dict[str, int] = {}
     grouped: dict[str, list] = {}
@@ -122,14 +115,9 @@ def build_array_trace(
     key_shapes: list[tuple[int, ...]] = []
     for name in containers:
         ndims = grouped[name][0].matrix.shape[1]
-        if ndims == 0:
-            key_shapes.append(())
-            continue
         high = np.zeros(ndims, dtype=np.int64)
         for block in grouped[name]:
             if block.matrix.size:
-                if block.matrix.min() < 0:
-                    return None
                 np.maximum(high, block.matrix.max(axis=0), out=high)
         key_shapes.append(tuple(int(h) + 1 for h in high))
     container_ids = np.empty(n, dtype=np.int64)
@@ -138,7 +126,7 @@ def build_array_trace(
     for block in blocks:
         container = index_of[block.data]
         layout = memory.layout(block.data)
-        dest = slice(block.start, block.start + block.stride * block.count, block.stride)
+        dest = block.positions
         container_ids[dest] = container
         shape = key_shapes[container]
         if shape:

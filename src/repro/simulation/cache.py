@@ -142,12 +142,14 @@ class CacheModel:
 def classify_accesses(
     distances: Sequence[float], model: CacheModel
 ) -> list[MissKind]:
-    """Per-access outcomes from stack distances."""
+    """Per-access outcomes from stack distances (a reference for
+    :func:`miss_masks`; no production module calls it)."""
     return [model.classify(d) for d in distances]
 
 
 def count_misses(distances: Sequence[float], model: CacheModel) -> MissCounts:
-    """Aggregate outcome counts from stack distances."""
+    """Aggregate outcome counts from stack distances (a reference for
+    :func:`count_misses_array`; no production module calls it)."""
     counts = MissCounts()
     for d in distances:
         kind = model.classify(d)

@@ -6,6 +6,13 @@ the local view applies to the logical volumes of the global view.  Edge
 estimates combine the miss counts of the edge's source and destination
 nodes with the line size (the paper's formulation; we sum the two nodes'
 misses and document this reading in DESIGN.md).
+
+:func:`edge_physical_movement` is the production entry point; it takes
+per-container miss counts.  :func:`per_container_misses`,
+:func:`per_element_misses` and :func:`container_physical_movement` walk
+per-event :class:`~repro.simulation.trace.AccessEvent` traces: they are
+the references the array pipeline (:mod:`~repro.simulation.arrays`) is
+differentially tested against, and no production module calls them.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Mapping, Sequence
 
 from repro.sdfg.nodes import AccessNode
 from repro.sdfg.state import SDFGState
-from repro.simulation.cache import CacheModel, MissCounts, count_misses
+from repro.simulation.cache import CacheModel, MissCounts
 from repro.simulation.layout import MemoryModel
 from repro.simulation.stackdist import line_trace, stack_distances
 from repro.simulation.trace import AccessEvent
@@ -43,7 +50,7 @@ def per_container_misses(
     model: CacheModel,
     distances: Sequence[float] | None = None,
 ) -> dict[str, MissCounts]:
-    """Miss counts per container, from one interleaved trace.
+    """Miss counts per container, from one interleaved trace (reference).
 
     The stack distances are computed over the *full* trace (all containers
     share the cache); the outcomes are then attributed to each event's
@@ -71,7 +78,8 @@ def per_element_misses(
     data: str,
     distances: Sequence[float] | None = None,
 ) -> dict[tuple[int, ...], MissCounts]:
-    """Miss counts per element of *data* — the Fig. 5c / Fig. 7 heatmap."""
+    """Miss counts per element of *data* — the Fig. 5c / Fig. 7 heatmap
+    (reference)."""
     out: dict[tuple[int, ...], MissCounts] = {}
     for event, distance in _distances_with_events(events, memory, distances):
         if event.data != data:
@@ -94,30 +102,24 @@ def container_physical_movement(
     model: CacheModel,
     distances: Sequence[float] | None = None,
 ) -> dict[str, int]:
-    """Estimated bytes moved between memory and cache, per container."""
+    """Estimated bytes moved between memory and cache, per container
+    (reference)."""
     misses = per_container_misses(events, memory, model, distances)
     return {name: counts.misses * model.line_size for name, counts in misses.items()}
 
 
 def edge_physical_movement(
     state: SDFGState,
-    events: Sequence[AccessEvent] | None,
-    memory: MemoryModel | None,
+    container_misses: Mapping[str, MissCounts],
     model: CacheModel,
-    distances: Sequence[float] | None = None,
-    container_misses: Mapping[str, MissCounts] | None = None,
 ) -> dict[object, int]:
     """Physical-movement estimate per dataflow edge.
 
     Each container-adjacent edge gets ``misses(container at source or
     destination) × line size``; edges touching containers on both ends
     (copies) get the sum of both sides.  Edges whose containers never
-    appear in the trace get zero.  Pass precomputed *container_misses*
-    (e.g. from the array pipeline) to skip the per-event attribution;
-    *events* and *memory* are unused in that case.
+    appear in *container_misses* get zero.
     """
-    if container_misses is None:
-        container_misses = per_container_misses(events, memory, model, distances)
 
     def node_misses(node) -> int:
         if isinstance(node, AccessNode) and node.data in container_misses:

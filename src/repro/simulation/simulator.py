@@ -7,31 +7,40 @@ computation in the graph."
 
 The simulator walks a state's scopes in topological order, enumerates every
 map's concrete iteration space and evaluates each memlet subset at each
-point, producing an ordered trace of :class:`AccessEvent` objects.  Symbolic
-index expressions are compiled to Python code objects once per memlet, so
-the per-iteration cost is a handful of ``eval`` calls.
+point.  The trace it produces is columnar: a list of
+:class:`~repro.simulation.trace.TraceBlock` records, one per (container,
+kind, tasklet) column, which every view of :class:`SimulationResult` and
+the array pipeline (:mod:`~repro.simulation.arrays`) read directly.
 
-With ``fast=True`` (the default), flat map scopes whose memlet subsets are
-affine in the map parameters bypass the per-iteration loop entirely: the
-whole scope trace is materialized with NumPy broadcast arithmetic
-(:mod:`~repro.simulation.vectorized`), which is what makes the "fraction
-of a second" interactive loop of the paper feasible at realistic sizes.
-The two paths are differentially tested to produce identical traces.
+Flat map scopes are recorded by :mod:`~repro.simulation.vectorized`:
+affine memlet subsets by NumPy broadcast arithmetic, which is what makes
+the "fraction of a second" interactive loop of the paper feasible at
+realistic sizes, the others per iteration.  Scopes with nested maps or
+nested SDFGs, bare tasklets and access-node copies run through the
+per-iteration interpreter, whose symbolic index expressions are compiled
+to Python code objects once per memlet.  ``fast=False`` runs the
+interpreter everywhere: it is the differential-testing oracle for the
+vectorized path, and no production caller sets it.  Both paths record
+identical traces, and both reject a negative element index with a
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.sdfg.data import Array
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node, Tasklet
+from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFG, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.simulation.iterspace import iteration_points
-from repro.simulation.trace import AccessEvent, AccessKind
+from repro.simulation.trace import AccessEvent, AccessKind, RecordedFirings, TraceBlock
 
 __all__ = [
     "AccessPatternSimulator",
@@ -93,16 +102,32 @@ class _CompiledSubset:
                 return
 
 
+def _seal_column(
+    key: tuple, flat: list[int], runs: list[tuple[int, ...]]
+) -> TraceBlock:
+    """The block of one interpreter-recorded column: *flat* holds its
+    rows' indices, *runs* one ``(start, count, step, execution, *point)``
+    row per tasklet firing, whose rows sit at consecutive positions."""
+    data, kind, tasklet, ndim, pdim = key
+    table = np.array(runs, dtype=np.int64).reshape(len(runs), 4 + pdim)
+    starts, counts = table[:, 0], table[:, 1]
+    total = int(counts.sum())
+    first_rows = np.cumsum(counts) - counts
+    positions = np.repeat(starts - first_rows, counts) + np.arange(total, dtype=np.int64)
+    firings = RecordedFirings(counts, table[:, 2], table[:, 3], table[:, 4:])
+    matrix = np.array(flat, dtype=np.int64).reshape(total, ndim)
+    return TraceBlock(data, kind, tasklet, matrix, positions, firings)
+
+
 class SimulationResult:
     """The ordered access trace plus convenient aggregate views.
 
-    Events are stored as a sequence of *segments*.  The interpreter
-    appends :class:`AccessEvent` objects eagerly; the vectorized fast
-    path registers *lazy* segments (deferred event blocks holding only
-    index matrices) so that no per-event Python object exists until a
-    consumer explicitly reads :attr:`events`.  Aggregate queries that
-    can be answered from the matrices (:meth:`containers`,
-    :meth:`access_counts`, :meth:`total_accesses`) never materialize.
+    The trace is stored as :class:`~repro.simulation.trace.TraceBlock`
+    columns (:attr:`blocks`): vectorized scopes add strided blocks, the
+    interpreter records its accesses per (container, kind, tasklet) and
+    seals them into blocks with explicit positions.  Every view reads
+    the blocks; :attr:`events` builds :class:`AccessEvent` objects on
+    each read and keeps none.
     """
 
     def __init__(self, sdfg: SDFG, env: dict[str, int]):
@@ -111,61 +136,70 @@ class SimulationResult:
         self.num_events = 0
         self.num_steps = 0
         self.num_executions = 0
-        #: Index matrices recorded by the vectorized fast path; when they
-        #: cover the whole trace, line ids can be computed by broadcast
-        #: (see :func:`~repro.simulation.vectorized.fast_line_trace`).
-        self.vector_blocks: list = []
-        self._segments: list = []  # sealed eager lists or lazy segments
-        self._tail: list[AccessEvent] = []  # open eager segment
-        self._flat: list[AccessEvent] | None = None
+        self._blocks: list[TraceBlock] = []
+        #: The interpreter's recording: (data, kind, tasklet, ndim, pdim)
+        #: -> (flattened indices, firing runs); see :func:`_seal_column`.
+        self._columns: dict[tuple, tuple[list, list]] = {}
+        self._sealed = True
 
     # -- trace construction ----------------------------------------------------
-    def append_event(self, event: AccessEvent) -> None:
-        """Append one eagerly-built event (the interpreter path)."""
-        self._flat = None
-        self._tail.append(event)
-        self.num_events += 1
+    def add_block(self, block: TraceBlock) -> None:
+        """Add a block whose positions the caller has reserved."""
+        block.check_indices()
+        self._blocks.append(block)
+        self._sealed = False
 
-    def extend_events(self, events: Sequence[AccessEvent]) -> None:
-        """Append a batch of eagerly-built events."""
-        self._flat = None
-        self._tail.extend(events)
-        self.num_events += len(events)
+    def record(
+        self,
+        data: str,
+        kind: AccessKind,
+        tasklet: str,
+        rows: Sequence[tuple[int, ...]],
+        step: int,
+        execution: int,
+        point: tuple[int, ...],
+    ) -> None:
+        """Append one firing's accesses through one memlet (the
+        interpreter path), at the next trace positions."""
+        if not rows:
+            return
+        key = (data, kind, tasklet, len(rows[0]), len(point))
+        flat, runs = self._columns.setdefault(key, ([], []))
+        flat.extend(chain.from_iterable(rows))
+        runs.append((self.num_events, len(rows), step, execution, *point))
+        self.num_events += len(rows)
 
-    def add_lazy_segment(self, segment) -> None:
-        """Append a deferred event block (``num_events`` + ``materialize()``)."""
-        self._flat = None
-        if self._tail:
-            self._segments.append(self._tail)
-            self._tail = []
-        self._segments.append(segment)
-        self.num_events += segment.num_events
+    def seal(self) -> None:
+        """Turn the interpreter's recording into blocks and order every
+        block by its first position (the simulator calls this last)."""
+        if self._sealed and not self._columns:
+            return
+        for key, (flat, runs) in self._columns.items():
+            block = _seal_column(key, flat, runs)
+            block.check_indices()
+            self._blocks.append(block)
+        self._columns = {}
+        self._blocks.sort(key=attrgetter("first_position"))
+        self._sealed = True
 
-    def _iter_segments(self):
-        yield from self._segments
-        if self._tail:
-            yield self._tail
-
-    def events_materialized(self) -> bool:
-        """Whether the object trace exists (no pending lazy segments)."""
-        return not any(hasattr(seg, "materialize") for seg in self._segments)
+    @property
+    def blocks(self) -> list[TraceBlock]:
+        """The trace's blocks, ordered by their first position."""
+        self.seal()
+        return self._blocks
 
     @property
     def events(self) -> list[AccessEvent]:
-        """The ordered object trace; materializes lazy segments on first use."""
-        if self._flat is None:
-            if self._segments:
-                flat: list[AccessEvent] = []
-                for seg in self._segments:
-                    if hasattr(seg, "materialize"):
-                        flat.extend(seg.materialize())
-                    else:
-                        flat.extend(seg)
-                flat.extend(self._tail)
-                self._segments = []
-                self._tail = flat
-            self._flat = self._tail
-        return self._flat
+        """The ordered per-event trace, built from the blocks on each read."""
+        out: list = [None] * self.num_events
+        for block in self.blocks:
+            events = block.events()
+            if isinstance(block.positions, slice):
+                out[block.positions] = events
+            else:
+                for position, event in zip(block.positions.tolist(), events):
+                    out[position] = event
+        return out
 
     # -- shapes --------------------------------------------------------------
     def shape(self, data: str) -> tuple[int, ...]:
@@ -175,51 +209,42 @@ class SimulationResult:
 
     def containers(self) -> list[str]:
         """Containers that appear in the trace, in first-access order."""
-        seen: dict[str, None] = {}
-        for seg in self._iter_segments():
-            if hasattr(seg, "container_order"):
-                for name in seg.container_order():
-                    seen.setdefault(name)
-            else:
-                for e in seg:
-                    seen.setdefault(e.data)
-        return list(seen)
+        return list(dict.fromkeys(block.data for block in self.blocks))
 
     # -- aggregate views ---------------------------------------------------------
-    def container_events(self, data: str) -> list[AccessEvent]:
-        return [e for e in self.events if e.data == data]
-
     def access_counts(
         self, data: str, kind: AccessKind | None = None
     ) -> dict[tuple[int, ...], int]:
         """Flattened time dimension: access count per element (Fig. 4b)."""
-        counts: dict[tuple[int, ...], int] = {}
-        for seg in self._iter_segments():
-            if hasattr(seg, "accumulate_counts"):
-                seg.accumulate_counts(data, kind, counts)
-                continue
-            for e in seg:
-                if e.data != data:
-                    continue
-                if kind is not None and e.kind != kind:
-                    continue
-                counts[e.indices] = counts.get(e.indices, 0) + 1
-        return counts
+        matrices = [
+            block.matrix
+            for block in self.blocks
+            if block.data == data and (kind is None or block.kind == kind)
+        ]
+        if not matrices:
+            return {}
+        matrix = np.concatenate(matrices)
+        if matrix.shape[1] == 0:
+            return {(): matrix.shape[0]}
+        unique, freq = np.unique(matrix, axis=0, return_counts=True)
+        return dict(zip(map(tuple, unique.tolist()), freq.tolist()))
 
     def total_accesses(self, data: str | None = None) -> int:
         if data is None:
             return self.num_events
-        total = 0
-        for seg in self._iter_segments():
-            if hasattr(seg, "count_for"):
-                total += seg.count_for(data)
-            else:
-                total += sum(1 for e in seg if e.data == data)
-        return total
+        return sum(block.count for block in self.blocks if block.data == data)
 
     def events_at_step(self, step: int) -> list[AccessEvent]:
         """Playback frame: all accesses of one timestep (Section V-C)."""
-        return [e for e in self.events if e.step == step]
+        found: list[tuple[int, AccessEvent]] = []
+        for block in self.blocks:
+            rows = np.flatnonzero(block.steps() == step)
+            if rows.size:
+                found.extend(
+                    zip(block.position_array()[rows].tolist(), block.events(rows))
+                )
+        found.sort(key=itemgetter(0))
+        return [event for _, event in found]
 
     def steps(self) -> Iterator[list[AccessEvent]]:
         """Iterate playback frames in order."""
@@ -249,13 +274,6 @@ class SimulationResult:
         if group:
             yield current if current is not None else 0, group
 
-    def per_element_events(self, data: str) -> dict[tuple[int, ...], list[AccessEvent]]:
-        out: dict[tuple[int, ...], list[AccessEvent]] = {}
-        for e in self.events:
-            if e.data == data:
-                out.setdefault(e.indices, []).append(e)
-        return out
-
     def __repr__(self) -> str:
         return (
             f"SimulationResult(events={self.num_events}, steps={self.num_steps}, "
@@ -279,11 +297,11 @@ class AccessPatternSimulator:
         When False (default), accesses to scalar transients (tasklet
         locals) are excluded — they live in registers, not memory.
     fast:
-        When True (default), flat map scopes with affine memlet subsets
-        are simulated by the vectorized fast path
-        (:mod:`~repro.simulation.vectorized`); pass False to force the
-        per-iteration interpreter everywhere (the differential-testing
-        reference).  Both paths produce identical traces.
+        When True (default), flat map scopes are recorded by the
+        vectorized path (:mod:`~repro.simulation.vectorized`).  False
+        forces the per-iteration interpreter everywhere, nested SDFG
+        bodies included: the differential-testing oracle, which no
+        production caller uses.  Both paths record identical traces.
     timings:
         Optional :class:`~repro.obs.trace.Tracer` recording
         enumerate/evaluate wall-time spans.
@@ -318,6 +336,7 @@ class AccessPatternSimulator:
         states = [self.state] if self.state is not None else self.sdfg.all_states_topological()
         for state in states:
             self._simulate_state(state, result)
+        result.seal()
         return result
 
     # -- internals -------------------------------------------------------------
@@ -363,11 +382,11 @@ class AccessPatternSimulator:
         if self.fast and not nested and not nested_sdfgs:
             from repro.simulation.vectorized import simulate_scope_vectorized
 
-            if simulate_scope_vectorized(
+            simulate_scope_vectorized(
                 state, entry, tasklets, env, result, outer_point,
                 self._tracked, self._compiled, timings=self.timings,
-            ):
-                return
+            )
+            return
 
         from repro.analysis.timing import maybe_span
 
@@ -411,27 +430,17 @@ class AccessPatternSimulator:
     ) -> None:
         execution = result.num_executions
         result.num_executions += 1
-        for edge in state.in_edges(tasklet):
-            memlet = edge.data.memlet
-            if memlet is None or not self._tracked(memlet.data):
-                continue
-            for indices in self._compiled(memlet).points(env):
-                result.append_event(
-                    AccessEvent(
-                        memlet.data, indices, AccessKind.READ, step, execution,
-                        tasklet.name, point,
-                    )
-                )
-        for edge in state.out_edges(tasklet):
-            memlet = edge.data.memlet
-            if memlet is None or not self._tracked(memlet.data):
-                continue
-            for indices in self._compiled(memlet).points(env):
-                result.append_event(
-                    AccessEvent(
-                        memlet.data, indices, AccessKind.WRITE, step, execution,
-                        tasklet.name, point,
-                    )
+        for kind, edges in (
+            (AccessKind.READ, state.in_edges(tasklet)),
+            (AccessKind.WRITE, state.out_edges(tasklet)),
+        ):
+            for edge in edges:
+                memlet = edge.data.memlet
+                if memlet is None or not self._tracked(memlet.data):
+                    continue
+                result.record(
+                    memlet.data, kind, tasklet.name,
+                    list(self._compiled(memlet).points(env)), step, execution, point,
                 )
 
     def _simulate_nested(
@@ -474,30 +483,50 @@ class AccessPatternSimulator:
                 if edge.data.src_conn not in bindings:
                     bind(edge.data.src_conn, edge.data.memlet)
 
-        sub_result = AccessPatternSimulator(
-            inner, inner_env, include_transients=False
+        sub = AccessPatternSimulator(
+            inner, inner_env, include_transients=False, fast=self.fast,
+            timings=self.timings,
         ).run()
-        step_base = result.num_steps
-        execution_base = result.num_executions
-        for event in sub_result.events:
-            binding = bindings.get(event.data)
-            if binding is None:
-                continue  # inner transient: private, like tasklet locals
-            data, offsets = binding
-            if len(offsets) != len(event.indices):
+        blocks = sub.blocks
+        kept = [block for block in blocks if block.data in bindings]
+        rank = None
+        if len(kept) < len(blocks):
+            # Inner transients are private, like tasklet locals: drop
+            # their accesses and close the gaps they leave.
+            keep = np.zeros(sub.num_events, dtype=bool)
+            for block in kept:
+                keep[block.positions] = True
+            rank = np.cumsum(keep) - 1
+        base = result.num_events
+        prefix = np.asarray(outer_point, dtype=np.int64)
+        for block in kept:
+            data, offsets = bindings[block.data]
+            if len(offsets) != block.matrix.shape[1]:
                 raise SimulationError(
-                    f"nested connector {event.data!r} rank mismatch"
+                    f"nested connector {block.data!r} rank mismatch"
                 )
-            indices = tuple(i + o for i, o in zip(event.indices, offsets))
-            result.append_event(
-                AccessEvent(
-                    data, indices, event.kind, step_base + event.step,
-                    execution_base + event.execution, event.tasklet,
-                    outer_point + event.point,
+            positions = block.position_array()
+            if rank is not None:
+                positions = rank[positions]
+            points = block.points()
+            firings = RecordedFirings(
+                None,
+                block.steps() + result.num_steps,
+                block.executions() + result.num_executions,
+                np.hstack(
+                    [np.broadcast_to(prefix, (points.shape[0], prefix.size)), points]
+                ),
+            )
+            result.add_block(
+                TraceBlock(
+                    data, block.kind, block.tasklet,
+                    block.matrix + np.asarray(offsets, dtype=np.int64),
+                    positions + base, firings,
                 )
             )
-        result.num_steps += sub_result.num_steps
-        result.num_executions += sub_result.num_executions
+            result.num_events += block.count
+        result.num_steps += sub.num_steps
+        result.num_executions += sub.num_executions
 
     def _simulate_copies(
         self,
@@ -517,13 +546,10 @@ class AccessPatternSimulator:
             execution = result.num_executions
             result.num_executions += 1
             src_points = list(self._compiled(memlet).points(dict(self.symbols)))
-            for indices in src_points:
-                result.append_event(
-                    AccessEvent(
-                        memlet.data, indices, AccessKind.READ, step, execution,
-                        f"copy_{node.data}_{edge.dst.data}", (),
-                    )
-                )
+            name = f"copy_{node.data}_{edge.dst.data}"
+            result.record(
+                memlet.data, AccessKind.READ, name, src_points, step, execution, ()
+            )
             # Destination side: same shape, destination container; assume an
             # aligned (identical-subset) copy when ranks match.
             if edge.dst.data != memlet.data:
@@ -531,13 +557,10 @@ class AccessPatternSimulator:
                 if dst_desc is not None and len(dst_desc.shape) == len(
                     self.sdfg.arrays[memlet.data].shape
                 ):
-                    for indices in src_points:
-                        result.append_event(
-                            AccessEvent(
-                                edge.dst.data, indices, AccessKind.WRITE, step,
-                                execution, f"copy_{node.data}_{edge.dst.data}", (),
-                            )
-                        )
+                    result.record(
+                        edge.dst.data, AccessKind.WRITE, name, src_points, step,
+                        execution, (),
+                    )
 
     # -- compiled memlet cache -----------------------------------------------------
     _cache_attr = "_compiled_subsets"
@@ -601,7 +624,6 @@ def simulate_region(
     state: SDFGState,
     node: Node,
     include_transients: bool = False,
-    fast: bool = True,
     timings=None,
     outer_slice: tuple[int, int] | None = None,
 ) -> SimulationResult:
@@ -620,7 +642,7 @@ def simulate_region(
     """
     sim = AccessPatternSimulator(
         sdfg, symbols=symbols, state=state,
-        include_transients=include_transients, fast=fast, timings=timings,
+        include_transients=include_transients, timings=timings,
     )
     result = SimulationResult(sdfg, sim.symbols)
     env: dict[str, int] = dict(sim.symbols)
@@ -647,4 +669,5 @@ def simulate_region(
         raise SimulationError(
             f"cannot simulate a region rooted at {type(node).__name__}"
         )
+    result.seal()
     return result

@@ -16,11 +16,16 @@ Three implementations are provided:
   variant with ``np.add.at`` updates is kept alongside for differential
   testing).  O(N log N) with all per-event work inside NumPy;
 - :func:`stack_distances` — Olken's algorithm with a pure-Python Fenwick
-  (binary indexed) tree over trace positions, O(N log N); the object
-  pipeline (:mod:`repro.simulation.movement`) runs it, and it is the
-  readable differential oracle for the array kernel;
+  (binary indexed) tree over trace positions, O(N log N): the readable
+  differential oracle for the array kernel;
 - :func:`stack_distances_bruteforce` — the textbook O(N²) definition, kept
   as the property-test oracle.
+
+:func:`line_trace` and :func:`element_stack_distances` are the per-event
+references for :attr:`~repro.simulation.arrays.ArrayTrace.lines` and
+:func:`~repro.simulation.arrays.element_distance_lists`.  Only
+:func:`stack_distances_array` runs in production; no production module
+calls the other functions here.
 """
 
 from __future__ import annotations

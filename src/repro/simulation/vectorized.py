@@ -1,34 +1,34 @@
-"""NumPy-vectorized fast path for access-trace generation.
+"""NumPy-vectorized recording of flat map scopes.
 
 The interpreter in :mod:`~repro.simulation.simulator` evaluates every
 memlet subset with per-iteration ``eval`` calls — a handful of Python-VM
 round trips per access event.  For memlets whose subsets are *affine* in
-the map parameters (:mod:`~repro.simulation.affine`), the whole trace of
-a map scope can instead be materialized with array arithmetic:
+the map parameters (:mod:`~repro.simulation.affine`), the whole scope's
+accesses are computed with array arithmetic instead:
 
 1. broadcast the scope's concrete parameter ranges into flat index grids
    (one ``int64`` column per parameter, row-major / last-parameter-fastest
    order — exactly the interpreter's iteration order);
 2. combine the grids with each memlet's affine offsets and coefficients
    into per-dimension index columns (one matrix per memlet);
-3. assemble :class:`~repro.simulation.trace.AccessEvent` objects in bulk
-   with strided slice assignment, so the per-event Python cost is one
-   constructor call instead of several ``eval`` s.
+3. record each (memlet, subset point) column as a
+   :class:`~repro.simulation.trace.TraceBlock` whose rows' steps,
+   executions and iteration points follow from the scope's bases
+   (:class:`ScopeFirings`).
 
-Memlets that are *not* affine fall back to the interpreter's compiled
-subsets per memlet, inside the same scope walk, so mixed scopes still
-produce byte-identical traces.
-
-The index matrices are additionally kept on the result (as
-:class:`VectorBlock` records) so the element→address→cache-line
-projection of the locality pipeline can run as a single broadcast
-(:func:`fast_line_trace`) instead of a per-event Python loop.
+When every subset is affine, the scope's events-per-iteration is
+constant, so each column's trace positions are a slice: nothing is
+recorded per event or per iteration beyond the index matrices.  Subsets
+that are not affine are evaluated per iteration through the
+interpreter's compiled subsets inside the same scope walk; they may
+cover a varying number of points per iteration, so the scope's blocks
+then carry explicit positions.
 """
 
 from __future__ import annotations
 
-import gc
-from itertools import repeat
+import math
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -38,90 +38,86 @@ from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import MapEntry, Tasklet
 from repro.sdfg.state import SDFGState
 from repro.simulation.affine import AffineSubset
-from repro.simulation.trace import AccessEvent, AccessKind
+from repro.simulation.trace import AccessKind, TraceBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
-    from repro.simulation.layout import MemoryModel
     from repro.simulation.simulator import SimulationResult
 
-__all__ = ["VectorBlock", "simulate_scope_vectorized", "fast_line_trace"]
+__all__ = ["ScopeFirings", "simulate_scope_vectorized"]
 
 
-class VectorBlock:
-    """Index matrix of one vectorized memlet, with its trace positions.
+def _grid_columns(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Flat parameter columns of an iteration grid, in interpreter order."""
+    shape = tuple(a.size for a in axes)
+    return [
+        np.ascontiguousarray(
+            np.broadcast_to(
+                values.reshape(tuple(-1 if i == axis else 1 for i in range(len(axes)))),
+                shape,
+            )
+        ).reshape(-1)
+        for axis, values in enumerate(axes)
+    ]
 
-    The events of one (tasklet, edge, subset-point) column occupy
-    positions ``start, start + stride, ...`` in the global event list
-    (``stride`` is the scope's events-per-iteration).  ``matrix`` holds
-    the per-event element indices, shape ``(count, ndims)``.
+
+class ScopeFirings:
+    """Firings of one tasklet of a vectorized scope.
+
+    Iteration *i* fires at step ``step_base + i`` as execution
+    ``execution_base + ntasklets·i``, at the iteration point
+    ``outer_point`` followed by grid point *i* of ``axes`` (the concrete
+    values of each map parameter).  Row *i* of a block is iteration *i*,
+    or, with ``counts``, iteration *i* covers ``counts[i]`` consecutive
+    rows (a non-affine subset).
     """
 
-    __slots__ = ("data", "matrix", "start", "stride", "count")
+    __slots__ = (
+        "step_base", "execution_base", "ntasklets", "axes", "outer_point", "counts",
+    )
 
-    def __init__(self, data: str, matrix: np.ndarray, start: int, stride: int, count: int):
-        self.data = data
-        self.matrix = matrix
-        self.start = start
-        self.stride = stride
-        self.count = count
+    def __init__(
+        self,
+        step_base: int,
+        execution_base: int,
+        ntasklets: int,
+        axes: Sequence[np.ndarray],
+        outer_point: tuple[int, ...],
+        counts: np.ndarray | None = None,
+    ):
+        self.step_base = step_base
+        self.execution_base = execution_base
+        self.ntasklets = ntasklets
+        self.axes = tuple(axes)
+        self.outer_point = outer_point
+        self.counts = counts
 
-    def __repr__(self) -> str:
-        return (
-            f"VectorBlock({self.data}, count={self.count}, "
-            f"start={self.start}, stride={self.stride})"
-        )
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        if self.counts is None:
+            return values
+        return np.repeat(values, self.counts, axis=0)
 
+    def _iterations(self) -> np.ndarray:
+        return np.arange(math.prod(a.size for a in self.axes), dtype=np.int64)
 
-class _VecPlan:
-    """A vectorized edge: the scope-wide index matrix, tuples on demand.
+    def steps(self) -> np.ndarray:
+        return self._rows(self.step_base + self._iterations())
 
-    The index tuples back the object trace only; they are built lazily
-    (first access) so the array pipeline, which consumes ``matrix``
-    directly, never pays the per-event tuple cost.
-    """
+    def executions(self) -> np.ndarray:
+        return self._rows(self.execution_base + self.ntasklets * self._iterations())
 
-    __slots__ = ("data", "kind", "width", "matrix", "_tuples")
-
-    def __init__(self, data: str, kind: AccessKind, width: int, matrix: np.ndarray):
-        self.data = data
-        self.kind = kind
-        self.width = width
-        self.matrix = matrix
-        self._tuples: list | None = None
-
-    @property
-    def tuples(self) -> list:
-        if self._tuples is None:
-            matrix = self.matrix
-            if matrix.shape[1] == 0:
-                self._tuples = [()] * matrix.shape[0]
-            else:
-                self._tuples = list(
-                    zip(*(matrix[:, d].tolist() for d in range(matrix.shape[1])))
-                )
-        return self._tuples
+    def points(self) -> np.ndarray:
+        niter = math.prod(a.size for a in self.axes)
+        columns = [np.full(niter, v, dtype=np.int64) for v in self.outer_point]
+        columns += _grid_columns(self.axes)
+        if not columns:
+            return self._rows(np.empty((niter, 0), dtype=np.int64))
+        return self._rows(np.stack(columns, axis=1))
 
 
-class _InterpPlan:
-    """A non-affine edge: evaluated per iteration via the compiled subset."""
-
-    __slots__ = ("data", "kind", "compiled")
-
-    def __init__(self, data: str, kind: AccessKind, compiled):
-        self.data = data
-        self.kind = kind
-        self.compiled = compiled
-
-
-def _iteration_grids(
-    entry: MapEntry, env: dict
-) -> tuple[list[np.ndarray], int, list[tuple[int, ...]]] | None:
-    """Flat parameter columns + iteration points, in interpreter order.
-
-    Returns ``None`` for an empty iteration space (any dimension with no
-    indices), matching the interpreter's "loop body never runs" case.
-    """
+def _iteration_axes(entry: MapEntry, env: dict) -> list[np.ndarray] | None:
+    """Concrete values of each map parameter, or ``None`` for an empty
+    iteration space (the interpreter's "loop body never runs" case)."""
     map_obj = entry.map
     try:
         concrete = [r.concretize(env) for r in map_obj.ranges]
@@ -130,21 +126,10 @@ def _iteration_grids(
             f"cannot concretize map {map_obj.label!r}: {exc}; provide values "
             f"for {sorted(set().union(*(r.free_symbols() for r in map_obj.ranges)))}"
         ) from exc
-    dims = [np.fromiter(c, dtype=np.int64, count=len(c)) for c in concrete]
-    if not dims:
-        return [], 1, [()]
-    if any(d.size == 0 for d in dims):
+    axes = [np.fromiter(c, dtype=np.int64, count=len(c)) for c in concrete]
+    if any(a.size == 0 for a in axes):
         return None
-    shape = tuple(d.size for d in dims)
-    niter = 1
-    for s in shape:
-        niter *= s
-    cols: list[np.ndarray] = []
-    for axis, arr in enumerate(dims):
-        view = arr.reshape(tuple(-1 if i == axis else 1 for i in range(len(dims))))
-        cols.append(np.ascontiguousarray(np.broadcast_to(view, shape).reshape(-1)))
-    points = list(zip(*(c.tolist() for c in cols)))
-    return cols, niter, points
+    return axes
 
 
 def _materialize(
@@ -187,6 +172,30 @@ def _materialize(
     return width, matrix
 
 
+def _evaluate_subsets(
+    compiled: Sequence, params: Sequence[str], cols: Sequence[np.ndarray], env: dict
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per non-affine subset: points per iteration and the index matrix."""
+    if not compiled:
+        return []
+    local_env = dict(env)
+    flats: list[list[int]] = [[] for _ in compiled]
+    counts: list[list[int]] = [[] for _ in compiled]
+    points = zip(*(c.tolist() for c in cols)) if cols else [()]
+    for point in points:
+        local_env.update(zip(params, point))
+        for subset, flat, count in zip(compiled, flats, counts):
+            rows = list(subset.points(local_env))
+            flat.extend(chain.from_iterable(rows))
+            count.append(len(rows))
+    out = []
+    for subset, flat, count in zip(compiled, flats, counts):
+        count = np.array(count, dtype=np.int64)
+        matrix = np.array(flat, dtype=np.int64).reshape(int(count.sum()), len(subset.dims))
+        out.append((count, matrix))
+    return out
+
+
 def simulate_scope_vectorized(
     state: SDFGState,
     entry: MapEntry,
@@ -197,14 +206,10 @@ def simulate_scope_vectorized(
     tracked: Callable[[str], bool],
     compile_subset: Callable[[Memlet], object],
     timings: "Tracer | None" = None,
-) -> bool:
-    """Vectorized simulation of one flat map scope.
-
-    Returns ``True`` when the scope was fully handled (events appended,
-    step/execution counters advanced — trace-identical to the
-    interpreter), or ``False`` to decline (no memlet vectorizes), in
-    which case the caller runs the interpreter unchanged.
-    """
+) -> None:
+    """Record one flat map scope — trace-identical to the interpreter:
+    the same blocks' rows at the same positions, and the same step and
+    execution counters afterwards."""
     from repro.analysis.timing import maybe_span
 
     map_obj = entry.map
@@ -212,17 +217,17 @@ def simulate_scope_vectorized(
     param_index = {p: i for i, p in enumerate(map_obj.params)}
 
     with maybe_span(timings, "enumerate"):
-        grids = _iteration_grids(entry, env)
-    if grids is None:
-        return True  # empty iteration space: no events, no steps
-    cols, niter, points = grids
-
-    with maybe_span(timings, "enumerate"):
-        plans: list[tuple[str, list]] = []
-        any_affine = False
-        has_fallback = False
-        for tasklet in tasklets:
-            edge_plans: list = []
+        axes = _iteration_axes(entry, env)
+        if axes is None:
+            return  # empty iteration space: no events, no steps
+        cols = _grid_columns(axes)
+        niter = math.prod(a.size for a in axes)
+        # One plan per tracked memlet, in the interpreter's order:
+        # (tasklet index, data, kind, width, matrix), with width None for
+        # a non-affine subset, which ``compiled`` holds in plan order.
+        plans: list[tuple] = []
+        compiled: list = []
+        for t_idx, tasklet in enumerate(tasklets):
             for kind, edges in (
                 (AccessKind.READ, state.in_edges(tasklet)),
                 (AccessKind.WRITE, state.out_edges(tasklet)),
@@ -233,288 +238,63 @@ def simulate_scope_vectorized(
                         continue
                     affine = AffineSubset.from_memlet(memlet, params)
                     if affine is None:
-                        edge_plans.append(
-                            _InterpPlan(memlet.data, kind, compile_subset(memlet))
-                        )
-                        has_fallback = True
+                        compiled.append(compile_subset(memlet))
+                        plans.append((t_idx, memlet.data, kind, None, None))
                     else:
-                        width, matrix = _materialize(
-                            affine, cols, niter, env, param_index
-                        )
-                        edge_plans.append(
-                            _VecPlan(memlet.data, kind, width, matrix)
-                        )
-                        any_affine = True
-            plans.append((tasklet.name, edge_plans))
+                        width, matrix = _materialize(affine, cols, niter, env, param_index)
+                        plans.append((t_idx, memlet.data, kind, width, matrix))
 
-    if has_fallback and not any_affine:
-        return False  # nothing vectorizes; the plain interpreter is faster
-
-    full_points = [outer_point + p for p in points] if outer_point else points
     ntasklets = len(tasklets)
-    step_base = result.num_steps
-    exec_base = result.num_executions
-
     events_before = result.num_events
     with maybe_span(timings, "evaluate") as span:
-        if has_fallback:
-            # Bulk-allocating hundreds of thousands of events triggers the
-            # cyclic collector over and over even though AccessEvent objects
-            # (ints, strings, tuples of ints) cannot form cycles; pausing it
-            # during assembly is worth ~8x on large scopes.
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                _assemble_mixed(
-                    plans, map_obj.params, points, full_points, env, result,
-                    step_base, exec_base, niter, ntasklets,
-                )
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+        evaluated = _evaluate_subsets(compiled, map_obj.params, cols, env)
+        # Accesses per iteration: a constant when every subset is affine
+        # (positions are slices), else an array (positions are explicit).
+        per_iter = sum(plan[3] or 0 for plan in plans)
+        for count, _ in evaluated:
+            per_iter = per_iter + count
+        if evaluated:
+            starts = events_before + np.cumsum(per_iter) - per_iter
+            events = int(per_iter.sum())
         else:
-            _assemble_pure(
-                plans, full_points, result, step_base, exec_base, niter, ntasklets,
+            events = per_iter * niter
+        firings = [
+            ScopeFirings(
+                result.num_steps, result.num_executions + t_idx, ntasklets,
+                axes, outer_point,
             )
-        span.set(
-            scope=map_obj.label,
-            events=result.num_events - events_before,
-            vectorized=not has_fallback,
-        )
+            for t_idx in range(ntasklets)
+        ]
+        pending = iter(evaluated)
+        within = 0  # offset of the next plan's accesses inside an iteration
+        for t_idx, data, kind, width, matrix in plans:
+            name = tasklets[t_idx].name
+            if width is None:
+                count, matrix = next(pending)
+                # Iteration i's rows sit at starts[i] + within[i] onwards.
+                first_rows = np.cumsum(count) - count
+                positions = np.repeat(starts + within - first_rows, count)
+                positions += np.arange(matrix.shape[0], dtype=np.int64)
+                if matrix.shape[0]:
+                    counted = ScopeFirings(
+                        result.num_steps, result.num_executions + t_idx, ntasklets,
+                        axes, outer_point, counts=count,
+                    )
+                    result.add_block(TraceBlock(data, kind, name, matrix, positions, counted))
+                within = within + count
+                continue
+            for r in range(width):
+                if evaluated:
+                    positions = starts + within
+                else:
+                    positions = slice(
+                        events_before + within, events_before + events, per_iter
+                    )
+                result.add_block(
+                    TraceBlock(data, kind, name, matrix[r::width], positions, firings[t_idx])
+                )
+                within = within + 1
+        result.num_events += events
+        span.set(scope=map_obj.label, events=events)
     result.num_steps += niter
     result.num_executions += niter * ntasklets
-    return True
-
-
-class _LazyScopeEvents:
-    """Deferred event block of one fully-vectorized map scope.
-
-    Registered on the result instead of real events: the array pipeline
-    answers every locality query from the index matrices, so the
-    per-event :class:`AccessEvent` objects are only built if a consumer
-    reads the object trace (``result.events``).
-    """
-
-    __slots__ = (
-        "plans", "full_points", "step_base", "exec_base",
-        "niter", "ntasklets", "events_per_iter", "num_events",
-    )
-
-    def __init__(
-        self,
-        plans: list,
-        full_points: list,
-        step_base: int,
-        exec_base: int,
-        niter: int,
-        ntasklets: int,
-        events_per_iter: int,
-    ):
-        self.plans = plans
-        self.full_points = full_points
-        self.step_base = step_base
-        self.exec_base = exec_base
-        self.niter = niter
-        self.ntasklets = ntasklets
-        self.events_per_iter = events_per_iter
-        self.num_events = niter * events_per_iter
-
-    def materialize(self) -> list:
-        """Build the event block — identical to eager assembly.
-
-        Events per iteration are constant, so each (edge, subset-point)
-        column occupies a strided slice of the scope's event block — one
-        bulk ``map()`` per column, no per-iteration Python loop.
-        """
-        niter = self.niter
-        events_per_iter = self.events_per_iter
-        block = [None] * self.num_events
-        steps = range(self.step_base, self.step_base + niter)
-        full_points = self.full_points
-        # Bulk-allocating hundreds of thousands of events triggers the
-        # cyclic collector over and over even though AccessEvent objects
-        # (ints, strings, tuples of ints) cannot form cycles; pausing it
-        # during assembly is worth ~8x on large scopes.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            offset = 0
-            for t_idx, (tname, edge_plans) in enumerate(self.plans):
-                execs = range(
-                    self.exec_base + t_idx,
-                    self.exec_base + niter * self.ntasklets,
-                    self.ntasklets,
-                )
-                for plan in edge_plans:
-                    data, kind, width = plan.data, plan.kind, plan.width
-                    tuples = plan.tuples if width else []
-                    for r in range(width):
-                        # map() + repeat() keeps the per-event Python work
-                        # down to the AccessEvent constructor itself.
-                        block[offset::events_per_iter] = list(
-                            map(
-                                AccessEvent,
-                                repeat(data),
-                                tuples[r::width] if width > 1 else tuples,
-                                repeat(kind), steps, execs, repeat(tname),
-                                full_points,
-                            )
-                        )
-                        offset += 1
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return block
-
-    # -- matrix-answerable aggregates (no materialization) -------------------
-    def container_order(self) -> list:
-        """Containers in first-access order within this block."""
-        return [
-            p.data for _, edge_plans in self.plans for p in edge_plans if p.width
-        ]
-
-    def count_for(self, data: str) -> int:
-        """Number of events touching *data* in this block."""
-        return sum(
-            p.width * self.niter
-            for _, edge_plans in self.plans
-            for p in edge_plans
-            if p.data == data
-        )
-
-    def accumulate_counts(self, data: str, kind, counts: dict) -> None:
-        """Add this block's per-element access counts for *data*."""
-        for _, edge_plans in self.plans:
-            for plan in edge_plans:
-                if plan.data != data or not plan.width:
-                    continue
-                if kind is not None and plan.kind != kind:
-                    continue
-                matrix = plan.matrix
-                if matrix.shape[1] == 0:
-                    counts[()] = counts.get((), 0) + matrix.shape[0]
-                    continue
-                unique, freq = np.unique(matrix, axis=0, return_counts=True)
-                for row, count in zip(unique.tolist(), freq.tolist()):
-                    key = tuple(row)
-                    counts[key] = counts.get(key, 0) + count
-
-
-def _assemble_pure(
-    plans: list,
-    full_points: list,
-    result: "SimulationResult",
-    step_base: int,
-    exec_base: int,
-    niter: int,
-    ntasklets: int,
-) -> None:
-    """Register the scope's events lazily when every memlet vectorized.
-
-    Only the :class:`VectorBlock` index matrices and a deferred
-    :class:`_LazyScopeEvents` segment are recorded; no per-event Python
-    object is created here.
-    """
-    events_per_iter = sum(p.width for _, edge_plans in plans for p in edge_plans)
-    if events_per_iter == 0:
-        return
-    base_pos = result.num_events
-    offset = 0
-    for _, edge_plans in plans:
-        for plan in edge_plans:
-            for r in range(plan.width):
-                result.vector_blocks.append(
-                    VectorBlock(
-                        plan.data,
-                        plan.matrix[r::plan.width],
-                        base_pos + offset,
-                        events_per_iter,
-                        niter,
-                    )
-                )
-                offset += 1
-    result.add_lazy_segment(
-        _LazyScopeEvents(
-            plans, full_points, step_base, exec_base, niter, ntasklets,
-            events_per_iter,
-        )
-    )
-
-
-def _assemble_mixed(
-    plans: list,
-    params: Sequence[str],
-    points: list,
-    full_points: list,
-    env: dict,
-    result: "SimulationResult",
-    step_base: int,
-    exec_base: int,
-    niter: int,
-    ntasklets: int,
-) -> None:
-    """Per-iteration assembly when some memlets need the interpreter.
-
-    Non-affine subsets may cover a varying number of points per
-    iteration, so event positions are not strided; walk iterations in
-    order, emitting prebuilt tuples for vectorized edges and evaluating
-    compiled subsets for the rest.
-    """
-    local_env = dict(env)
-    block: list[AccessEvent] = []
-    append = block.append
-    for it in range(niter):
-        for name, value in zip(params, points[it]):
-            local_env[name] = value
-        step = step_base + it
-        point = full_points[it]
-        for t_idx, (tname, edge_plans) in enumerate(plans):
-            execution = exec_base + it * ntasklets + t_idx
-            for plan in edge_plans:
-                if isinstance(plan, _VecPlan):
-                    base = it * plan.width
-                    for r in range(plan.width):
-                        append(
-                            AccessEvent(
-                                plan.data, plan.tuples[base + r], plan.kind,
-                                step, execution, tname, point,
-                            )
-                        )
-                else:
-                    for indices in plan.compiled.points(local_env):
-                        append(
-                            AccessEvent(
-                                plan.data, indices, plan.kind,
-                                step, execution, tname, point,
-                            )
-                        )
-    result.extend_events(block)
-
-
-def fast_line_trace(result: "SimulationResult", memory: "MemoryModel") -> list[int]:
-    """Project a trace onto cache-line ids, vectorized where possible.
-
-    When the whole trace was produced by the vectorized fast path, the
-    element→address→line projection runs as one broadcast per
-    :class:`VectorBlock` (index grid · strides → addresses → line ids).
-    Traces with interpreted portions fall back to the per-event
-    projection of :func:`~repro.simulation.stackdist.line_trace`.
-    """
-    from repro.simulation.stackdist import line_trace
-
-    blocks = getattr(result, "vector_blocks", None)
-    n = result.num_events
-    if not blocks or sum(b.count for b in blocks) != n:
-        return line_trace(result.events, memory)
-    out = np.empty(n, dtype=np.int64)
-    for b in blocks:
-        layout = memory.layout(b.data)
-        if b.matrix.shape[1]:
-            strides = np.asarray(layout.strides, dtype=np.int64)
-            offsets = layout.start_offset + b.matrix @ strides
-        else:
-            offsets = np.full(b.count, layout.start_offset, dtype=np.int64)
-        addresses = layout.base_address + offsets * layout.itemsize
-        stop = b.start + b.stride * b.count
-        out[b.start:stop:b.stride] = addresses // memory.line_size
-    return out.tolist()

@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write run metrics (counters/gauges/histograms) as JSON to PATH",
     )
     parser.add_argument(
-        "--no-fast",
-        action="store_true",
-        help="disable the vectorized simulation fast path (use the interpreter)",
-    )
-    parser.add_argument(
         "--explain-cache",
         action="store_true",
         help="print the per-pass cache report (runs, hits, timings, and why "
@@ -227,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
                 local_env,
                 line_size=args.line_size,
                 capacity_lines=args.capacity,
-                fast=not args.no_fast,
             )
             report.add_heading(f"Local view (parameterized at {local_env})")
             for data in lv.result.containers():
@@ -263,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
                 line_size=args.line_size,
                 capacity_lines=args.capacity,
-                fast=not args.no_fast,
                 on_error="record",
                 adaptive=not args.no_adaptive,
             )

@@ -56,12 +56,8 @@ from repro.simulation.arrays import (
     per_container_outcomes,
     per_element_misses_array,
 )
-from repro.simulation.movement import (
-    edge_physical_movement,
-    per_element_misses,
-)
+from repro.simulation.movement import edge_physical_movement
 from repro.simulation.simulator import SimulationResult
-from repro.simulation.stackdist import element_stack_distances
 from repro.transforms.report import TransformReport
 from repro.tuning import TuningResult, TuningSearch
 from repro.viz.graphview import render_state
@@ -199,16 +195,14 @@ class Session:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
     ) -> "LocalView":
         """Open the local (parameterized close-up) view.
 
         *symbols* are the small simulation sizes; *line_size* and
         *capacity_lines* parameterize the cache model (both adjustable
-        later via :attr:`LocalView.cache`).  *fast* selects the vectorized
-        simulation path (pass False to force the interpreter).  Views
-        share the session's pipeline and store, so revisiting a
-        parameter point reuses the previous simulation.
+        later via :attr:`LocalView.cache`).  Views share the session's
+        pipeline and store, so revisiting a parameter point reuses the
+        previous simulation.
         """
         return LocalView(
             self.sdfg,
@@ -217,7 +211,6 @@ class Session:
             line_size=line_size,
             capacity_lines=capacity_lines,
             include_transients=include_transients,
-            fast=fast,
             timings=self.tracer,
             scope=self._cache_scope(),
             pipeline=self.pipeline,
@@ -229,7 +222,6 @@ class Session:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         base: PassContext | None = None,
     ) -> PassContext:
         """A whole-program :class:`~repro.passes.base.PassContext` for one
@@ -249,7 +241,6 @@ class Session:
             line_size=line_size,
             capacity_lines=capacity_lines,
             include_transients=include_transients,
-            fast=fast,
             scope=self._cache_scope(),
             timings=self.tracer,
             metrics=self.metrics,
@@ -273,7 +264,6 @@ class Session:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         on_error: str = "raise",
         retries: int = 2,
         timeout: float | None = None,
@@ -350,7 +340,6 @@ class Session:
                 line_size=line_size,
                 capacity_lines=capacity_lines,
                 include_transients=include_transients,
-                fast=fast,
                 base=base,
             )
             if base is None:
@@ -358,7 +347,7 @@ class Session:
             return ctx
 
         def evaluate_inproc(
-            sdfg, params, line_size, capacity_lines, include_transients, fast
+            sdfg, params, line_size, capacity_lines, include_transients
         ) -> LocalSweepPoint:
             # A fresh context: the point's ``seconds`` count from its
             # creation, so the lookup contexts below cannot be reused.
@@ -444,7 +433,6 @@ class Session:
                         line_size=line_size,
                         capacity_lines=capacity_lines,
                         include_transients=include_transients,
-                        fast=fast,
                         cancel=cancel,
                         on_result=forward,
                     )
@@ -567,7 +555,6 @@ class Session:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         timeout: float | None = None,
         workers: int | None = None,
         cancel: CancelToken | None = None,
@@ -594,7 +581,6 @@ class Session:
             line_size=line_size,
             capacity_lines=capacity_lines,
             include_transients=include_transients,
-            fast=fast,
             timeout=timeout,
             workers=workers,
             pipeline=self.pipeline,
@@ -833,7 +819,6 @@ class LocalView:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         timings=None,
         scope: tuple | None = None,
         pipeline: Pipeline | None = None,
@@ -843,7 +828,6 @@ class LocalView:
         self.symbols = {k: int(v) for k, v in symbols.items()}
         self.cache = CacheModel(line_size=line_size, capacity_lines=capacity_lines)
         self.include_transients = include_transients
-        self.fast = fast
         self.timings = timings
         #: Content-based store-key prefix.  The session passes its
         #: ``(sdfg name, generation)`` scope; standalone views derive one
@@ -862,7 +846,6 @@ class LocalView:
             line_size=self.cache.line_size,
             capacity_lines=self.cache.capacity_lines,
             include_transients=self.include_transients,
-            fast=self.fast,
             scope=self._scope,
             timings=self.timings,
             metrics=self._pipeline.metrics,
@@ -894,10 +877,6 @@ class LocalView:
 
     def _stackdist(self) -> DistanceProduct:
         return self._product("local.stackdist")
-
-    def _distances(self) -> list[float]:
-        """Per-event stack distances over the full interleaved trace."""
-        return self._stackdist().as_list()
 
     def invalidate(self) -> None:
         """Drop cached simulation state (after mutating the SDFG).
@@ -964,15 +943,8 @@ class LocalView:
 
     def reuse_distances(self, data: str | None = None):
         """Per-element stack-distance lists (Fig. 5b)."""
-        layout = self._layout()
-        distances = self._stackdist()
-        if layout.trace is not None:
-            return element_distance_lists(layout.trace, distances.array, data=data)
-        return element_stack_distances(
-            layout.result.events,
-            layout.memory,
-            data=data,
-            distances=distances.as_list(),
+        return element_distance_lists(
+            self._layout().trace, self._stackdist().array, data=data
         )
 
     def reuse_heatmap(self, data: str, stat: str = "median") -> dict[tuple[int, ...], float]:
@@ -1001,16 +973,8 @@ class LocalView:
         layout = self._layout()
         distances = self._stackdist()
         with maybe_span(self.timings, "classify"):
-            if layout.trace is not None:
-                return per_element_misses_array(
-                    layout.trace, distances.array, self.cache, data
-                )
-            return per_element_misses(
-                layout.result.events,
-                layout.memory,
-                self.cache,
-                data,
-                distances.as_list(),
+            return per_element_misses_array(
+                layout.trace, distances.array, self.cache, data
             )
 
     def miss_heatmap(self, data: str) -> dict[tuple[int, ...], int]:
@@ -1028,28 +992,12 @@ class LocalView:
         misses per container (conflicts are exactly the misses the
         fully-associative assumption ignores).
         """
-        from repro.simulation.cache import MissCounts, classify_three_way
+        from repro.simulation.cache import classify_three_way
 
-        layout = self._layout()
+        trace = self._layout().trace
         with maybe_span(self.timings, "classify"):
-            kinds = classify_three_way(layout.line_ids(), num_sets, ways)
-        if layout.trace is not None:
-            with maybe_span(self.timings, "classify"):
-                return per_container_outcomes(layout.trace, kinds)
-        out: dict[str, MissCounts] = {}
-        from repro.simulation.cache import MissKind
-
-        for event, kind in zip(layout.result.events, kinds):
-            counts = out.setdefault(event.data, MissCounts())
-            if kind is MissKind.HIT:
-                counts.hits += 1
-            elif kind is MissKind.COLD:
-                counts.cold += 1
-            elif kind is MissKind.CAPACITY:
-                counts.capacity += 1
-            else:
-                counts.conflict += 1
-        return out
+            kinds = classify_three_way(trace.lines.tolist(), num_sets, ways)
+            return per_container_outcomes(trace, kinds)
 
     def physical_movement(self) -> dict[str, int]:
         """Estimated bytes moved to/from memory per container (Fig. 7)."""
@@ -1059,13 +1007,7 @@ class LocalView:
         """Physical-movement estimate per dataflow edge (Fig. 5c overlay)."""
         container_misses = self.miss_counts()
         with maybe_span(self.timings, "classify"):
-            return edge_physical_movement(
-                self.state,
-                None,
-                None,
-                self.cache,
-                container_misses=container_misses,
-            )
+            return edge_physical_movement(self.state, container_misses, self.cache)
 
     # -- rendering ---------------------------------------------------------------
     def _shape(self, data: str) -> tuple[int, ...]:

@@ -79,11 +79,6 @@ def build_tune_parser() -> argparse.ArgumentParser:
         "which shares the pass cache across candidates)",
     )
     parser.add_argument(
-        "--no-fast",
-        action="store_true",
-        help="disable the vectorized simulation fast path",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-round progress on stderr"
     )
     parser.add_argument(
@@ -170,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             line_size=args.line_size,
             capacity_lines=args.capacity,
-            fast=not args.no_fast,
             timeout=args.timeout,
             workers=args.workers,
             on_event=None if args.quiet else _progress,

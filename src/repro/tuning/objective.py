@@ -83,7 +83,6 @@ class MovementObjective:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         scope: tuple = (),
         timings=None,
         metrics=None,
@@ -93,7 +92,6 @@ class MovementObjective:
         self.line_size = int(line_size)
         self.capacity_lines = int(capacity_lines)
         self.include_transients = bool(include_transients)
-        self.fast = bool(fast)
         self.scope = tuple(scope)
         self.timings = timings
         self.metrics = metrics
@@ -107,7 +105,6 @@ class MovementObjective:
             line_size=self.line_size,
             capacity_lines=self.capacity_lines,
             include_transients=self.include_transients,
-            fast=self.fast,
             scope=self.scope,
             timings=self.timings,
             metrics=self.metrics,

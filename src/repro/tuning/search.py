@@ -163,8 +163,7 @@ class _VariantPointFn:
         self.texts = texts
 
     def __call__(
-        self, _sdfg_text, params, line_size, capacity_lines,
-        include_transients, fast,
+        self, _sdfg_text, params, line_size, capacity_lines, include_transients
     ):
         from repro.analysis.executor import _worker_evaluate
 
@@ -172,7 +171,7 @@ class _VariantPointFn:
         index = int(params.pop(VARIANT_KEY))
         return _worker_evaluate(
             self.texts[index], params, line_size, capacity_lines,
-            include_transients, fast,
+            include_transients,
         )
 
 
@@ -216,7 +215,6 @@ class TuningSearch:
         line_size: int = 64,
         capacity_lines: int = 512,
         include_transients: bool = False,
-        fast: bool = True,
         timeout: float | None = None,
         workers: int | None = None,
         pipeline: Pipeline | None = None,
@@ -265,7 +263,6 @@ class TuningSearch:
             line_size=line_size,
             capacity_lines=capacity_lines,
             include_transients=include_transients,
-            fast=fast,
             scope=self.scope,
             timings=self.tracer,
             metrics=self.metrics,
@@ -274,7 +271,6 @@ class TuningSearch:
             "line_size": line_size,
             "capacity_lines": capacity_lines,
             "include_transients": include_transients,
-            "fast": fast,
         }
 
     # -- observability helpers ------------------------------------------------
@@ -494,8 +490,7 @@ class TuningSearch:
         variants = [child.sdfg for child in children]
 
         def serial_fn(
-            _sdfg, point_params, line_size, capacity_lines,
-            include_transients, fast,
+            _sdfg, point_params, line_size, capacity_lines, include_transients
         ):
             point_params = dict(point_params)
             index = int(point_params.pop(VARIANT_KEY))
@@ -506,7 +501,6 @@ class TuningSearch:
                 line_size=line_size,
                 capacity_lines=capacity_lines,
                 include_transients=include_transients,
-                fast=fast,
                 scope=self.scope,
                 timings=self.tracer,
                 metrics=self.metrics,

@@ -521,7 +521,7 @@ class TestShippingWorkerEntry:
         from repro.sdfg.serialize import dumps
 
         shipped = _worker_evaluate_shipping(
-            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False, True
+            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False
         )
         assert isinstance(shipped, PooledPoint)
         assert type(shipped.point) is LocalSweepPoint
@@ -540,7 +540,7 @@ class TestShippingWorkerEntry:
         local_passes = importlib.import_module("repro.passes.local_passes")
         monkeypatch.setattr(local_passes, "analyze_locality", decline)
         point = _worker_evaluate_shipping(
-            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False, True
+            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False
         )
         assert type(point) is LocalSweepPoint
         assert point.total_accesses > 0

@@ -13,6 +13,13 @@ from repro.analysis.parametric import (
 )
 from repro.apps import hdiff
 from repro.errors import AnalysisError, ReproError
+from repro.simulation import (
+    CacheModel,
+    MemoryModel,
+    container_physical_movement,
+    per_container_misses,
+    simulate_state,
+)
 from repro.tool.session import Session
 
 GRID_SPEC = {"I": [3, 4], "J": [3, 4], "K": [2, 3]}  # 8 points
@@ -62,10 +69,15 @@ class TestSweepLocalViews:
         assert [p.params for p in parallel] == grid
 
     def test_interpreter_path_agrees(self, sdfg):
-        grid = [{"I": 3, "J": 3, "K": 2}]
-        fast = sweep_local_views(sdfg, grid, fast=True)
-        slow = sweep_local_views(sdfg, grid, fast=False)
-        assert fast[0] == slow[0]
+        params = {"I": 3, "J": 3, "K": 2}
+        [point] = sweep_local_views(sdfg, [params])
+        # The oracle: per-event references over the interpreter's trace.
+        events = simulate_state(sdfg, params, fast=False).events
+        memory = MemoryModel(sdfg, params, line_size=64)
+        model = CacheModel(line_size=64, capacity_lines=512)
+        assert point.misses == per_container_misses(events, memory, model)
+        assert point.moved_bytes == container_physical_movement(events, memory, model)
+        assert point.total_accesses == len(events)
 
     def test_point_is_picklable(self, sdfg):
         point = sweep_local_views(sdfg, [{"I": 3, "J": 3, "K": 2}])[0]

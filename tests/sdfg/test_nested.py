@@ -129,6 +129,25 @@ class TestSimulation:
         result = simulate_state(outer, {"N": 3})
         assert result.num_steps == 3
 
+    @pytest.mark.parametrize("fast, expected", [(False, 0), (True, 1)])
+    def test_interpreter_oracle_interprets_nested_bodies(
+        self, monkeypatch, fast, expected
+    ):
+        """``fast=False`` reaches the nested body: the oracle must not
+        compare the vectorized path against itself."""
+        import repro.simulation.vectorized as vectorized
+
+        calls = []
+        real = vectorized.simulate_scope_vectorized
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].map.label)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "simulate_scope_vectorized", spy)
+        simulate_state(build_outer(), {"N": 4}, fast=fast)
+        assert len(calls) == expected
+
     def test_folding_summarizes_nested(self):
         from repro.viz.lod import FoldState, FoldedScope
 

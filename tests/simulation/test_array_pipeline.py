@@ -1,16 +1,22 @@
-"""Differential tests: array-native locality pipeline vs. the object pipeline.
+"""Differential tests: the array-native locality pipeline vs. its oracle.
 
-The array pipeline (ArrayTrace + NumPy kernels) must produce *exactly*
-the same distances, miss labels and per-element aggregates as the
-per-event object pipeline, on the example apps and on random affine
-programs.  It must also never force the lazy event trace to materialize.
+The array pipeline (ArrayTrace + NumPy kernels) over the simulator's
+columnar trace must produce *exactly* the same distances, miss labels and
+per-element aggregates as the per-event reference functions applied to
+the interpreter's (``fast=False``) event trace — on the example apps, on
+interpreted, mixed, nested-SDFG and copy programs, and on random affine
+programs.  The local view's queries must equal the same oracle.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.apps import bert, cloudsc, conv, hdiff, linalg
+from repro.errors import ReproError, SimulationError
+from repro.sdfg import SDFG, Memlet, dtypes
 from repro.simulation import (
     CacheModel,
     MemoryModel,
@@ -32,11 +38,17 @@ from repro.simulation import (
 from repro.simulation.arrays import element_distance_lists, per_container_outcomes
 from repro.simulation.cache import MissCounts, MissKind, classify_three_way
 from repro.simulation.stackdist import line_trace
+from repro.storage.sizing import approx_sizeof
+from repro.symbolic import symbols
+from repro.tool.session import Session
 
+from tests.sdfg.test_nested import build_outer
 from tests.simulation.test_vectorized_differential import (
     random_programs,
     single_map_sdfg,
 )
+
+M, N = symbols("M N")
 
 
 def hdiff_reshaped():
@@ -61,6 +73,80 @@ APP_CASES = [
 ]
 
 
+def nested_rows_program():
+    """A map over rows ``k`` whose body is a nested kernel on row ``k``;
+    the kernel's private transient ``tmp`` never reaches the outer trace."""
+    inner = SDFG("row_kernel")
+    inner.add_array("inp", [1, N], dtypes.float64)
+    inner.add_array("outp", [1, N], dtypes.float64)
+    inner.add_transient("tmp", [1, N], dtypes.float64)
+    body = inner.add_state("body")
+    tmp = body.add_access("tmp")
+    body.add_mapped_tasklet(
+        "scale", {"i": "0:N"},
+        inputs={"x": Memlet("inp", "0, i")},
+        code="_out = x * 2.0",
+        outputs={"_out": Memlet("tmp", "0, i")},
+        output_nodes={"tmp": tmp},
+    )
+    body.add_mapped_tasklet(
+        "mirror", {"i": "0:N"},
+        inputs={"x": Memlet("tmp", "0, i")},
+        code="_out = x + 1.0",
+        outputs={"_out": Memlet("outp", "0, N - 1 - i")},
+        input_nodes={"tmp": tmp},
+    )
+    outer = SDFG("rows")
+    outer.add_symbol("M")
+    outer.add_symbol("N")
+    outer.add_array("A", [M, N], dtypes.float64)
+    outer.add_array("B", [M, N], dtypes.float64)
+    state = outer.add_state("main")
+    a, b = state.add_access("A"), state.add_access("B")
+    entry, exit_ = state.add_map("rows", {"k": "0:M"})
+    nested = state.add_nested_sdfg(inner, ["inp"], ["outp"])
+    state.add_memlet_path(a, entry, nested, memlet=Memlet("A", "k, 0:N"), dst_conn="inp")
+    state.add_memlet_path(nested, exit_, b, memlet=Memlet("B", "k, 0:N"), src_conn="outp")
+    return outer
+
+
+def copy_program():
+    """An access-node copy ``A[1:3, :] -> B`` followed by a map reading B."""
+    sdfg = SDFG("copyprog")
+    sdfg.add_array("A", [4, 6], dtypes.float64)
+    sdfg.add_array("B", [4, 6], dtypes.float64)
+    sdfg.add_array("C", [4, 6], dtypes.float64)
+    state = sdfg.add_state("main")
+    a, b = state.add_access("A"), state.add_access("B")
+    state.add_edge(a, None, b, None, Memlet("A", "1:3, 0:6"))
+    state.add_mapped_tasklet(
+        "use", {"i": "0:4", "j": "0:6"},
+        inputs={"x": Memlet("B", "i, j")},
+        code="_out = x",
+        outputs={"_out": Memlet("C", "j % 4, i")},
+        input_nodes={"B": b},
+    )
+    return sdfg
+
+
+#: Programs with explicit-position blocks: non-affine and mixed scopes
+#: (their subsets evaluated per iteration), and nested SDFG bodies and
+#: access-node copies (recorded by the interpreter).
+INTERPRETED_CASES = [
+    pytest.param(
+        lambda: single_map_sdfg(["i*i, j"], {"i": "0:4", "j": "0:3"}), {},
+        id="non-affine",
+    ),
+    pytest.param(
+        lambda: single_map_sdfg(["i*i, j", "i, 2*j"], {"i": "0:6", "j": "0:5"}), {},
+        id="mixed",
+    ),
+    pytest.param(build_outer, {"N": 5}, id="nested"),
+    pytest.param(nested_rows_program, {"M": 3, "N": 4}, id="nested-in-map"),
+    pytest.param(copy_program, {}, id="copy"),
+]
+
+
 def pipeline_inputs(sdfg, sizes, line_size=64):
     result = simulate_state(sdfg, sizes, fast=True)
     memory = MemoryModel(sdfg, sizes, line_size=line_size)
@@ -69,14 +155,13 @@ def pipeline_inputs(sdfg, sizes, line_size=64):
 
 
 def assert_pipelines_agree(sdfg, sizes, capacity_lines=16):
-    result, memory, trace = pipeline_inputs(sdfg, sizes)
+    """The array pipeline over the simulator's trace equals the per-event
+    references over the interpreter's events."""
+    _, memory, trace = pipeline_inputs(sdfg, sizes)
+    events = simulate_state(sdfg, sizes, fast=False).events
     model = CacheModel(line_size=64, capacity_lines=capacity_lines)
-    if trace is None:
-        return None  # interpreted portions: object pipeline only
-    assert not result.events_materialized(), (
-        "building the array trace must not materialize AccessEvents"
-    )
-    ref_lines = line_trace(result.events, memory)
+    assert trace is not None
+    ref_lines = line_trace(events, memory)
     assert trace.lines.dtype == np.int64
     assert trace.lines.tolist() == ref_lines
 
@@ -86,21 +171,21 @@ def assert_pipelines_agree(sdfg, sizes, capacity_lines=16):
 
     assert count_misses_array(dist_arr, model) == count_misses(dist_ref, model)
 
-    pc_ref = per_container_misses(result.events, memory, model, dist_ref)
+    pc_ref = per_container_misses(events, memory, model, dist_ref)
     pc_arr = per_container_misses_array(trace, dist_arr, model)
     assert pc_arr == pc_ref
     assert list(pc_arr) == list(pc_ref)  # first-access container order
 
     for name in trace.containers:
-        pe_ref = per_element_misses(result.events, memory, model, name, dist_ref)
+        pe_ref = per_element_misses(events, memory, model, name, dist_ref)
         pe_arr = per_element_misses_array(trace, dist_arr, model, name)
         assert pe_arr == pe_ref
 
-    ed_ref = element_stack_distances(result.events, memory, distances=dist_ref)
+    ed_ref = element_stack_distances(events, memory, distances=dist_ref)
     ed_arr = element_distance_lists(trace, dist_arr)
     assert ed_arr == ed_ref
 
-    mv_ref = container_physical_movement(result.events, memory, model, dist_ref)
+    mv_ref = container_physical_movement(events, memory, model, dist_ref)
     mv_arr = container_physical_movement_array(trace, dist_arr, model)
     assert mv_arr == mv_ref
     return trace
@@ -136,20 +221,22 @@ class TestExampleApps:
 
 
 class TestArrayTraceConstruction:
-    def test_interpreted_trace_returns_none(self):
-        # i*i is non-affine: the vectorized path falls back in-scope and
-        # records no strided blocks, so no array trace exists.
-        sdfg = single_map_sdfg(["i*i, j"], {"i": "0:4", "j": "0:3"})
-        result = simulate_state(sdfg, {}, fast=True)
-        memory = MemoryModel(sdfg, {}, line_size=64)
-        assert not result.vector_blocks
-        assert build_array_trace(result, memory) is None
+    @pytest.mark.parametrize("build, sizes", INTERPRETED_CASES)
+    def test_interpreted_trace_equals_oracle(self, build, sizes):
+        trace = assert_pipelines_agree(build(), sizes)
+        assert trace.num_events > 0
 
-    def test_interpreter_result_returns_none(self):
+    def test_interpreter_result_equals_vectorized(self):
         sdfg = hdiff.build_sdfg()
-        result = simulate_state(sdfg, hdiff.LOCAL_VIEW_SIZES, fast=False)
         memory = MemoryModel(sdfg, hdiff.LOCAL_VIEW_SIZES, line_size=64)
-        assert build_array_trace(result, memory) is None
+        slow = build_array_trace(
+            simulate_state(sdfg, hdiff.LOCAL_VIEW_SIZES, fast=False), memory
+        )
+        _, _, fast = pipeline_inputs(sdfg, hdiff.LOCAL_VIEW_SIZES)
+        assert slow.containers == fast.containers
+        assert slow.key_shapes == fast.key_shapes
+        for column in ("container_ids", "element_keys", "lines"):
+            assert np.array_equal(getattr(slow, column), getattr(fast, column))
 
     def test_containers_in_first_access_order(self):
         result, _, trace = pipeline_inputs(hdiff.build_sdfg(), hdiff.LOCAL_VIEW_SIZES)
@@ -208,9 +295,12 @@ class TestLazyMaterialization:
         dist = stack_distances_array(trace.lines)
         per_container_misses_array(trace, dist, model)
         element_distance_lists(trace, dist)
-        assert not result.events_materialized()
-        assert len(result.events) == result.num_events
-        assert result.events_materialized()
+        size = approx_sizeof(result)
+        events = result.events
+        assert len(events) == result.num_events
+        # Events are built per read and never kept on the result.
+        assert approx_sizeof(result) == size
+        assert result.events is not events
 
     def test_materialized_events_match_interpreter(self):
         sizes = {"I": 4, "J": 4, "K": 3}
@@ -223,6 +313,112 @@ class TestLazyMaterialization:
         assert [key(e) for e in fast.events] == [key(e) for e in slow.events]
 
 
+def oracle_related(events_by_execution, selections, data=None):
+    """Fig. 4c by definition: every access of an execution that touches
+    a selected element, counted per element."""
+    wanted = set(selections)
+    counts = {}
+    for _, events in events_by_execution:
+        if any((e.data, e.indices) in wanted for e in events):
+            for e in events:
+                if data is None or e.data == data:
+                    key = (e.data, e.indices)
+                    counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+#: One non-affine and two nested programs for the local-view queries.
+VIEW_CASES = [
+    pytest.param(
+        lambda: single_map_sdfg(["i*i, j", "i, 2*j"], {"i": "0:5", "j": "0:4"}), {},
+        id="mixed",
+    ),
+    pytest.param(build_outer, {"N": 5}, id="nested"),
+    pytest.param(nested_rows_program, {"M": 3, "N": 4}, id="nested-in-map"),
+]
+
+
+class TestViewsMatchOracle:
+    """Local-view queries on interpreted traces equal the oracle computed
+    from the interpreter's ``.events``."""
+
+    @pytest.mark.parametrize("build, sizes", VIEW_CASES)
+    def test_views_equal_oracle(self, build, sizes):
+        sdfg = build()
+        lv = Session(sdfg).local_view(sizes, capacity_lines=4)
+        oracle = simulate_state(sdfg, sizes, fast=False)
+        events = oracle.events
+        memory = MemoryModel(sdfg, sizes, line_size=64)
+        lines = line_trace(events, memory)
+        distances = stack_distances(lines)
+
+        for name in oracle.containers():
+            expected = Counter(e.indices for e in events if e.data == name)
+            assert lv.access_heatmap(name) == dict(expected)
+            assert lv.miss_counts(name) == per_element_misses(
+                events, memory, lv.cache, name, distances
+            )
+
+        for step in range(oracle.num_steps):
+            highlights: dict[str, set] = {}
+            for e in events:
+                if e.step == step:
+                    highlights.setdefault(e.data, set()).add(e.indices)
+            if not highlights:  # e.g. the step of a map around a nested body
+                with pytest.raises(ReproError, match="no accesses"):
+                    lv.render_playback_frame(step)
+                continue
+            expected = {
+                name: lv.render_container(name, highlights=highlights[name])
+                for name in sorted(highlights)
+            }
+            assert lv.render_playback_frame(step) == expected
+
+        first = events[0]
+        last = events[-1]
+        for selections in ([(first.data, first.indices)],
+                           [(first.data, first.indices), (last.data, last.indices)]):
+            expected = oracle_related(oracle.executions(), selections)
+            assert lv.related(selections) == expected
+            assert list(lv.related(selections)) == list(expected)
+            for name in oracle.containers():
+                assert lv.related(selections, data=name) == oracle_related(
+                    oracle.executions(), selections, data=name
+                )
+
+        assert lv.reuse_distances() == element_stack_distances(
+            events, memory, distances=distances
+        )
+
+        kinds = classify_three_way(lines, num_sets=2, ways=2)
+        expected: dict[str, MissCounts] = {}
+        for event, kind in zip(events, kinds):
+            counts = expected.setdefault(event.data, MissCounts())
+            if kind is MissKind.HIT:
+                counts.hits += 1
+            elif kind is MissKind.COLD:
+                counts.cold += 1
+            elif kind is MissKind.CAPACITY:
+                counts.capacity += 1
+            else:
+                counts.conflict += 1
+        assert lv.miss_counts_set_associative(num_sets=2, ways=2) == expected
+
+
+class TestNegativeIndices:
+    """A negative element index is a SimulationError naming the
+    container, the dimension and the index — not a NumPy error from a
+    per-element query."""
+
+    def test_local_view_queries_raise_simulation_error(self):
+        sdfg = single_map_sdfg(["i - 1, j"], {"i": "0:4", "j": "0:3"})
+        lv = Session(sdfg).local_view({})
+        with pytest.raises(SimulationError, match=r"'A' .* index -1 in dimension 0"):
+            lv.miss_counts("A")
+        with pytest.raises(SimulationError, match=r"'A' .* index -1 in dimension 0"):
+            lv.miss_heatmap("A")
+
+
 class TestRandomPrograms:
     @given(random_programs())
     @settings(max_examples=40, deadline=None)
@@ -232,11 +428,10 @@ class TestRandomPrograms:
     @given(random_programs())
     @settings(max_examples=15, deadline=None)
     def test_random_program_element_lists_agree(self, sdfg):
-        result, memory, trace = pipeline_inputs(sdfg, {})
-        if trace is None:
-            return
+        _, memory, trace = pipeline_inputs(sdfg, {})
         dist = stack_distances_array(trace.lines)
         ref = element_stack_distances(
-            result.events, memory, distances=dist.tolist()
+            simulate_state(sdfg, {}, fast=False).events, memory,
+            distances=dist.tolist(),
         )
         assert element_distance_lists(trace, dist) == ref

@@ -92,7 +92,8 @@ class TestPhysicalMovement:
         sdfg, result, memory = simulate(outer_product, {"I": 4, "J": 4})
         model = CacheModel(line_size=64, capacity_lines=64)
         state = sdfg.start_state
-        edge_est = edge_physical_movement(state, result.events, memory, model)
+        misses = per_container_misses(result.events, memory, model)
+        edge_est = edge_physical_movement(state, misses, model)
         assert len(edge_est) == len(list(state.all_memlets()))
         assert all(v >= 0 for v in edge_est.values())
 

@@ -317,7 +317,7 @@ class TestVectorizedLineTraces:
         from repro.sdfg import dtypes
         from repro.sdfg.memlet import Memlet
         from repro.sdfg.sdfg import SDFG
-        from repro.simulation import MemoryModel, fast_line_trace, simulate_state
+        from repro.simulation import MemoryModel, build_array_trace, simulate_state
 
         sdfg = SDFG("vectrace")
         sdfg.add_array("A", [32, 32], dtypes.float64)
@@ -331,6 +331,7 @@ class TestVectorizedLineTraces:
             outputs={"out": Memlet("B", "i, j")},
         )
         result = simulate_state(sdfg, {}, fast=True)
-        assert result.vector_blocks
-        lines = fast_line_trace(result, MemoryModel(sdfg, {}, line_size=line_size))
+        assert all(isinstance(b.positions, slice) for b in result.blocks)
+        memory = MemoryModel(sdfg, {}, line_size=line_size)
+        lines = build_array_trace(result, memory).lines.tolist()
         assert stack_distances(lines) == stack_distances_bruteforce(lines)

@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import bert, conv, hdiff, linalg
+from repro.errors import SimulationError
 from repro.sdfg import dtypes
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.sdfg import SDFG
-from repro.simulation import MemoryModel, fast_line_trace, simulate_state
+from repro.simulation import MemoryModel, build_array_trace, simulate_state
 from repro.simulation.stackdist import line_trace
+
+
+def strided(result):
+    """Whether every block of *result* is a vectorized (strided) column."""
+    return bool(result.blocks) and all(
+        isinstance(b.positions, slice) for b in result.blocks
+    )
 
 
 def trace_key(events):
@@ -45,7 +53,7 @@ class TestExampleApps:
     )
     def test_hdiff(self, sizes):
         _, fast = assert_identical_traces(hdiff.build_sdfg(), sizes)
-        assert fast.vector_blocks, "hdiff memlets are affine; fast path must engage"
+        assert strided(fast), "hdiff memlets are affine; fast path must engage"
 
     @pytest.mark.parametrize(
         "sizes",
@@ -57,7 +65,7 @@ class TestExampleApps:
     )
     def test_conv(self, sizes):
         _, fast = assert_identical_traces(conv.build_conv(), sizes)
-        assert fast.vector_blocks
+        assert strided(fast)
 
     @pytest.mark.parametrize(
         "sizes",
@@ -77,7 +85,7 @@ class TestExampleApps:
     )
     def test_matmul(self, sizes):
         _, fast = assert_identical_traces(linalg.build_matmul(), sizes)
-        assert fast.vector_blocks
+        assert strided(fast)
 
     @pytest.mark.parametrize(
         "sizes", [{"M": 4, "N": 3}, {"M": 2, "N": 7}], ids=["tiny", "wide"]
@@ -87,8 +95,10 @@ class TestExampleApps:
 
     def test_hdiff_line_trace_matches(self):
         fast = simulate_state(hdiff.build_sdfg(), hdiff.LOCAL_VIEW_SIZES, fast=True)
+        slow = simulate_state(hdiff.build_sdfg(), hdiff.LOCAL_VIEW_SIZES, fast=False)
         memory = MemoryModel(fast.sdfg, fast.env, line_size=64)
-        assert fast_line_trace(fast, memory) == line_trace(fast.events, memory)
+        lines = build_array_trace(fast, memory).lines.tolist()
+        assert lines == line_trace(slow.events, memory)
 
 
 def single_map_sdfg(subset_strs, iteration, shape=(64, 64, 64)):
@@ -118,10 +128,12 @@ class TestEdgeCases:
     def test_strided_memlet_block(self):
         sdfg = single_map_sdfg(["i:i+4:2, j"], {"i": "0:4", "j": "0:3"})
         _, fast = assert_identical_traces(sdfg, {})
-        assert fast.vector_blocks
+        assert strided(fast)
 
     def test_negative_step_memlet(self):
-        sdfg = single_map_sdfg(["i+3:i:-1, j"], {"i": "0:3", "j": "0:2"})
+        # The block runs from i+3 down to i-1, so i starts at 1: a negative
+        # index is rejected (see test_negative_index_rejected).
+        sdfg = single_map_sdfg(["i+3:i:-1, j"], {"i": "1:4", "j": "0:2"})
         assert_identical_traces(sdfg, {})
 
     def test_zero_iteration_dimension(self):
@@ -132,13 +144,24 @@ class TestEdgeCases:
     def test_non_affine_falls_back(self):
         sdfg = single_map_sdfg(["i*i, j"], {"i": "0:4", "j": "0:3"})
         _, fast = assert_identical_traces(sdfg, {})
-        # i*i is handled by the interpreter inside the vectorized scope
-        # walk, so no strided vector blocks are recorded.
-        assert not fast.vector_blocks
+        # i*i is evaluated per iteration through the compiled subset and
+        # may cover a varying number of points, so the scope's blocks
+        # carry explicit positions: no strided column exists.
+        assert fast.blocks
+        assert not any(isinstance(b.positions, slice) for b in fast.blocks)
 
     def test_mixed_affine_and_non_affine(self):
         sdfg = single_map_sdfg(["i*i, j", "i, 2*j"], {"i": "0:4", "j": "0:3"})
-        assert_identical_traces(sdfg, {})
+        _, fast = assert_identical_traces(sdfg, {})
+        assert not any(isinstance(b.positions, slice) for b in fast.blocks)
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["vectorized", "interpreter"])
+    def test_negative_index_rejected(self, fast):
+        sdfg = single_map_sdfg(["i - 1, j"], {"i": "0:4", "j": "0:3"})
+        with pytest.raises(
+            SimulationError, match=r"'A' .* index -1 in dimension 0"
+        ):
+            simulate_state(sdfg, {}, fast=fast)
 
     def test_min_max_subset_falls_back(self):
         sdfg = single_map_sdfg(["Min(i, j), Max(i, j)"], {"i": "0:4", "j": "0:4"})
@@ -188,5 +211,7 @@ class TestRandomAffinePrograms:
     @settings(max_examples=25, deadline=None)
     def test_random_program_line_traces_identical(self, sdfg):
         fast = simulate_state(sdfg, {}, fast=True)
+        slow = simulate_state(sdfg, {}, fast=False)
         memory = MemoryModel(sdfg, {}, line_size=64)
-        assert fast_line_trace(fast, memory) == line_trace(fast.events, memory)
+        lines = build_array_trace(fast, memory).lines.tolist()
+        assert lines == line_trace(slow.events, memory)

@@ -23,11 +23,12 @@ BUDGET_SECONDS = 5.0
 def test_vectorized_local_view_within_budget():
     session = Session(hdiff.build_sdfg())
     start = time.perf_counter()
-    lv = session.local_view(SIZES, fast=True)
+    lv = session.local_view(SIZES)
     misses = lv.miss_counts()
     elapsed = time.perf_counter() - start
     assert misses  # the pipeline actually ran
-    assert sum(b.count for b in lv.result.vector_blocks) == len(lv.result.events), (
+    strided = [b for b in lv.result.blocks if isinstance(b.positions, slice)]
+    assert sum(b.count for b in strided) == lv.result.num_events, (
         "hdiff subsets are affine; the fast path must cover the whole trace"
     )
     assert elapsed < BUDGET_SECONDS, (

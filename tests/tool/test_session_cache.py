@@ -5,6 +5,7 @@ from repro.frontend import pmap, program
 from repro.passes.store import ResultStore, _LRUBacking
 from repro.sdfg.dtypes import float64
 from repro.sdfg.serialize import state_fingerprint
+from repro.simulation import MemoryModel, per_container_misses, simulate_state
 from repro.symbolic import symbols
 from repro.tool.session import Session
 
@@ -48,17 +49,22 @@ class TestSessionCaching:
         assert len(a.events) != len(b.events)
 
     def test_fast_and_slow_cached_separately(self):
+        # The session caches the vectorized trace; the interpreter oracle
+        # is never a cache entry, and both traces are identical.
         session = make_session()
-        fast = session.local_view(SIZES, fast=True).result
-        slow = session.local_view(SIZES, fast=False).result
+        fast = session.local_view(SIZES).result
+        slow = simulate_state(session.sdfg, SIZES, fast=False)
         assert fast is not slow
+        assert session.local_view(SIZES).result is fast
+        key = lambda e: (e.data, e.indices, e.kind, e.step, e.execution, e.tasklet, e.point)
+        assert [key(e) for e in fast.events] == [key(e) for e in slow.events]
 
     def test_downstream_results_cached(self):
         session = make_session()
         lv1 = session.local_view(SIZES)
         lv2 = session.local_view(SIZES)
-        d1 = lv1._distances()
-        d2 = lv2._distances()
+        d1 = lv1._stackdist().array
+        d2 = lv2._stackdist().array
         assert d2 is d1
 
     def test_invalidate_clears_shared_cache(self):
@@ -79,8 +85,12 @@ class TestSessionCaching:
 
     def test_miss_counts_identical_across_paths(self):
         session = make_session()
-        fast = session.local_view(SIZES, fast=True).miss_counts()
-        slow = session.local_view(SIZES, fast=False).miss_counts()
+        lv = session.local_view(SIZES)
+        fast = lv.miss_counts()
+        # The oracle: per-event references over the interpreter's trace.
+        events = simulate_state(session.sdfg, SIZES, fast=False).events
+        memory = MemoryModel(session.sdfg, SIZES, line_size=64)
+        slow = per_container_misses(events, memory, lv.cache)
         assert {k: (v.hits, v.cold, v.capacity) for k, v in fast.items()} == {
             k: (v.hits, v.cold, v.capacity) for k, v in slow.items()
         }
