@@ -89,9 +89,11 @@ class Program:
         """Translate the function into an SDFG.
 
         Parsing happens once and is cached; by default every call returns
-        an independent **copy**, so callers (e.g. transformations) can
-        mutate the result freely.  Pass ``copy=False`` to share the cached
-        instance for read-only use.
+        an independent **copy** (:meth:`SDFG.copy`: a structural clone
+        whose graph, nodes, maps, memlets and descriptors are its own and
+        which shares only immutable symbolic expressions and ranges), so
+        callers (e.g. transformations) can mutate the result freely.  Pass
+        ``copy=False`` to share the cached instance for read-only use.
         """
         if self._sdfg is None:
             from repro.frontend.parser import parse_program

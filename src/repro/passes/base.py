@@ -130,7 +130,7 @@ class PassContext:
         if name == "states":
             return tuple(state_fingerprint(s) for s in self.sdfg.states())
         if name == "sdfg":
-            return sdfg_fingerprint(self.sdfg)
+            return sdfg_fingerprint(self.sdfg, self.component("states"))
         if name == "arrays":
             return arrays_fingerprint(self.sdfg)
         if name == "arrays.logical":

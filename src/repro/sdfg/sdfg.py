@@ -8,10 +8,48 @@ from repro.errors import ReproError
 from repro.graph import Edge, OrderedMultiDiGraph
 from repro.sdfg import dtypes
 from repro.sdfg.data import Array, Data, Scalar
+from repro.sdfg.memlet import Memlet
+from repro.sdfg.nodes import AccessNode, Map, MapEntry, MapExit, NestedSDFG, Node, Tasklet
 from repro.sdfg.state import SDFGState
 from repro.symbolic.expr import ExprLike
 
 __all__ = ["SDFG", "InterstateEdge"]
+
+
+def _copy_descriptor(desc: Data) -> Data:
+    """A fresh descriptor sharing *desc*'s (immutable) expressions."""
+    if isinstance(desc, Array):
+        return desc.with_strides(desc.strides)
+    if isinstance(desc, Scalar):
+        return Scalar(desc.dtype, transient=desc.transient)
+    raise ReproError(f"cannot copy descriptor {desc!r}")
+
+
+def _copy_node(node: Node, copies: dict[Node, Node]) -> Node:
+    """A fresh, unconnected copy of *node*; *copies* maps earlier nodes.
+
+    Only tasklets and nested SDFGs keep their connectors: the others get
+    theirs back from the edges :meth:`SDFG.copy` re-adds.
+    """
+    if isinstance(node, AccessNode):
+        return AccessNode(node.data)
+    if isinstance(node, Tasklet):
+        return Tasklet(node.name, node.in_connectors, node.out_connectors, node.code)
+    if isinstance(node, MapEntry):
+        return MapEntry(Map(node.map.label, node.map.params, node.map.ranges))
+    if isinstance(node, MapExit):
+        entry = copies.get(node.entry_node)
+        if not isinstance(entry, MapEntry):
+            raise ReproError(f"{node!r} precedes its map entry in node order")
+        return MapExit(entry.map, entry)
+    if isinstance(node, NestedSDFG):
+        return NestedSDFG(
+            node.sdfg.copy(),
+            node.in_connectors,
+            node.out_connectors,
+            node.symbol_mapping,
+        )
+    raise ReproError(f"cannot copy node {node!r}")
 
 
 class InterstateEdge:
@@ -195,8 +233,6 @@ class SDFG:
         inputs: list[str] = []
         for state in self.all_states_topological():
             for node in state.topological_nodes():
-                from repro.sdfg.nodes import AccessNode
-
                 if not isinstance(node, AccessNode):
                     continue
                 desc = self.arrays.get(node.data)
@@ -247,10 +283,62 @@ class SDFG:
         validate_sdfg(self)
 
     def copy(self) -> "SDFG":
-        """An independent deep copy (via the JSON serialization round-trip)."""
-        from repro.sdfg.serialize import from_json, to_json
+        """An independent structural clone.
 
-        return from_json(to_json(self))
+        Fresh objects: the SDFG with its ``arrays`` dict and ``symbols``
+        set, every state and its graph, every node (created in node
+        order, so uids advance as a load would advance them), every
+        :class:`~repro.sdfg.nodes.Map`, edge payload and memlet, every
+        data descriptor, every interstate edge with its ``assignments``
+        dict, and nested SDFGs (copied recursively).  Anything a
+        transform, the simulator or a caller may assign or mutate is
+        therefore the copy's own.
+
+        Shared objects: only the symbolic leaves — ``Expr`` (hash-consed
+        and never mutated), :class:`~repro.symbolic.ranges.Range` and
+        :class:`~repro.symbolic.ranges.Subset` (value objects no code
+        mutates; rewrites build new ones).  Sharing them is what keeps the
+        copy cheap: nothing is re-parsed.
+
+        Edges are added through :meth:`SDFGState.add_edge`, so every
+        node's connectors come out as :func:`~repro.sdfg.serialize.from_json`
+        rebuilds them: tasklets and nested SDFGs keep their declared
+        connectors, other nodes get the ones their edges name.  The copy
+        serializes exactly like a :func:`~repro.sdfg.serialize.to_json` /
+        :func:`~repro.sdfg.serialize.from_json` round trip.
+        """
+        clone = SDFG(self.name)
+        clone.symbols = set(self.symbols)
+        for name, desc in self.arrays.items():
+            clone.arrays[name] = _copy_descriptor(desc)
+        states: dict[SDFGState, SDFGState] = {}
+        for state in self._states.nodes():
+            new_state = SDFGState(state.name, sdfg=clone)
+            clone._states.add_node(new_state)
+            states[state] = new_state
+            nodes: dict[Node, Node] = {}
+            for node in state.graph.nodes():
+                nodes[node] = new_state.add_node(_copy_node(node, nodes))
+            for edge in state.graph.edges():
+                conn = edge.data
+                memlet = conn.memlet
+                if memlet is not None:
+                    memlet = Memlet(
+                        memlet.data, memlet.subset, wcr=memlet.wcr,
+                        volume_hint=memlet.volume_hint,
+                    )
+                new_state.add_edge(
+                    nodes[edge.src], conn.src_conn, nodes[edge.dst],
+                    conn.dst_conn, memlet,
+                )
+        if self._start_state is not None:
+            clone._start_state = states[self._start_state]
+        for edge in self._states.edges():
+            clone._states.add_edge(
+                states[edge.src], states[edge.dst],
+                InterstateEdge(edge.data.condition, edge.data.assignments),
+            )
+        return clone
 
     def __iter__(self) -> Iterator[SDFGState]:
         return iter(self._states.nodes())

@@ -3,7 +3,11 @@
 The paper's tool ships SDFGs from the analysis backend to the renderer as
 JSON documents; this module provides the equivalent round-trippable format.
 All symbolic expressions serialize as strings (re-parsed on load), node
-cross-references serialize as per-state indices.
+cross-references serialize as per-state indices.  JSON is the wire and
+disk format (process-pool workers receive :func:`dumps` text), not the
+in-process copy path: :meth:`SDFG.copy <repro.sdfg.sdfg.SDFG.copy>` clones
+structurally, and the :func:`to_json` / :func:`from_json` round trip is
+its test oracle — the clone must serialize exactly like the round trip.
 
 The same canonical documents double as *content fingerprints* for the
 incremental analysis pipeline (:mod:`repro.passes`): every node, edge,
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import ReproError
 from repro.sdfg import dtypes
@@ -366,22 +370,31 @@ def arrays_fingerprint(sdfg: SDFG, logical: bool = False) -> str:
     return _digest(pairs)
 
 
-def sdfg_fingerprint(sdfg: SDFG) -> str:
+def sdfg_fingerprint(
+    sdfg: SDFG, state_digests: Sequence[str] | None = None
+) -> str:
     """Stable digest of the whole SDFG's content.
 
     Invariant under process restarts and :func:`dumps`/:func:`loads`
     round trips; changes whenever any state graph, data descriptor,
     symbol set or interstate structure changes.
+
+    The digest is a Merkle hash over the states'
+    :func:`state_fingerprint` values.  A caller that already holds them
+    (in state order) passes them as *state_digests* instead of having
+    every state hashed again; the result is the same.
     """
     states = sdfg.states()
     state_ids = {s: i for i, s in enumerate(states)}
+    if state_digests is None:
+        state_digests = [state_fingerprint(s) for s in states]
     doc = {
         "name": sdfg.name,
         "symbols": sorted(sdfg.symbols),
         "arrays": [
             [name, _data_to_json(desc)] for name, desc in sdfg.arrays.items()
         ],
-        "states": [state_fingerprint(s) for s in states],
+        "states": list(state_digests),
         "start_state": state_ids[sdfg.start_state] if states else None,
         "interstate_edges": [
             {

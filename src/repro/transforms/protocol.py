@@ -16,7 +16,9 @@ auto-tuner (:mod:`repro.tuning`) searches over:
   mutates it in place and returns a
   :class:`~repro.transforms.report.TransformReport` stating what changed
   (and whether the change was layout-only — the pipeline's cheap
-  re-scoring path).
+  re-scoring path).  ``apply`` must not change the program's operation
+  count: transforms move data and reorder work, they never add or drop
+  it, so the tuner counts ops once per search.
 
 The free functions the case studies call
 (:func:`~repro.transforms.layout.permute_array_layout`,
@@ -108,7 +110,12 @@ class Transform:
         raise NotImplementedError
 
     def apply(self, sdfg: SDFG, match: Match) -> TransformReport:
-        """Apply *match* to *sdfg* in place; return what changed."""
+        """Apply *match* to *sdfg* in place; return what changed.
+
+        Must keep the program's operation count
+        (:func:`~repro.analysis.opcount.program_ops`): the tuner scores
+        every variant with its baseline's count.
+        """
         raise NotImplementedError
 
     # -- shared resolution helpers ----------------------------------------

@@ -10,8 +10,12 @@ previously scored sibling.
 
 For the roofline view the score also carries the whole-program operation
 count (``global.totals``), which is invariant under every registered
-transform — variants differ in movement, not in work, so the search
-trajectory moves horizontally through the roofline's intensity axis.
+transform (the :class:`~repro.transforms.protocol.Transform` contract) —
+variants differ in movement, not in work, so the search trajectory moves
+horizontally through the roofline's intensity axis.  A search therefore
+counts ops once per search, on the baseline, and hands that count to
+:meth:`MovementObjective.from_point` for every child; only the
+standalone :meth:`MovementObjective.score` runs ``global.totals`` itself.
 """
 
 from __future__ import annotations
@@ -127,14 +131,13 @@ class MovementObjective:
 
     def score(self, sdfg) -> CandidateScore:
         """Score one candidate serially through the shared pipeline."""
-        point = self.point(sdfg)
-        return self.from_point(sdfg, point)
+        return self.from_point(self.point(sdfg), self.ops(sdfg))
 
-    def from_point(self, sdfg, point) -> CandidateScore:
-        """Combine an already-evaluated local point with the op count."""
+    def from_point(self, point, ops: float) -> CandidateScore:
+        """Combine an already-evaluated local point with an op count."""
         return CandidateScore(
             moved_bytes=point.total_moved_bytes,
             total_accesses=point.total_accesses,
             total_misses=point.total_misses,
-            ops=self.ops(sdfg),
+            ops=ops,
         )

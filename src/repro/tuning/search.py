@@ -8,14 +8,17 @@ The search explores sequences of content-keyed transform matches
   yields a child variant;
 - **dedup** — children are deduplicated by SDFG content fingerprint
   against every variant visited so far, so commuting sequences (permute A
-  then B vs. B then A) are explored once;
+  then B vs. B then A) are explored once.  Each child's states are hashed
+  once: the fingerprint composes from those digests, and the child's
+  scoring context adopts them;
 - **scoring** — children are evaluated through the *shared* session
   pipeline via the fault-tolerant
   :class:`~repro.analysis.executor.SweepExecutor` (parallel across
   candidates when *workers* is set); the objective is modeled physical
   movement at the given parameter point, so layout-only children re-score
   almost free (the logical-keyed simulation trace is a pipeline cache
-  hit);
+  hit).  Ops are counted once per search, on the baseline: every
+  transform preserves them;
 - **selection** — the best *beam* children (fewest moved bytes) form the
   next frontier; the search runs until *depth* rounds, the evaluation
   *budget*, the wall-clock *timeout*, or a frontier with no new children.
@@ -53,7 +56,7 @@ VARIANT_KEY = "__variant__"
 class Candidate:
     """One explored variant: a transform sequence and its scored SDFG."""
 
-    __slots__ = ("sequence", "sdfg", "fingerprint", "score", "round")
+    __slots__ = ("sequence", "sdfg", "fingerprint", "score", "round", "context")
 
     def __init__(
         self,
@@ -62,12 +65,16 @@ class Candidate:
         fingerprint: str,
         score: CandidateScore | None = None,
         round: int = 0,
+        context: PassContext | None = None,
     ):
         self.sequence = sequence
         self.sdfg = sdfg
         self.fingerprint = fingerprint
         self.score = score
         self.round = round
+        #: The bare context *fingerprint* was computed on; the candidate's
+        #: scoring context adopts its graph components.
+        self.context = context
 
     def describe_sequence(self) -> list[dict[str, Any]]:
         return [m.to_dict() for m in self.sequence]
@@ -322,6 +329,9 @@ class TuningSearch:
         ):
             baseline = Candidate((), self.sdfg, sdfg_fingerprint(self.sdfg))
             baseline.score = self.objective.score(self.sdfg)
+            # Every transform preserves the operation count (see
+            # Transform.apply), so the baseline's is every child's.
+            ops = baseline.score.ops
             evaluated = 1
             deduplicated = 0
             trajectory: list[dict[str, Any]] = [baseline.to_dict()]
@@ -373,7 +383,7 @@ class TuningSearch:
                         break
                     rounds = round_index
                     self._count("tuning.rounds")
-                    scored = self._evaluate(children, cancel=cancel)
+                    scored = self._evaluate(children, ops, cancel=cancel)
                     evaluated += len(scored)
                     self._count("tuning.candidates.evaluated", len(scored))
                     emit({
@@ -459,7 +469,8 @@ class TuningSearch:
                         self._count("tuning.apply_failures")
                         continue
                     assert isinstance(report, TransformReport)
-                    fingerprint = sdfg_fingerprint(variant)
+                    context = PassContext(variant)
+                    fingerprint = context.component("sdfg")
                     if fingerprint in visited:
                         skipped += 1
                         self._count("tuning.candidates.deduplicated")
@@ -470,18 +481,20 @@ class TuningSearch:
                         variant,
                         fingerprint,
                         round=round_index,
+                        context=context,
                     ))
         return children, skipped
 
     def _evaluate(
-        self, children: list[Candidate], cancel: CancelToken | None
+        self, children: list[Candidate], ops: float, cancel: CancelToken | None
     ) -> list[Candidate]:
         """Score *children* via the sweep executor; returns the scored ones.
 
         The executor sees one synthetic grid point per candidate; the
         in-process path evaluates through the shared pipeline (pass-cache
         reuse across variants), the pool path ships each variant's
-        serialized text to the workers.
+        serialized text to the workers.  Every score carries *ops*, the
+        search's one operation count.
         """
         grid = [
             {**self.params, VARIANT_KEY: index}
@@ -505,6 +518,7 @@ class TuningSearch:
                 timings=self.tracer,
                 metrics=self.metrics,
             )
+            ctx.adopt_components(children[index].context)
             return self.pipeline.run("local.point", ctx)
 
         use_pool = self.workers is not None and self.workers > 1
@@ -532,6 +546,6 @@ class TuningSearch:
             if isinstance(outcome, SweepPointError):
                 self._count("tuning.candidates.failed")
                 continue
-            child.score = self.objective.from_point(child.sdfg, outcome)
+            child.score = self.objective.from_point(outcome, ops)
             scored.append(child)
         return scored

@@ -215,6 +215,17 @@ class TestContentHashing:
             b, logical=True
         )
 
+    def test_fingerprint_composes_from_state_digests(self):
+        from repro.passes import PassContext
+
+        sdfg = outer_product_sdfg()
+        sdfg.add_state_after(sdfg.start_state, "second")
+        digests = [state_fingerprint(s) for s in sdfg.states()]
+        assert sdfg_fingerprint(sdfg, digests) == sdfg_fingerprint(sdfg)
+        ctx = PassContext(sdfg)
+        assert ctx.component("sdfg") == sdfg_fingerprint(sdfg)
+        assert ctx.component("states") == tuple(digests)
+
     def test_node_fingerprint_position_independent(self):
         a, b = outer_product_sdfg(), outer_product_sdfg()
         nodes_a, nodes_b = a.start_state.nodes(), b.start_state.nodes()

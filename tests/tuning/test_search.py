@@ -21,6 +21,19 @@ HDIFF_TRANSFORMS = [
 ]
 
 
+def hdiff_search(sdfg, **overrides):
+    settings = dict(
+        transforms=HDIFF_TRANSFORMS,
+        beam=3,
+        depth=4,
+        budget=200,
+        line_size=hdiff.FIG7_CACHE["line_size"],
+        capacity_lines=hdiff.FIG7_CACHE["capacity_lines"],
+    )
+    settings.update(overrides)
+    return TuningSearch(sdfg, hdiff.LOCAL_VIEW_SIZES, **settings)
+
+
 def cloudsc_search(**overrides):
     settings = dict(
         beam=4, depth=2, budget=60,
@@ -96,17 +109,7 @@ class TestCloudscSearch:
 class TestHdiffRediscovery:
     @pytest.fixture(scope="class")
     def result(self):
-        search = TuningSearch(
-            hdiff.build_sdfg(),
-            hdiff.LOCAL_VIEW_SIZES,
-            transforms=HDIFF_TRANSFORMS,
-            beam=3,
-            depth=4,
-            budget=200,
-            line_size=hdiff.FIG7_CACHE["line_size"],
-            capacity_lines=hdiff.FIG7_CACHE["capacity_lines"],
-        )
-        return search.run()
+        return hdiff_search(hdiff.build_sdfg()).run()
 
     def test_beats_manual_sequence(self, result):
         """The search rediscovers (and here outdoes) the paper's manual
@@ -149,15 +152,24 @@ class TestControls:
         assert result.stopped == "timeout"
 
     def test_baseline_never_mutated(self):
-        from repro.sdfg.serialize import sdfg_fingerprint
+        from repro.sdfg.serialize import sdfg_fingerprint, to_json
 
         sdfg = cloudsc.build_sdfg()
-        before = sdfg_fingerprint(sdfg)
+        before = to_json(sdfg)
+        fingerprint = sdfg_fingerprint(sdfg)
         TuningSearch(
             sdfg, cloudsc.LOCAL_VIEW_SIZES, beam=2, depth=1, budget=20,
             capacity_lines=cloudsc.CACHE["capacity_lines"],
         ).run()
-        assert sdfg_fingerprint(sdfg) == before
+        assert to_json(sdfg) == before
+        assert sdfg_fingerprint(sdfg) == fingerprint
+
+        # Two rounds: the second copies (and rewrites) copies.
+        sdfg = hdiff.build_sdfg()
+        before = to_json(sdfg)
+        result = hdiff_search(sdfg, depth=2, budget=60).run()
+        assert result.rounds == 2
+        assert to_json(sdfg) == before
 
     def test_workers_pool_path(self):
         # The picklable pool path must agree with the serial path.
@@ -167,6 +179,58 @@ class TestControls:
             pooled.best.score.moved_bytes == serial.best.score.moved_bytes
         )
         assert pooled.evaluated == serial.evaluated
+
+        def scores(result):
+            return [
+                (e["fingerprint"], e["moved_bytes"], e["ops"])
+                for e in result.trajectory
+            ]
+
+        assert scores(pooled) == scores(serial)
+
+    def test_recorded_fingerprints_and_ops_hold_at_the_end(self, monkeypatch):
+        """Scored candidates still hash to what the search recorded.
+
+        Children are fingerprinted once, when made, and scored with the
+        baseline's op count; both must still describe every candidate
+        once the whole search (sibling rewrites included) is over.
+        """
+        from repro.analysis.opcount import program_ops
+        from repro.sdfg.serialize import sdfg_fingerprint
+
+        search = hdiff_search(hdiff.build_sdfg(), depth=2, budget=60)
+        scored = []
+        evaluate = search._evaluate
+
+        def spy(children, ops, cancel):
+            out = evaluate(children, ops, cancel=cancel)
+            scored.extend(out)
+            return out
+
+        monkeypatch.setattr(search, "_evaluate", spy)
+        result = search.run()
+        assert len(scored) == result.evaluated - 1
+        for candidate in [result.baseline, *scored]:
+            assert sdfg_fingerprint(candidate.sdfg) == candidate.fingerprint
+            ops = program_ops(candidate.sdfg).evaluate(search.params)
+            assert candidate.score.ops == ops
+
+    def test_ops_counted_once_per_search(self):
+        from repro.tool import Session
+
+        session = Session(cloudsc.build_sdfg())
+
+        def runs():
+            counters = session.metrics.to_dict()["counters"]
+            return counters.get("pass.global.totals.runs", 0)
+
+        before = runs()
+        result = session.tune(
+            cloudsc.LOCAL_VIEW_SIZES, beam=2, depth=2, budget=20,
+            capacity_lines=cloudsc.CACHE["capacity_lines"],
+        )
+        assert result.evaluated > 1
+        assert runs() == before + 1
 
 
 class TestObjective:
