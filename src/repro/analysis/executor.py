@@ -106,9 +106,10 @@ class PooledPoint(NamedTuple):
     ``local.analytic`` product (an
     :class:`~repro.locality.engine.AnalyticLocality`) its worker computed.
 
-    Only :func:`_worker_evaluate_shipping` makes these.  ``Session.sweep``
-    stores the product and passes on :attr:`point` alone, so a re-sweep
-    of the grid at another capacity only classifies.
+    :func:`_worker_evaluate_shipping` returns one for every point it
+    evaluates.  ``Session.sweep`` stores the product and passes on
+    :attr:`point` alone, so a re-sweep of the grid at another capacity
+    only classifies.
     """
 
     point: Any
@@ -157,14 +158,12 @@ def _worker_evaluate_shipping(
     include_transients: bool,
 ):
     """``Session.sweep``'s worker entry point: like
-    :func:`_worker_evaluate`, but a point whose analytic product exists
-    comes back as a :class:`PooledPoint` carrying it.  Where the engine
-    declined (a ``None`` product) the bare point comes back."""
-    point, analytic = _evaluate(
+    :func:`_worker_evaluate`, but the point comes back as a
+    :class:`PooledPoint` carrying its analytic product."""
+    return PooledPoint(*_evaluate(
         _program_base(sdfg_text), params, line_size, capacity_lines,
         include_transients, None,
-    )
-    return point if analytic is None else PooledPoint(point, analytic)
+    ))
 
 
 def _worker_evaluate_batch(

@@ -9,8 +9,8 @@ input parameters dominate performance.
 
 :func:`sweep_local_views` extends the what-if loop to the *local* view:
 every point of a parameter grid runs the pass pipeline's ``local.point``
-product (analytic locality, else simulation → layout → stack distance →
-miss classification) and yields a :class:`LocalSweepPoint`.  Points are
+product (analytic locality → miss classification → physical movement)
+and yields a :class:`LocalSweepPoint`.  Points are
 independent, so the sweep fans out over worker processes via the
 fault-tolerant :class:`~repro.analysis.executor.SweepExecutor` (the SDFG
 travels as its JSON serialization, each worker deserializes once); the

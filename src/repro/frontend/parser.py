@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 from repro.errors import FrontendError
 from repro.frontend.astutils import ALLOWED_CALLS, index_expressions, subscript_data_name, unparse
 from repro.sdfg import dtypes
-from repro.sdfg.data import Array, Scalar
+from repro.sdfg.data import Array
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import AccessNode, MapEntry, MapExit
 from repro.sdfg.propagation import propagate_memlet, subset_union

@@ -301,10 +301,9 @@ class AnalyticLocality:
     """
 
     __slots__ = (
-        "complete", "reason", "containers", "events_per_container",
-        "total_events", "analytic_regions", "fallback_regions",
-        "line_size", "_summaries", "_symbolic", "_hist", "_cold",
-        "_element_cache",
+        "containers", "events_per_container", "total_events",
+        "analytic_regions", "fallback_regions", "line_size", "_summaries",
+        "_symbolic", "_hist", "_cold", "_element_cache",
     )
 
     def __init__(
@@ -314,8 +313,6 @@ class AnalyticLocality:
         fallback_regions: int,
         line_size: int,
     ):
-        self.complete = True
-        self.reason = ""
         self._summaries = summaries
         self.analytic_regions = analytic_regions
         self.fallback_regions = fallback_regions

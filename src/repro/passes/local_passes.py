@@ -1,18 +1,21 @@
 """The local view's locality pipeline as chained passes.
 
-Simulation trace → physical layout → stack distances → miss
-classification → physical movement, each stage a
-:class:`~repro.passes.base.Pass` with its own content key — plus
-``local.analytic``, the closed-form engine (:mod:`repro.locality`) that
-classification consults first and that short-circuits the enumeration
-chain entirely whenever it applies.  The split follows the invalidation
-boundaries that matter in the interactive loop:
+``local.analytic`` runs the locality engine (:mod:`repro.locality`) and
+is the one source of miss counts: ``local.classify`` reads them from its
+product at the modeled capacity, ``local.physmove`` turns them into
+bytes, and ``local.point`` assembles a sweep outcome.  The product
+carries full reuse-distance histograms, so ``capacity`` keys only
+classification and what follows it: a capacity re-sweep reuses the
+engine's work.  An engine error propagates like any pass error.
+
+The enumeration chain — simulation trace → physical layout → stack
+distances — feeds the per-event views only (access heatmaps, playback,
+related accesses, reuse distances, set-associative misses).  Its split
+follows the invalidation boundaries of the interactive loop:
 
 - changing *strides* (e.g. :func:`~repro.transforms.layout.pad_strides_to_multiple`)
   re-runs layout and everything after it, but the simulation trace —
   keyed by **logical** descriptors only — is a cache hit;
-- changing the modeled cache *capacity* re-runs only classification and
-  movement: the expensive stack-distance computation is reused;
 - changing a *symbol value* re-runs the whole chain, since the trace
   itself depends on the concrete sizes.
 
@@ -30,19 +33,10 @@ import numpy as np
 
 from repro.analysis.parametric import LocalSweepPoint
 from repro.analysis.timing import maybe_span
-from repro.errors import ReproError
 from repro.locality import AnalyticLocality, analyze_locality
 from repro.passes.base import Pass, PassContext
-from repro.simulation import (
-    CacheModel,
-    MemoryModel,
-    simulate_state,
-)
-from repro.simulation.arrays import (
-    ArrayTrace,
-    build_array_trace,
-    per_container_misses_array,
-)
+from repro.simulation import MemoryModel, simulate_state
+from repro.simulation.arrays import ArrayTrace, build_array_trace
 from repro.simulation.simulator import SimulationResult
 from repro.simulation.stackdist import stack_distances_array
 
@@ -81,47 +75,37 @@ class DistanceProduct:
 
 
 class AnalyticPass(Pass):
-    """Closed-form locality analysis — the enumeration chain's fast path.
+    """Closed-form locality analysis: the product every miss count
+    comes from.
 
-    Runs the analytic engine (:mod:`repro.locality`) up front; when it
-    produces a product, ``local.classify`` and ``local.point`` answer
-    from it and — thanks to lazily materialized pass inputs — the
-    enumeration chain (trace → layout → stackdist) never executes.
-    Returns ``None`` when the engine declines (→ downstream passes fall
-    back to enumeration).  ``capacity`` is deliberately *not* a key
-    component: the product carries full histograms, so a capacity
-    re-sweep reuses it.  That holds for pooled sweeps too: the workers
-    of ``Session.sweep`` return the product with each point, and the
-    session stores it under this pass's key.
+    ``capacity`` is deliberately *not* a key component: the product
+    carries full histograms, so a capacity re-sweep reuses it.  That
+    holds for pooled sweeps too: the workers of ``Session.sweep`` return
+    the product with each point, and the session stores it under this
+    pass's key.  An engine error propagates like any pass error.
     """
 
     name = "local.analytic"
     uses = ("scope", "state", "arrays", "env", "sim", "line")
 
-    def run(self, ctx: PassContext, inputs: dict[str, Any]) -> AnalyticLocality | None:
+    def run(self, ctx: PassContext, inputs: dict[str, Any]) -> AnalyticLocality:
         env = ctx.require_env(self.name)
-        try:
-            with maybe_span(ctx.timings, "locality:analytic"):
-                product = analyze_locality(
-                    ctx.sdfg,
-                    env,
-                    state=ctx.state,
-                    line_size=ctx.line_size,
-                    include_transients=ctx.include_transients,
-                    timings=ctx.timings,
-                )
-        except ReproError:
-            product = None
+        with maybe_span(ctx.timings, "locality:analytic"):
+            product = analyze_locality(
+                ctx.sdfg,
+                env,
+                state=ctx.state,
+                line_size=ctx.line_size,
+                include_transients=ctx.include_transients,
+                timings=ctx.timings,
+            )
         if ctx.metrics is not None:
-            if product is not None:
-                ctx.metrics.counter("locality.analytic.hits").inc(
-                    product.analytic_regions
-                )
-                ctx.metrics.counter("locality.analytic.fallbacks").inc(
-                    product.fallback_regions
-                )
-            else:
-                ctx.metrics.counter("locality.analytic.fallbacks").inc()
+            ctx.metrics.counter("locality.analytic.hits").inc(
+                product.analytic_regions
+            )
+            ctx.metrics.counter("locality.analytic.fallbacks").inc(
+                product.fallback_regions
+            )
         return product
 
 
@@ -181,26 +165,18 @@ class ClassifyPass(Pass):
     """Per-container miss classification under the modeled capacity.
 
     Adding ``capacity`` here (and nowhere upstream) is what makes a
-    capacity re-sweep reuse the stack distances: only this pass and its
+    capacity re-sweep reuse the analytic product: only this pass and its
     downstream re-run.
     """
 
     name = "local.classify"
-    depends_on = ("local.analytic", "local.layout", "local.stackdist")
+    depends_on = ("local.analytic",)
     uses = ("line", "capacity")
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> dict:
-        analytic: AnalyticLocality | None = inputs["local.analytic"]
-        if analytic is not None:
-            with maybe_span(ctx.timings, "classify"):
-                return analytic.miss_counts(ctx.capacity_lines)
-        layout: LayoutProduct = inputs["local.layout"]
-        distances: DistanceProduct = inputs["local.stackdist"]
-        model = CacheModel(
-            line_size=ctx.line_size, capacity_lines=ctx.capacity_lines
-        )
+        analytic: AnalyticLocality = inputs["local.analytic"]
         with maybe_span(ctx.timings, "classify"):
-            return per_container_misses_array(layout.trace, distances.array, model)
+            return analytic.miss_counts(ctx.capacity_lines)
 
 
 class PhysicalMovementPass(Pass):
@@ -218,27 +194,20 @@ class PhysicalMovementPass(Pass):
 
 
 class SweepPointPass(Pass):
-    """Assemble one :class:`LocalSweepPoint` from the chain's products."""
+    """Assemble one :class:`LocalSweepPoint` from the analytic product,
+    its classification and the physical movement."""
 
     name = "local.point"
-    depends_on = (
-        "local.analytic", "local.trace", "local.classify", "local.physmove"
-    )
+    depends_on = ("local.analytic", "local.classify", "local.physmove")
     uses = ("env",)
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> LocalSweepPoint:
         env = ctx.require_env(self.name)
-        analytic: AnalyticLocality | None = inputs["local.analytic"]
-        total = (
-            analytic.total_events
-            if analytic is not None
-            else inputs["local.trace"].num_events
-        )
         return LocalSweepPoint(
             params=dict(env),
             misses=inputs["local.classify"],
             moved_bytes=inputs["local.physmove"],
-            total_accesses=total,
+            total_accesses=inputs["local.analytic"].total_events,
             seconds=perf_counter() - ctx.created_at,
         )
 

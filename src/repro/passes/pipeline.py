@@ -68,55 +68,6 @@ class InvalidationRecord:
         return f"InvalidationRecord({self.pass_name!r}: {self.describe()})"
 
 
-class _LazyInputs:
-    """Dependency mapping that computes a product only when subscripted.
-
-    Passing this instead of an eagerly materialized dict lets a pass
-    short-circuit expensive dependencies: e.g. ``local.classify`` served
-    by the analytic locality product never forces the enumeration chain
-    (trace → layout → stackdist) to run.  Results are memoized so a pass
-    reading the same input twice observes one value.
-    """
-
-    __slots__ = ("_pipeline", "_ctx", "_deps", "_memo")
-
-    def __init__(self, pipeline: Pipeline, ctx: PassContext, deps: tuple[str, ...]):
-        self._pipeline = pipeline
-        self._ctx = ctx
-        self._deps = deps
-        self._memo: dict[str, Any] = {}
-
-    def __getitem__(self, dep: str) -> Any:
-        if dep not in self._deps:
-            raise KeyError(dep)
-        try:
-            return self._memo[dep]
-        except KeyError:
-            value = self._pipeline.run(dep, self._ctx)
-            self._memo[dep] = value
-            return value
-
-    def __contains__(self, dep: str) -> bool:
-        return dep in self._deps
-
-    def __iter__(self):
-        return iter(self._deps)
-
-    def __len__(self) -> int:
-        return len(self._deps)
-
-    def keys(self):
-        # Mapping protocol: lets ``dict(inputs)`` (and ``**inputs``)
-        # materialize every dependency, matching the old eager behavior.
-        return self._deps
-
-    def get(self, dep: str, default: Any = None) -> Any:
-        try:
-            return self[dep]
-        except KeyError:
-            return default
-
-
 class Pipeline:
     """Topologically scheduled, content-memoized pass execution."""
 
@@ -225,7 +176,6 @@ class Pipeline:
         if not ResultStore.is_miss(value):
             self._count(f"pass.{product}.hits")
             return value
-        inputs = _LazyInputs(self, ctx, pass_.depends_on)
         self._record_invalidation(pass_, ctx, key)
         span = (
             self.tracer.span(f"pass:{product}")
@@ -233,6 +183,7 @@ class Pipeline:
             else nullcontext()
         )
         with span:
+            inputs = {dep: self.run(dep, ctx) for dep in pass_.depends_on}
             value = pass_.run(ctx, inputs)
         self.store.put(key, value)
         self._count(f"pass.{product}.runs")

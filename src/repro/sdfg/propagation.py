@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.nodes import Map
-from repro.symbolic.expr import Expr, Integer, mul, smax, smin
+from repro.symbolic.expr import Expr, mul, smax, smin
 from repro.symbolic.ranges import Range, Subset
 
 __all__ = ["propagate_memlet", "propagate_subset", "subset_union"]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.errors import InvalidSDFGError
 from repro.graph import has_cycle
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Tasklet
+from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFG, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 

@@ -63,7 +63,10 @@ from repro.version import __version__
 
 __all__ = ["AnalysisServer", "ServeShutdownWarning"]
 
-_CACHE_PARAMS = ("line_size", "capacity", "transients", "fast")
+#: The query options each endpoint reads; every other query parameter
+#: must name one of the program's free symbols.
+_HEATMAP_OPTIONS = frozenset({"format", "method"})
+_VIEW_OPTIONS = frozenset({"line_size", "capacity"})
 
 #: Control-plane paths that bypass admission control and drain shedding:
 #: load balancers and operators must be able to probe a saturated or
@@ -81,13 +84,26 @@ def _etag(key: Any) -> str:
     return f'"{digest[:32]}"'
 
 
-def _parse_symbols(query: Mapping[str, str]) -> dict[str, int]:
-    """Symbol assignments from query parameters (everything not reserved)."""
-    reserved = set(_CACHE_PARAMS) | {"format", "method", "data"}
+def _parse_symbols(
+    query: Mapping[str, str], options: frozenset[str], symbols: frozenset[str]
+) -> dict[str, int]:
+    """Symbol assignments from query parameters.
+
+    *options* are the names the endpoint reads itself; every other name
+    must be one of the program's *symbols*, so a misspelt or unsupported
+    parameter is a 400 instead of a silently ignored one.
+    """
     out: dict[str, int] = {}
     for name, value in query.items():
-        if name in reserved:
+        if name in options:
             continue
+        if name not in symbols:
+            raise HttpError(
+                400,
+                f"unknown query parameter {name!r}: not an option of this "
+                f"endpoint {sorted(options)} nor a program symbol "
+                f"{sorted(symbols)}",
+            )
         try:
             out[name] = int(value)
         except ValueError:
@@ -158,6 +174,9 @@ class AnalysisServer:
         drain_timeout: float = 10.0,
     ):
         self.session = session
+        #: The program's free symbols: the service never reloads its
+        #: program, so they are computed once.
+        self._symbols = session.sdfg.free_symbols()
         self.host = host
         self.port = port
         self.workers = max(1, int(workers))
@@ -554,7 +573,7 @@ class AnalysisServer:
     async def _handle_global_heatmap(
         self, conn: Connection, request: Request
     ) -> bool:
-        env = _parse_symbols(request.query)
+        env = _parse_symbols(request.query, _HEATMAP_OPTIONS, self._symbols)
         fmt = request.query.get("format", "svg")
         method = request.query.get("method", "mean")
         if fmt not in ("svg", "json"):
@@ -611,7 +630,7 @@ class AnalysisServer:
     async def _handle_local_view(
         self, conn: Connection, request: Request
     ) -> bool:
-        params = _parse_symbols(request.query)
+        params = _parse_symbols(request.query, _VIEW_OPTIONS, self._symbols)
         line_size, capacity = _parse_cache_model(request.query)
         ctx = self._point_context(params, line_size, capacity)
         key = self.session.product_key("local.point", ctx)

@@ -24,7 +24,7 @@ to its per-event reference in :mod:`~repro.simulation.movement` and
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -31,7 +31,7 @@ calls the other functions here.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

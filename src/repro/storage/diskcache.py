@@ -72,7 +72,7 @@ MAGIC = b"RPRC"
 FORMAT_VERSION = 1
 #: Payload schema version: bump when the pickled product types change
 #: incompatibly; older entries are then quarantined and recomputed.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: magic, format version, schema version, payload length, payload SHA-256.
 _HEADER = struct.Struct("<4sHHQ32s")

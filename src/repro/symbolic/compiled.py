@@ -60,7 +60,6 @@ from repro.symbolic.expr import (
     Div,
     Expr,
     FloorDiv,
-    Integer,
     Max,
     Min,
     Mod,

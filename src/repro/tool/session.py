@@ -51,11 +51,7 @@ from repro.storage import DEFAULT_MAX_BYTES, DiskCache, TieredBacking
 from repro.sdfg.serialize import data_fingerprint, state_fingerprint
 from repro.sdfg.state import SDFGState
 from repro.simulation import CacheModel, MemoryModel, related_access_counts
-from repro.simulation.arrays import (
-    element_distance_lists,
-    per_container_outcomes,
-    per_element_misses_array,
-)
+from repro.simulation.arrays import element_distance_lists, per_container_outcomes
 from repro.simulation.movement import edge_physical_movement
 from repro.simulation.simulator import SimulationResult
 from repro.transforms.report import TransformReport
@@ -383,7 +379,9 @@ class Session:
             # the engine.
             dispatched: list[int] = []
             for index in missing:
-                if not self._analytic_stored(ctxs[index]):
+                if not self.store.contains(
+                    self.pipeline.key("local.analytic", ctxs[index])
+                ):
                     dispatched.append(index)
                     continue
                 if cancel is not None and cancel.cancelled:
@@ -462,16 +460,6 @@ class Session:
                     f"({outcome.kind}): {outcome.message}"
                 )
         return out  # type: ignore[return-value]
-
-    def _analytic_stored(self, ctx: PassContext) -> bool:
-        """Whether the store holds *ctx*'s ``local.analytic`` product and
-        the engine did not decline it (a ``None`` product): then the
-        point's ``local.point`` only classifies."""
-        key = self.pipeline.key("local.analytic", ctx)
-        if not self.store.contains(key):
-            return False
-        product = self.store.get(key)
-        return product is not None and not ResultStore.is_miss(product)
 
     def apply(self, transform: Any, *args, **kwargs) -> TransformReport:
         """Apply a transformation and report what it modified.
@@ -804,10 +792,13 @@ class GlobalView:
 class LocalView:
     """The local view (Section V): parameterized simulation and locality.
 
-    A thin facade: every query resolves through the five chained local
-    passes (trace → layout → stack distance → classification → physical
-    movement), memoized in the pipeline's store under
-    *content-addressed* keys, so mutating the SDFG makes the next query
+    A thin facade: miss counts and movement resolve through the analytic
+    passes (``local.analytic`` → ``local.classify`` → ``local.physmove``),
+    the per-event views (access heatmaps, playback, related accesses,
+    reuse distances, set-associative misses) through the enumeration
+    chain (trace → layout → stack distance).  Every product is memoized
+    in the pipeline's store under *content-addressed* keys, and the view
+    keeps none of its own, so mutating the SDFG makes the next query
     miss and recompute — no explicit invalidation needed.
     """
 
@@ -834,8 +825,6 @@ class LocalView:
         #: from the SDFG name alone (they own their pipeline anyway).
         self._scope = scope if scope is not None else (sdfg.name, 0)
         self._pipeline = pipeline if pipeline is not None else build_pipeline()
-        self._result: SimulationResult | None = None
-        self._memory: MemoryModel | None = None
 
     # -- pipeline plumbing --------------------------------------------------------
     def _context(self) -> PassContext:
@@ -862,15 +851,13 @@ class LocalView:
     # -- simulation (cached) -----------------------------------------------------
     @property
     def result(self) -> SimulationResult:
-        if self._result is None:
-            self._result = self._product("local.trace")
-        return self._result
+        """The simulated access trace, from the store."""
+        return self._product("local.trace")
 
     @property
     def memory(self) -> MemoryModel:
-        if self._memory is None:
-            self._memory = self._product("local.layout").memory
-        return self._memory
+        """The physical memory layout of the current program."""
+        return MemoryModel(self.sdfg, self.symbols, line_size=self.cache.line_size)
 
     def _layout(self) -> LayoutProduct:
         return self._product("local.layout")
@@ -879,15 +866,13 @@ class LocalView:
         return self._product("local.stackdist")
 
     def invalidate(self) -> None:
-        """Drop cached simulation state (after mutating the SDFG).
+        """Drop the pipeline's stored products.
 
         Content-addressed keys make this unnecessary for *content*
         mutations, which new fingerprints pick up automatically; clearing
         is still the right tool when results must be recomputed without
         any content change (e.g. to force fresh timing measurements).
         """
-        self._result = None
-        self._memory = None
         self._pipeline.store.clear()
 
     # -- access patterns ----------------------------------------------------------
@@ -965,17 +950,8 @@ class LocalView:
         if data is None:
             return self._product("local.classify")
         analytic = self._product("local.analytic")
-        if analytic is not None:
-            with maybe_span(self.timings, "classify"):
-                return analytic.per_element_misses(
-                    data, self.cache.capacity_lines
-                )
-        layout = self._layout()
-        distances = self._stackdist()
         with maybe_span(self.timings, "classify"):
-            return per_element_misses_array(
-                layout.trace, distances.array, self.cache, data
-            )
+            return analytic.per_element_misses(data, self.cache.capacity_lines)
 
     def miss_heatmap(self, data: str) -> dict[tuple[int, ...], int]:
         """Per-element total misses of one container (Fig. 5c)."""

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from repro.errors import VisualizationError
-from repro.viz.color import GREEN_YELLOW_RED, Color, ColorScale
+from repro.viz.color import GREEN_YELLOW_RED, ColorScale
 from repro.viz.scaling import ScalingMethod, make_scaling
 from repro.viz.svg import SVGDocument, rect_element, rect_style, serialize_attrs
 

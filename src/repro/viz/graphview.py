@@ -8,15 +8,12 @@ optional minimap.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.graph import Edge
 from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, Node
-from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.viz.color import GREEN_YELLOW_RED, ColorScale
 from repro.viz.heatmap import Heatmap
-from repro.viz.layout import NodeBox, StateLayout, layout_state
+from repro.viz.layout import StateLayout, layout_state
 from repro.viz.svg import SVGDocument
 
 __all__ = ["GraphRenderer", "render_state"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generic, Hashable, Mapping, Sequence, TypeVar
+from typing import Generic, Hashable, Mapping, TypeVar
 
 from repro.errors import VisualizationError
 from repro.viz.color import GREEN_YELLOW_RED, Color, ColorScale

@@ -10,7 +10,7 @@ Section V-A) computed from the bounding box of their member nodes.
 from __future__ import annotations
 
 from repro.graph import topological_sort
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node, Tasklet
+from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node
 from repro.sdfg.state import SDFGState
 
 __all__ = ["NodeBox", "ScopeBox", "StateLayout", "layout_state"]

@@ -512,7 +512,7 @@ class TestBatchedExecution:
 
 class TestShippingWorkerEntry:
     """``Session.sweep``'s worker entry returns the point together with
-    its capacity-independent analytic product — when there is one."""
+    its capacity-independent analytic product."""
 
     def test_ships_the_analytic_product(self, sdfg):
         from repro.analysis.executor import PooledPoint, _worker_evaluate_shipping
@@ -527,20 +527,18 @@ class TestShippingWorkerEntry:
         assert type(shipped.point) is LocalSweepPoint
         assert isinstance(shipped.analytic, AnalyticLocality)
 
-    def test_declined_engine_ships_the_bare_point(self, sdfg, monkeypatch):
+    def test_engine_error_propagates(self, sdfg, monkeypatch):
         import importlib
 
         from repro.analysis.executor import _worker_evaluate_shipping
-        from repro.analysis.parametric import LocalSweepPoint
         from repro.sdfg.serialize import dumps
 
-        def decline(*args, **kwargs):
+        def fail(*args, **kwargs):
             raise SimulationError("not analyzable")
 
         local_passes = importlib.import_module("repro.passes.local_passes")
-        monkeypatch.setattr(local_passes, "analyze_locality", decline)
-        point = _worker_evaluate_shipping(
-            dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False
-        )
-        assert type(point) is LocalSweepPoint
-        assert point.total_accesses > 0
+        monkeypatch.setattr(local_passes, "analyze_locality", fail)
+        with pytest.raises(SimulationError, match="not analyzable"):
+            _worker_evaluate_shipping(
+                dumps(sdfg, indent=None), {"I": 4, "J": 4, "K": 3}, 64, 16, False
+            )

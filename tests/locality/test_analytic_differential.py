@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.apps import bert, conv, hdiff, linalg
+from repro.apps import bert, cloudsc, conv, hdiff, linalg
 from repro.locality import analyze_locality
 from repro.sdfg import dtypes
 from repro.sdfg.memlet import Memlet
@@ -29,14 +29,18 @@ from repro.simulation.movement import per_container_misses, per_element_misses
 from repro.simulation.simulator import simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
+from tests.sdfg.test_nested import build_outer
+from tests.simulation.test_array_pipeline import copy_program, nested_rows_program
+from tests.simulation.test_vectorized_differential import single_map_sdfg
+
 #: A tiny and a realistic modeled cache — classification must agree at both.
 CAPACITIES = (4, 512)
 LINE = 64
 
 
-def enumeration_reference(sdfg, env):
+def enumeration_reference(sdfg, env, include_transients=False):
     """The exact pipeline the engine must reproduce."""
-    result = simulate_state(sdfg, env)
+    result = simulate_state(sdfg, env, include_transients=include_transients)
     memory = MemoryModel(sdfg, env, line_size=LINE)
     trace = build_array_trace(result, memory)
     assert trace is not None, "reference requires the vectorized trace"
@@ -56,10 +60,12 @@ def reference_histograms(trace, distances):
     return hists, cold
 
 
-def assert_engine_exact(sdfg, env, per_element=True):
+def assert_engine_exact(sdfg, env, per_element=True, include_transients=False):
     """Assert the engine equals enumeration on every observable product."""
-    trace, distances = enumeration_reference(sdfg, env)
-    analytic = analyze_locality(sdfg, env, line_size=LINE)
+    trace, distances = enumeration_reference(sdfg, env, include_transients)
+    analytic = analyze_locality(
+        sdfg, env, line_size=LINE, include_transients=include_transients
+    )
 
     assert analytic.total_events == trace.num_events
     assert sorted(analytic.containers) == sorted(trace.containers)
@@ -88,12 +94,31 @@ def assert_engine_exact(sdfg, env, per_element=True):
     return analytic
 
 
+#: Every other program kind the enumeration chain ever served: CLOUDSC's
+#: nested maps, nested-SDFG bodies, an access-node copy, a scope mixing
+#: affine and non-affine subsets, and transients kept in the trace.
+PROGRAM_KINDS = [
+    pytest.param(cloudsc.build_sdfg, {"NBLOCKS": 32, "KLEV": 16}, False, id="cloudsc"),
+    pytest.param(build_outer, {"N": 5}, False, id="nested"),
+    pytest.param(nested_rows_program, {"M": 3, "N": 4}, False, id="nested-in-map"),
+    pytest.param(copy_program, {}, False, id="copy"),
+    pytest.param(
+        lambda: single_map_sdfg(["i*i, j", "i, 2*j"], {"i": "0:6", "j": "0:5"}),
+        {}, False, id="mixed",
+    ),
+    pytest.param(hdiff.build_sdfg, {"I": 4, "J": 4, "K": 3}, True, id="hdiff-transients"),
+]
+
+
 class TestExampleApps:
     """All four paper applications, at enumeration-feasible sizes."""
 
     def test_hdiff(self):
-        analytic = assert_engine_exact(hdiff.build_sdfg(), {"I": 4, "J": 4, "K": 3})
-        assert analytic.complete
+        assert_engine_exact(hdiff.build_sdfg(), {"I": 4, "J": 4, "K": 3})
+
+    @pytest.mark.parametrize("build, env, include_transients", PROGRAM_KINDS)
+    def test_program_kinds(self, build, env, include_transients):
+        assert_engine_exact(build(), env, include_transients=include_transients)
 
     def test_conv(self):
         assert_engine_exact(

@@ -24,8 +24,8 @@ LOCAL_CHAIN = (
     "local.physmove",
 )
 
-#: The enumeration chain the analytic engine short-circuits: with the
-#: analytic product available, these passes never execute.
+#: The enumeration chain feeds only the per-event views: miss-count
+#: queries never execute it.
 ENUMERATION_CHAIN = (
     "local.trace",
     "local.layout",
@@ -114,7 +114,7 @@ class TestIncrementalCounters:
         after = chain_runs(session)
         for product in LOCAL_CHAIN:
             assert after[product] == before[product] + 1, product
-        # The analytic engine served classification, so the enumeration
+        # The analytic engine serves classification, so the enumeration
         # chain never ran at all — at either size.
         for product in ENUMERATION_CHAIN:
             assert after[product] == 0, product

@@ -211,6 +211,17 @@ class TestInvalidationRecords:
 
 
 class TestObservability:
+    def test_dependencies_resolve_inside_the_pass_span(self):
+        tracer = Tracer()
+        pipeline = Pipeline(
+            [CountingPass("a"), CountingPass("b", depends_on=("a",))],
+            tracer=tracer,
+        )
+        pipeline.run("b", context())
+        (root,) = tracer.roots()
+        assert root.name == "pass:b"
+        assert [s.name for s in tracer.children(root)] == ["pass:a"]
+
     def test_spans_and_counters(self):
         tracer, metrics = Tracer(), MetricsRegistry()
         pipeline = Pipeline(
@@ -279,3 +290,10 @@ class TestDefaultPipeline:
             assert product in pipeline
         names = [p.name for p in pipeline.order()]
         assert names.index("local.trace") < names.index("local.classify")
+
+    def test_miss_counts_come_from_the_analytic_product_alone(self):
+        deps = {p.name: p.depends_on for p in build_pipeline().passes()}
+        assert deps["local.classify"] == ("local.analytic",)
+        assert deps["local.point"] == (
+            "local.analytic", "local.classify", "local.physmove"
+        )

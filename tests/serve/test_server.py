@@ -67,6 +67,31 @@ class TestEndpoints:
         assert status == 400
         assert "symbol" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            ("/v1/local/view?I=8&J=8&K=5&transients=1", "transients"),
+            ("/v1/local/view?I=8&J=8&K=5&fast=0", "fast"),
+            ("/v1/local/view?I=8&J=8&K=5&data=in_field", "data"),
+            ("/v1/local/view?I=8&J=8&K=5&Z=3", "Z"),
+            ("/v1/local/view?I=8&J=8&K=5&format=json", "format"),
+            ("/v1/global/heatmap?I=8&J=8&K=2&capacity=4", "capacity"),
+            ("/v1/global/heatmap?I=8&J=8&K=2&Z=3", "Z"),
+        ],
+    )
+    def test_unknown_query_parameter_400(self, server, path, name):
+        """A name the endpoint does not read and the program does not
+        declare is rejected, not ignored or taken as a symbol."""
+        status, _, body = get(server, path)
+        assert status == 400
+        assert repr(name) in json.loads(body)["error"]
+
+    def test_options_and_symbols_are_accepted(self, server):
+        status, _, _ = get(server, "/v1/local/view?I=4&J=4&K=2&line_size=64&capacity=8")
+        assert status == 200
+        status, _, _ = get(server, "/v1/global/heatmap?I=8&J=8&K=2&format=json&method=mean")
+        assert status == 200
+
     def test_local_view_matches_session_products(self, server):
         """The served JSON is the session's own local.point product."""
         query = "&".join(f"{k}={v}" for k, v in LOCAL_VIEW_SIZES.items())

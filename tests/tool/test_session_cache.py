@@ -96,6 +96,38 @@ class TestSessionCaching:
         }
 
 
+class TestViewAcrossTransform:
+    """A view kept across ``Session.apply`` answers from the program as
+    it is now: the view keeps no memo of its own."""
+
+    def test_reused_view_answers_from_the_transformed_program(self):
+        session = make_session()
+        sizes = hdiff.LOCAL_VIEW_SIZES
+        element = (1, 2, 3)
+        lv = session.local_view(sizes)
+        before = lv.memory.layout("in_field").strides
+        lv.cache_line_neighbors("in_field", element)
+        lv.access_heatmap("in_field")
+
+        session.apply(hdiff.apply_reshape, session.sdfg)
+        fresh = session.local_view(sizes)
+        after = fresh.memory.layout("in_field").strides
+        assert after != before
+        assert lv.memory.layout("in_field").strides == after
+        assert lv.cache_line_neighbors(
+            "in_field", element
+        ) == fresh.cache_line_neighbors("in_field", element)
+        assert lv.result is fresh.result
+        assert lv.physical_movement() == fresh.physical_movement()
+
+    def test_neighbors_need_no_simulation(self):
+        session = make_session()
+        lv = session.local_view(SIZES)
+        lv.cache_line_neighbors("in_field", (0, 0, 0))
+        assert session.pipeline.runs("local.trace") == 0
+        assert session.pipeline.runs("local.layout") == 0
+
+
 class TestSessionTimings:
     def test_stages_recorded(self):
         session = make_session()
