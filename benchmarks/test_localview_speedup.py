@@ -16,7 +16,9 @@ distances must beat trace enumeration by >= 50x on the largest common
 hdiff size, with exactly equal miss counts, and must complete a
 production-size local view (>= 10^6 heatmap elements) that enumeration
 cannot touch.  A fifth records chunked sweep dispatch over a 100-point
-grid.
+grid.  Sweeps run ``Session.sweep`` on a fresh session per repeat — the
+production path, whose pool workers ship each point's analytic product
+home — so no repeat is a store hit.
 
 Results are written to ``BENCH_localview.json`` at the repository root.
 """
@@ -27,7 +29,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.parametric import parameter_grid, sweep_local_views
+from repro.analysis.parametric import parameter_grid
 from repro.apps import hdiff
 from repro.simulation import (
     CacheModel,
@@ -44,6 +46,7 @@ from repro.simulation import (
 )
 from repro.simulation.arrays import element_distance_lists
 from repro.simulation.stackdist import line_trace
+from repro.tool.session import Session
 
 from conftest import print_table
 
@@ -136,17 +139,22 @@ def test_array_pipeline_speedup():
         assert min(speedups.values()) >= 3.0, speedups
 
 
+def _sweep(sdfg, grid, **options):
+    """A cold ``Session.sweep``: a fresh session, so nothing is stored."""
+    return Session(sdfg).sweep(grid, **options)
+
+
 def test_sweep_scaling():
     sdfg = hdiff.build_sdfg()
-    sweep_local_views(sdfg, SWEEP_GRID[:1])  # warm up
+    _sweep(sdfg, SWEEP_GRID[:1], adaptive=False)  # warm up
     t_serial, serial = _best_of(
-        lambda: sweep_local_views(sdfg, SWEEP_GRID), repeats=2
+        lambda: _sweep(sdfg, SWEEP_GRID, adaptive=False), repeats=2
     )
     t_par, parallel = _best_of(
-        lambda: sweep_local_views(sdfg, SWEEP_GRID, workers=4), repeats=2
+        lambda: _sweep(sdfg, SWEEP_GRID, workers=4, adaptive=False), repeats=2
     )
     t_adapt, adaptive = _best_of(
-        lambda: sweep_local_views(sdfg, SWEEP_GRID, workers=4, adaptive=True),
+        lambda: _sweep(sdfg, SWEEP_GRID, workers=4, adaptive=True),
         repeats=2,
     )
     assert parallel == serial
@@ -345,15 +353,16 @@ def test_sweep_batched_100pt():
     )
     assert len(grid) == 100
     sdfg = hdiff.build_sdfg()
-    sweep_local_views(sdfg, grid[:1])  # warm up
+    _sweep(sdfg, grid[:1], adaptive=False)  # warm up
     t_serial, serial = _best_of(
-        lambda: sweep_local_views(sdfg, grid), repeats=2
+        lambda: _sweep(sdfg, grid, adaptive=False), repeats=2
     )
     t_point, per_point = _best_of(
-        lambda: sweep_local_views(sdfg, grid, workers=4, batch=1), repeats=2
+        lambda: _sweep(sdfg, grid, workers=4, batch=1, adaptive=False),
+        repeats=2,
     )
     t_chunked, chunked = _best_of(
-        lambda: sweep_local_views(sdfg, grid, workers=4), repeats=2
+        lambda: _sweep(sdfg, grid, workers=4, adaptive=False), repeats=2
     )
     assert chunked == serial
     assert per_point == serial

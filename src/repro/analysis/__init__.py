@@ -8,10 +8,12 @@
   byte) per scope and program.
 - :mod:`repro.analysis.parametric` — re-evaluation of symbolic metrics
   under concrete parameter values and parameter sweeps (the "parametric
-  scaling analysis" of Section IV-D).
-- :mod:`repro.analysis.executor` — fault-tolerant parallel execution of
-  local-view sweeps with retries, timeouts and structured per-point
-  error records.
+  scaling analysis" of Section IV-D), plus the local-view sweep's grid
+  and point types.
+- :mod:`repro.analysis.executor` — ``sweep_points``, the one evaluation
+  path of a batch of local-view points (``Session.sweep`` and the
+  tuner), over fault-tolerant parallel execution with retries, timeouts
+  and structured per-point error records.
 """
 
 from repro.analysis.executor import (
@@ -41,7 +43,6 @@ from repro.analysis.parametric import (
     ParameterSweep,
     evaluate_metrics,
     parameter_grid,
-    sweep_local_views,
 )
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "ParameterSweep",
     "LocalSweepPoint",
     "parameter_grid",
-    "sweep_local_views",
     "CancelToken",
     "SweepExecutor",
     "SweepPointError",

@@ -1,9 +1,17 @@
 """Fault-tolerant execution of local-view parametric sweeps.
 
-:class:`SweepExecutor` runs the pass pipeline's ``local.point`` over a
-parameter grid — in process or on worker processes, through the same
-:func:`evaluate_point` — with the error-handling contract a long-running
-analysis service needs:
+:func:`sweep_points` is the one evaluation path for a batch of local-view
+points: ``Session.sweep`` and the tuner both call it.  It answers each
+point from the pipeline's store where it can, classifies in process every
+point whose capacity-independent ``local.analytic`` product is stored,
+and hands the rest to a :class:`SweepExecutor`.
+
+The executor evaluates a point in process only through its caller's
+callable.  On worker processes it ships each point's own program to one
+worker entry, :func:`_worker_evaluate_shipping`, which runs the pass
+pipeline's ``local.point`` and returns a :class:`PooledPoint`.  Either
+way it keeps the error-handling contract a long-running analysis service
+needs:
 
 - **per-point outcomes** — a failing point yields a structured
   :class:`SweepPointError` record instead of poisoning the whole grid;
@@ -49,56 +57,18 @@ from contextlib import nullcontext
 from time import perf_counter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
+from repro.analysis.timing import maybe_span
 from repro.errors import AnalysisError, ReproError
 from repro.resilience.chaos import inject as _chaos
 
 __all__ = [
     "CancelToken", "PooledPoint", "SweepExecutor", "SweepPointError", "SweepRun",
+    "sweep_points",
 ]
 
-
-def evaluate_point(
-    base,
-    params: Mapping[str, int],
-    line_size: int,
-    capacity_lines: int,
-    include_transients: bool,
-    timings=None,
-):
-    """The pass pipeline's ``local.point`` for *params*, on a fresh store.
-
-    *base* is a :class:`~repro.passes.base.PassContext` over the program
-    to evaluate.  Graph fingerprints flow both ways between it and the
-    point's own context, so a grid fingerprints its program once.  The
-    store is fresh because grid points share no pass products, and it
-    dies with the call.  The one product worth keeping is the point's
-    capacity-independent ``local.analytic``: ``Session.sweep``'s workers
-    return it with the point (:func:`_worker_evaluate_shipping`).
-    *timings* receives the pass and stage spans.
-    """
-    return _evaluate(
-        base, params, line_size, capacity_lines, include_transients, timings
-    )[0]
-
-
-def _evaluate(base, params, line_size, capacity_lines, include_transients, timings):
-    """:func:`evaluate_point`'s point plus its ``local.analytic`` product."""
-    from repro.passes import PassContext, build_pipeline
-
-    ctx = PassContext(
-        base.sdfg,
-        env=params,
-        line_size=line_size,
-        capacity_lines=capacity_lines,
-        include_transients=include_transients,
-        timings=timings,
-    )
-    ctx.adopt_components(base)
-    pipeline = build_pipeline(tracer=timings)
-    point = pipeline.run("local.point", ctx)
-    base.adopt_components(ctx)
-    # A store hit: ``local.point`` consumed the analytic product.
-    return point, pipeline.run("local.analytic", ctx)
+#: Estimated one-time pool cost in seconds (spawn, program serialization,
+#: worker warm-up) that the adaptive serial-vs-pool decision charges.
+POOL_OVERHEAD = 0.35
 
 
 class PooledPoint(NamedTuple):
@@ -107,7 +77,7 @@ class PooledPoint(NamedTuple):
     :class:`~repro.locality.engine.AnalyticLocality`) its worker computed.
 
     :func:`_worker_evaluate_shipping` returns one for every point it
-    evaluates.  ``Session.sweep`` stores the product and passes on
+    evaluates.  :func:`sweep_points` stores the product and passes on
     :attr:`point` alone, so a re-sweep of the grid at another capacity
     only classifies.
     """
@@ -135,55 +105,53 @@ def _program_base(sdfg_text: str):
     return base
 
 
-def _worker_evaluate(
-    sdfg_text: str,
-    params: Mapping[str, int],
-    line_size: int,
-    capacity_lines: int,
-    include_transients: bool,
-):
-    """Default worker entry point: :func:`evaluate_point` on a cached
-    deserialization of *sdfg_text*."""
-    return evaluate_point(
-        _program_base(sdfg_text), params, line_size, capacity_lines,
-        include_transients,
-    )
-
-
 def _worker_evaluate_shipping(
     sdfg_text: str,
     params: Mapping[str, int],
     line_size: int,
     capacity_lines: int,
     include_transients: bool,
-):
-    """``Session.sweep``'s worker entry point: like
-    :func:`_worker_evaluate`, but the point comes back as a
-    :class:`PooledPoint` carrying its analytic product."""
-    return PooledPoint(*_evaluate(
-        _program_base(sdfg_text), params, line_size, capacity_lines,
-        include_transients, None,
-    ))
+) -> PooledPoint:
+    """The pool's worker entry: the pass pipeline's ``local.point`` for
+    *params* on a cached deserialization of *sdfg_text*, returned as a
+    :class:`PooledPoint` carrying the point's ``local.analytic`` product.
+
+    The store is fresh because grid points share no pass products, and it
+    dies with the call.  Graph fingerprints flow both ways between the
+    program's cached base context and the point's own, so a worker
+    fingerprints each program once.
+    """
+    from repro.passes import PassContext, build_pipeline
+
+    base = _program_base(sdfg_text)
+    ctx = PassContext(
+        base.sdfg,
+        env=params,
+        line_size=line_size,
+        capacity_lines=capacity_lines,
+        include_transients=include_transients,
+    )
+    ctx.adopt_components(base)
+    pipeline = build_pipeline()
+    point = pipeline.run("local.point", ctx)
+    base.adopt_components(ctx)
+    # A store hit: ``local.point`` consumed the analytic product.
+    return PooledPoint(point, pipeline.run("local.analytic", ctx))
 
 
-def _worker_evaluate_batch(
-    fn: Callable,
-    sdfg_text: str,
-    params_list: Sequence[Mapping[str, int]],
-    line_size: int,
-    capacity_lines: int,
-    include_transients: bool,
-) -> list[tuple]:
+def _worker_evaluate_batch(fn: Callable, items: Sequence[tuple]) -> list[tuple]:
     """Evaluate a chunk of grid points in one worker task.
 
-    Returns one tuple per point, aligned with *params_list*:
-    ``("ok", point)`` or ``("error", type_name, message)`` for
-    deterministic library errors.  Any other exception propagates and
-    fails the whole chunk (the scheduler then splits it into
-    singletons, so one bad point cannot take down its chunk-mates).
+    Each item is ``fn``'s argument tuple ``(sdfg_text, params, line_size,
+    capacity_lines, include_transients)``; a chunk carries only its own
+    points' program texts.  Returns one tuple per item: ``("ok", point)``
+    or ``("error", type_name, message)`` for deterministic library
+    errors.  Any other exception propagates and fails the whole chunk
+    (the scheduler then splits it into singletons, so one bad point
+    cannot take down its chunk-mates).
     """
     out: list[tuple] = []
-    for params in params_list:
+    for item in items:
         # Chaos sites run worker-side (the spec rides in on REPRO_CHAOS,
         # which worker processes inherit): a "worker.kill" fault SIGKILLs
         # this process — the coordinating side sees BrokenProcessPool.
@@ -191,9 +159,7 @@ def _worker_evaluate_batch(
         _chaos("eval.slow")
         try:
             _chaos("eval.error")
-            point = fn(
-                sdfg_text, params, line_size, capacity_lines, include_transients
-            )
+            point = fn(*item)
         except ReproError as exc:
             out.append(("error", type(exc).__name__, str(exc)))
         else:
@@ -397,37 +363,21 @@ class SweepExecutor:
     tracer / metrics:
         Optional observability sinks (see :mod:`repro.obs`).
     point_fn:
-        Evaluation callable ``(sdfg_text, params, line_size,
-        capacity_lines, include_transients)``; defaults to the
-        pass pipeline's ``local.point`` on the deserialized program.
-        Must be picklable for the pool path.
-    serial_fn:
-        In-process evaluation callable ``(sdfg, params, line_size,
-        capacity_lines, include_transients)`` used on the serial
-        path (``workers`` unset and the pool-unavailable fallback).  A
-        session injects its memoized pipeline here, so serial sweeps
-        reuse stored pass results; workers cannot (they live in other
-        processes) and run the same passes on a fresh store.  When both
-        *point_fn* and *serial_fn* are given, the pool uses *point_fn*
-        and the serial path prefers *serial_fn*.  With neither, both
-        paths run :func:`evaluate_point`.
+        Pool-side evaluation callable ``(sdfg_text, params, line_size,
+        capacity_lines, include_transients)``; defaults to
+        :func:`_worker_evaluate_shipping`.  Must be picklable.  The
+        in-process paths never use it: they evaluate through the
+        callable :meth:`run` is given.
     adaptive:
         With ``adaptive=True`` (and ``workers`` set), the executor
         measures the first grid point in-process and only spawns a pool
-        when the predicted pool time — ``pool_overhead`` plus the
-        per-point cost over the effectively usable workers — beats
-        finishing the remaining points serially.  Cheap grids therefore
-        never pay pool startup + pickling (the ``sweep_8pt`` regression:
-        pooled sweeps *losing* 0.91x to serial).  Off by default so
-        direct executor users keep deterministic pool behaviour.
-    pool_overhead:
-        Estimated one-time pool cost in seconds (spawn + SDFG
-        serialization + worker warmup) used by the adaptive decision.
-    cores:
-        Physical parallelism assumed by the adaptive decision; defaults
-        to the CPUs in the process's affinity mask
-        (``os.sched_getaffinity``, else ``os.cpu_count()``).  Injectable
-        for tests.
+        when the predicted pool time — :data:`POOL_OVERHEAD` plus the
+        per-point cost over the effectively usable workers (at most the
+        CPUs in the process's affinity mask) — beats finishing the
+        remaining points serially.  Cheap grids therefore never pay pool
+        startup + pickling (the ``sweep_8pt`` regression: pooled sweeps
+        *losing* 0.91x to serial).  Off by default so direct executor
+        users keep deterministic pool behaviour.
     batch:
         Points per worker task on the pool path.  ``None`` (default)
         auto-chunks: roughly four tasks per worker, capped at 32 points
@@ -452,10 +402,7 @@ class SweepExecutor:
         tracer=None,
         metrics=None,
         point_fn: Callable | None = None,
-        serial_fn: Callable | None = None,
         adaptive: bool = False,
-        pool_overhead: float = 0.35,
-        cores: int | None = None,
         batch: int | None = None,
         breaker=None,
     ):
@@ -467,10 +414,7 @@ class SweepExecutor:
         self.tracer = tracer
         self.metrics = metrics
         self.point_fn = point_fn
-        self.serial_fn = serial_fn
         self.adaptive = bool(adaptive)
-        self.pool_overhead = float(pool_overhead)
-        self.cores = cores
         if batch is not None and int(batch) < 1:
             raise ValueError("batch must be >= 1")
         self.batch = None if batch is None else int(batch)
@@ -515,26 +459,27 @@ class SweepExecutor:
     # -- public API --------------------------------------------------------
     def run(
         self,
-        sdfg,
-        grid: Sequence[Mapping[str, int]],
-        line_size: int = 64,
-        capacity_lines: int = 512,
-        include_transients: bool = False,
+        points: Sequence[Any],
+        evaluate: Callable[[Any], Any],
         cancel: CancelToken | None = None,
         on_result: Callable[[int, Any], None] | None = None,
-        fail_fast: bool = False,
     ) -> SweepRun:
-        """Evaluate every grid point; return grid-ordered outcomes.
+        """Evaluate every point; return grid-ordered outcomes.
 
-        With ``fail_fast=True``, the first deterministic library error
-        (or exhausted-retry failure) cancels outstanding work and raises
-        :class:`~repro.errors.AnalysisError` naming the failing point.
-        *on_result* is called as ``on_result(index, outcome)`` for every
-        finished point (it may call ``cancel.cancel()``).
+        Each point is a :class:`~repro.passes.base.PassContext` (or
+        anything with its ``sdfg``, ``env``, ``line_size``,
+        ``capacity_lines`` and ``include_transients``): ``env`` is the
+        grid point, and its program and cache model are what a worker
+        evaluates.  *evaluate* evaluates one point in process — on the
+        serial path, for the adaptive probe and in the pool-unavailable
+        fallback.  *on_result* is called as ``on_result(index, outcome)``
+        for every finished point (it may call ``cancel.cancel()``).
         """
-        grid = [dict(point) for point in grid]
-        cfg = (line_size, capacity_lines, include_transients)
-        evaluate = self._in_process(sdfg)
+        grid = [dict(point.env) for point in points]
+
+        def evaluate_at(index: int) -> Any:
+            return evaluate(points[index])
+
         self._count("sweep.points", len(grid))
         span = (
             self.tracer.span("sweep.run", points=len(grid), workers=self.workers)
@@ -561,7 +506,7 @@ class SweepExecutor:
                 # the pool can possibly pay for itself.
                 outcomes = [None] * len(grid)
                 use_pool = self._probe_and_choose(
-                    evaluate, grid, cfg, on_result, fail_fast, outcomes
+                    evaluate_at, grid, on_result, outcomes
                 )
                 if active_span is not None:
                     active_span.set(adaptive="pool" if use_pool else "serial")
@@ -573,8 +518,7 @@ class SweepExecutor:
             if use_pool:
                 try:
                     outcomes = self._run_pool(
-                        sdfg, grid, cfg, cancel, on_result, fail_fast,
-                        outcomes=outcomes,
+                        points, grid, cancel, on_result, outcomes=outcomes
                     )
                 except _PoolUnavailable as exc:
                     # The narrow "pool cannot spawn" case — and only it.
@@ -582,7 +526,7 @@ class SweepExecutor:
                         self.breaker.record_failure()
                     self._count("sweep.serial_fallbacks")
                     outcomes = self._run_serial(
-                        evaluate, grid, cfg, cancel, on_result, fail_fast,
+                        evaluate_at, grid, cancel, on_result,
                         outcomes=exc.outcomes,
                     )
                 else:
@@ -593,40 +537,16 @@ class SweepExecutor:
                             self.breaker.record_success()
             else:
                 outcomes = self._run_serial(
-                    evaluate, grid, cfg, cancel, on_result, fail_fast,
-                    outcomes=outcomes,
+                    evaluate_at, grid, cancel, on_result, outcomes=outcomes
                 )
         return SweepRun(grid, outcomes)
 
-    def _in_process(self, sdfg) -> Callable[[dict, tuple], Any]:
-        """The in-process evaluator ``(params, cfg) -> point`` for *sdfg*.
-
-        An injected *serial_fn* wins (it reuses the caller's memoized
-        pipeline), then *point_fn* on the serialized program, then
-        :func:`evaluate_point` over one base context for the run.
-        """
-        if self.serial_fn is not None:
-            return lambda params, cfg: self.serial_fn(sdfg, params, *cfg)
-        if self.point_fn is not None:
-            from repro.sdfg.serialize import dumps
-
-            text = dumps(sdfg, indent=None)
-            return lambda params, cfg: self.point_fn(text, params, *cfg)
-        from repro.passes import PassContext
-
-        base = PassContext(sdfg)
-        return lambda params, cfg: evaluate_point(
-            base, params, *cfg, timings=self.tracer
-        )
-
     # -- adaptive serial-vs-pool choice -------------------------------------
-    def _probe_and_choose(
-        self, evaluate, grid, cfg, on_result, fail_fast, outcomes
-    ) -> bool:
+    def _probe_and_choose(self, evaluate_at, grid, on_result, outcomes) -> bool:
         """Evaluate ``grid[0]`` serially into ``outcomes[0]``; return
         whether the remaining points should go to a pool."""
         start = perf_counter()
-        outcome = self._evaluate_serial(evaluate, grid[0], cfg, 0, fail_fast)
+        outcome = self._evaluate_serial(evaluate_at, grid[0], 0)
         t_point = perf_counter() - start
         outcomes[0] = outcome
         self._count(
@@ -644,23 +564,20 @@ class SweepExecutor:
         points that each take ``t_point`` seconds serially?"""
         if remaining <= 0 or self.workers is None or self.workers < 1:
             return False
-        cores = self.cores if self.cores is not None else _usable_cores()
-        effective = max(1, min(int(self.workers), cores, remaining))
+        effective = max(1, min(int(self.workers), _usable_cores(), remaining))
         if effective <= 1:
             return False  # no real parallelism: the pool only adds overhead
         serial_s = t_point * remaining
-        pool_s = self.pool_overhead + t_point * math.ceil(remaining / effective)
+        pool_s = POOL_OVERHEAD + t_point * math.ceil(remaining / effective)
         return pool_s < serial_s
 
     # -- serial path -------------------------------------------------------
     def _run_serial(
         self,
-        evaluate,
+        evaluate_at,
         grid: list[dict],
-        cfg: tuple,
         cancel: CancelToken | None,
         on_result,
-        fail_fast: bool,
         outcomes: list | None = None,
     ) -> list:
         if outcomes is None:
@@ -678,7 +595,7 @@ class SweepExecutor:
                     )
                 self._count("sweep.cancelled", len(remaining))
                 break
-            outcome = self._evaluate_serial(evaluate, params, cfg, index, fail_fast)
+            outcome = self._evaluate_serial(evaluate_at, params, index)
             outcomes[index] = outcome
             if isinstance(outcome, SweepPointError):
                 self._count("sweep.failed")
@@ -688,9 +605,7 @@ class SweepExecutor:
                 on_result(index, outcome)
         return outcomes
 
-    def _evaluate_serial(
-        self, evaluate, params: dict, cfg: tuple, index: int, fail_fast: bool
-    ):
+    def _evaluate_serial(self, evaluate_at, params: dict, index: int):
         attempts = 0
         while True:
             attempts += 1
@@ -698,19 +613,13 @@ class SweepExecutor:
             _chaos("eval.slow")
             try:
                 _chaos("eval.error")
-                point = evaluate(params, cfg)
+                point = evaluate_at(index)
             except ReproError as exc:
                 # Deterministic library error: retrying only repeats the
-                # failure, so record (or raise) immediately.
+                # failure, so record it immediately.
                 error = SweepPointError(
                     params, "error", type(exc).__name__, str(exc), attempts
                 )
-                self._record_point(params, index, attempts, perf_counter() - start, error)
-                if fail_fast:
-                    raise AnalysisError(
-                        f"sweep point {params} failed: {exc}"
-                    ) from exc
-                return error
             except Exception as exc:  # noqa: BLE001 — fault barrier: unknown errors become records/retries
                 if attempts <= self.retries:
                     self._count("sweep.retries")
@@ -719,16 +628,13 @@ class SweepExecutor:
                 error = SweepPointError(
                     params, "error", type(exc).__name__, str(exc), attempts
                 )
-                self._record_point(params, index, attempts, perf_counter() - start, error)
-                if fail_fast:
-                    raise AnalysisError(
-                        f"sweep point {params} failed after {attempts} attempts: {exc}"
-                    ) from exc
-                return error
-            seconds = perf_counter() - start
-            self._record_point(params, index, attempts, seconds)
-            self._observe("sweep.point_seconds", seconds)
-            return point
+            else:
+                seconds = perf_counter() - start
+                self._record_point(params, index, attempts, seconds)
+                self._observe("sweep.point_seconds", seconds)
+                return point
+            self._record_point(params, index, attempts, perf_counter() - start, error)
+            return error
 
     # -- pool path ---------------------------------------------------------
     def _spawn_pool(self, nworkers: int, outcomes: list | None) -> ProcessPoolExecutor:
@@ -743,12 +649,10 @@ class SweepExecutor:
 
     def _run_pool(
         self,
-        sdfg,
+        points: Sequence[Any],
         grid: list[dict],
-        cfg: tuple,
         cancel: CancelToken | None,
         on_result,
-        fail_fast: bool,
         outcomes: list | None = None,
     ) -> list:
         # Workers run the pass pipeline.  Import it before the pool forks
@@ -757,8 +661,9 @@ class SweepExecutor:
         from repro.sdfg.serialize import dumps
 
         self._pool_gave_up = False
-        fn = self.point_fn or _worker_evaluate
-        sdfg_text = dumps(sdfg, indent=None)
+        fn = self.point_fn or _worker_evaluate_shipping
+        #: Each distinct program's text, serialized once per run.
+        texts: dict[int, str] = {}
         n = len(grid)
         # Slots already filled (e.g. the adaptive probe) are kept as-is
         # and never resubmitted.
@@ -788,6 +693,18 @@ class SweepExecutor:
         ever_completed = False
         pool = self._spawn_pool(nworkers, None)
 
+        def task_item(index: int) -> tuple:
+            """*fn*'s arguments for point *index*: its own program's text,
+            its parameters and its cache model."""
+            point = points[index]
+            text = texts.get(id(point.sdfg))
+            if text is None:
+                text = texts[id(point.sdfg)] = dumps(point.sdfg, indent=None)
+            return (
+                text, grid[index], point.line_size, point.capacity_lines,
+                point.include_transients,
+            )
+
         def finish(index: int, outcome, seconds: float = 0.0) -> None:
             nonlocal done_count
             outcomes[index] = outcome
@@ -803,6 +720,49 @@ class SweepExecutor:
                 self._observe("sweep.point_seconds", seconds)
             if on_result is not None:
                 on_result(index, outcome)
+
+        def deliver(chunk: list[int], results: list[tuple], submitted: float) -> None:
+            """Finish every point of a chunk whose task returned."""
+            nonlocal ever_completed
+            seconds = (time.monotonic() - submitted) / len(chunk)
+            for index, result in zip(chunk, results):
+                if result[0] == "ok":
+                    ever_completed = True
+                    finish(index, result[1], seconds)
+                    continue
+                _, error_type, message = result
+                finish(
+                    index,
+                    SweepPointError(
+                        grid[index], "error", error_type, message,
+                        attempts[index],
+                    ),
+                    seconds,
+                )
+
+        def retry_or_fail(
+            index: int, kind: str, error_type: str, message: str,
+            seconds: float = 0.0,
+        ) -> None:
+            """Schedule a transient failure's retry, or record it once the
+            point's retries are spent."""
+            if attempts[index] <= self.retries:
+                self._count("sweep.retries")
+                # Crash retries back off like any other transient
+                # failure: a point that keeps killing its worker should
+                # not hammer the freshly respawned pool.
+                retry_at.append((
+                    time.monotonic() + self.backoff * (2 ** (attempts[index] - 1)),
+                    index,
+                ))
+            else:
+                finish(
+                    index,
+                    SweepPointError(
+                        grid[index], kind, error_type, message, attempts[index]
+                    ),
+                    seconds,
+                )
 
         def unfinished_pending() -> list[int]:
             indices = [
@@ -861,8 +821,8 @@ class SweepExecutor:
                         attempts[index] += 1
                     try:
                         future = pool.submit(
-                            _worker_evaluate_batch, fn, sdfg_text,
-                            [grid[index] for index in indices], *cfg,
+                            _worker_evaluate_batch, fn,
+                            [task_item(index) for index in indices],
                         )
                     except (BrokenProcessPool, RuntimeError):
                         for index in reversed(indices):
@@ -891,26 +851,10 @@ class SweepExecutor:
                         except BrokenProcessPool as exc:
                             broken = True
                             for index in chunk:
-                                if attempts[index] <= self.retries:
-                                    self._count("sweep.retries")
-                                    # Crash retries back off like any other
-                                    # transient failure: a point that keeps
-                                    # killing its worker should not hammer
-                                    # the freshly respawned pool.
-                                    retry_at.append((
-                                        time.monotonic()
-                                        + self.backoff * (2 ** (attempts[index] - 1)),
-                                        index,
-                                    ))
-                                else:
-                                    finish(
-                                        index,
-                                        SweepPointError(
-                                            grid[index], "crash", type(exc).__name__,
-                                            str(exc) or "worker process died",
-                                            attempts[index],
-                                        ),
-                                    )
+                                retry_or_fail(
+                                    index, "crash", type(exc).__name__,
+                                    str(exc) or "worker process died",
+                                )
                         except pickle.PicklingError as exc:
                             raise _PoolUnavailable(
                                 f"sweep payload does not pickle: {exc}", outcomes
@@ -929,50 +873,12 @@ class SweepExecutor:
                                     attempts[index] -= 1
                                     todo.append(index)
                             else:
-                                index = chunk[0]
-                                if attempts[index] <= self.retries:
-                                    self._count("sweep.retries")
-                                    retry_at.append((
-                                        time.monotonic()
-                                        + self.backoff * (2 ** (attempts[index] - 1)),
-                                        index,
-                                    ))
-                                else:
-                                    error = SweepPointError(
-                                        grid[index], "error", type(exc).__name__,
-                                        str(exc), attempts[index],
-                                    )
-                                    if fail_fast:
-                                        for other in pending:
-                                            other.cancel()
-                                        raise AnalysisError(
-                                            f"sweep point {grid[index]} failed after "
-                                            f"{attempts[index]} attempts: {exc}"
-                                        ) from exc
-                                    finish(index, error, time.monotonic() - submitted)
-                        else:
-                            seconds = (time.monotonic() - submitted) / len(chunk)
-                            for index, result in zip(chunk, results):
-                                if result[0] == "ok":
-                                    ever_completed = True
-                                    finish(index, result[1], seconds)
-                                    continue
-                                _, error_type, message = result
-                                if fail_fast:
-                                    for other in pending:
-                                        other.cancel()
-                                    raise AnalysisError(
-                                        f"sweep point {grid[index]} failed: "
-                                        f"{message}"
-                                    )
-                                finish(
-                                    index,
-                                    SweepPointError(
-                                        grid[index], "error", error_type,
-                                        message, attempts[index],
-                                    ),
-                                    seconds,
+                                retry_or_fail(
+                                    chunk[0], "error", type(exc).__name__,
+                                    str(exc), time.monotonic() - submitted,
                                 )
+                        else:
+                            deliver(chunk, results, submitted)
                 # A broken pool poisons every in-flight future: drain them,
                 # respawn, and resubmit only the unfinished points.
                 if broken:
@@ -988,43 +894,13 @@ class SweepExecutor:
                             and not future.cancelled()
                             and future.exception() is None
                         ):
-                            seconds = (time.monotonic() - submitted) / len(chunk)
-                            for index, result in zip(chunk, future.result()):
-                                if result[0] == "ok":
-                                    ever_completed = True
-                                    finish(index, result[1], seconds)
-                                    continue
-                                _, error_type, message = result
-                                if fail_fast:
-                                    raise AnalysisError(
-                                        f"sweep point {grid[index]} failed: "
-                                        f"{message}"
-                                    )
-                                finish(
-                                    index,
-                                    SweepPointError(
-                                        grid[index], "error", error_type,
-                                        message, attempts[index],
-                                    ),
-                                    seconds,
-                                )
+                            deliver(chunk, future.result(), submitted)
                             continue
                         for index in chunk:
-                            if attempts[index] <= self.retries:
-                                self._count("sweep.retries")
-                                retry_at.append((
-                                    time.monotonic()
-                                    + self.backoff * (2 ** (attempts[index] - 1)),
-                                    index,
-                                ))
-                            else:
-                                finish(
-                                    index,
-                                    SweepPointError(
-                                        grid[index], "crash", "BrokenProcessPool",
-                                        "worker process died", attempts[index],
-                                    ),
-                                )
+                            retry_or_fail(
+                                index, "crash", "BrokenProcessPool",
+                                "worker process died",
+                            )
                     if respawns > self.max_respawns:
                         if not ever_completed:
                             # The pool never produced a single result:
@@ -1069,3 +945,122 @@ class SweepExecutor:
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         return outcomes
+
+
+#: ``store.get`` default marking a miss (a stored point is never this).
+_ABSENT = object()
+
+
+def _unpooled(outcome: Any) -> Any:
+    return outcome.point if isinstance(outcome, PooledPoint) else outcome
+
+
+def sweep_points(
+    pipeline,
+    points: Sequence[Any],
+    executor: SweepExecutor,
+    cancel: CancelToken | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
+) -> list:
+    """The pass pipeline's ``local.point`` at every point, in grid order.
+
+    The one evaluation path for a batch of local-view points:
+    ``Session.sweep`` and the tuner both come here.  *points* holds one
+    :class:`~repro.passes.base.PassContext` per grid point, each over the
+    program that point evaluates; *pipeline* owns the store.
+
+    1. A point whose ``local.point`` is stored is answered from the store.
+    2. A point whose capacity-independent ``local.analytic`` product is
+       stored only classifies: it is evaluated here, in process, so the
+       executor (and its adaptive probe) sees only points that need the
+       engine.
+    3. The rest go to *executor*.  It evaluates in process through
+       *pipeline*, or ships each point's program to its workers.
+    4. A pooled point's ``local.analytic`` product and the point itself
+       enter the store (and through it any disk tier), so a pooled sweep
+       leaves the store as a serial one would.
+
+    Returns one outcome per point: the evaluated point or a
+    :class:`SweepPointError`.  *on_result* is called as
+    ``on_result(index, outcome)`` as each point finishes, including
+    points served from the store.  Spans (``sweep``, ``fanout``,
+    ``merge``) and counters go to *executor*'s tracer and metrics.
+    """
+    store = pipeline.store
+    count = executor._count
+    out: list[Any] = [None] * len(points)
+
+    def deliver(index: int, outcome: Any) -> None:
+        out[index] = outcome
+        if on_result is not None:
+            on_result(index, outcome)
+
+    def evaluate(ctx) -> Any:
+        # The point's ``seconds`` count from here, not from when it was keyed.
+        ctx.created_at = perf_counter()
+        return pipeline.run("local.point", ctx)
+
+    with maybe_span(executor.tracer, "sweep") as span:
+        span.set(points=len(points))
+        # Content-addressed: embeds the graph/descriptor fingerprints, so
+        # an in-place transform can never serve a stale point.
+        keys = [pipeline.key("local.point", ctx) for ctx in points]
+        missing: list[int] = []
+        for index, key in enumerate(keys):
+            point = store.get(key, _ABSENT)
+            if point is _ABSENT:
+                missing.append(index)
+            else:
+                deliver(index, point)
+        count("sweep.cache_hits", len(points) - len(missing))
+        dispatched: list[int] = []
+        for index in missing:
+            ctx = points[index]
+            if not store.contains(pipeline.key("local.analytic", ctx)):
+                dispatched.append(index)
+                continue
+            if cancel is not None and cancel.cancelled:
+                outcome = SweepPointError(
+                    ctx.env, "cancelled", None, cancel.message(), 0
+                )
+                count("sweep.cancelled")
+            else:
+                try:
+                    outcome = evaluate(ctx)
+                except Exception as exc:  # noqa: BLE001 — fault barrier, as in the executor
+                    outcome = SweepPointError(
+                        ctx.env, "error", type(exc).__name__, str(exc), 1
+                    )
+                    count("sweep.failed")
+                else:
+                    count("sweep.classified")
+            deliver(index, outcome)
+        if dispatched:
+            forward = None
+            if on_result is not None:
+                # Executor indices address the dispatched subgrid; remap
+                # them to full-grid order for the caller.
+                forward = lambda sub, outcome: on_result(  # noqa: E731
+                    dispatched[sub], _unpooled(outcome)
+                )
+            with maybe_span(executor.tracer, "fanout"):
+                run = executor.run(
+                    [points[index] for index in dispatched], evaluate,
+                    cancel=cancel, on_result=forward,
+                )
+            with maybe_span(executor.tracer, "merge"):
+                for index, outcome in zip(dispatched, run.outcomes):
+                    if isinstance(outcome, PooledPoint):
+                        key = pipeline.key("local.analytic", points[index])
+                        if not store.contains(key):
+                            store.put(key, outcome.analytic)
+                    out[index] = outcome = _unpooled(outcome)
+                    if isinstance(outcome, SweepPointError):
+                        continue
+                    # Pool-evaluated points enter the store here; in-process
+                    # ones are already there unless the LRU evicted them.
+                    if not store.contains(keys[index]):
+                        store.put(keys[index], outcome)
+        if executor.metrics is not None:
+            executor.metrics.gauge("cache.entries").set(len(store))
+    return out

@@ -7,15 +7,11 @@ re-evaluating symbolic expressions with the new values".  A
 (or more) parameters and collect how a metric responds, exposing which
 input parameters dominate performance.
 
-:func:`sweep_local_views` extends the what-if loop to the *local* view:
-every point of a parameter grid runs the pass pipeline's ``local.point``
-product (analytic locality → miss classification → physical movement)
-and yields a :class:`LocalSweepPoint`.  Points are
-independent, so the sweep fans out over worker processes via the
-fault-tolerant :class:`~repro.analysis.executor.SweepExecutor` (the SDFG
-travels as its JSON serialization, each worker deserializes once); the
-serial path (``workers<=1`` and the narrow pool-cannot-spawn fallback)
-runs the same passes in process.
+The what-if loop extends to the *local* view: ``Session.sweep`` runs the
+pass pipeline's ``local.point`` product (analytic locality → miss
+classification → physical movement) at every point of a
+:func:`parameter_grid` and yields one :class:`LocalSweepPoint` per point,
+through :func:`~repro.analysis.executor.sweep_points`.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ __all__ = [
     "SweepResult",
     "LocalSweepPoint",
     "parameter_grid",
-    "sweep_local_views",
 ]
 
 K = TypeVar("K", bound=Hashable)
@@ -314,55 +309,3 @@ class LocalSweepPoint:
             f"LocalSweepPoint({self.params}, accesses={self.total_accesses}, "
             f"misses={self.total_misses}, moved={self.total_moved_bytes}B)"
         )
-
-
-def sweep_local_views(
-    sdfg,
-    grid: Sequence[Mapping[str, int]],
-    workers: int | None = None,
-    line_size: int = 64,
-    capacity_lines: int = 512,
-    include_transients: bool = False,
-    tracer=None,
-    metrics=None,
-    adaptive: bool = False,
-    batch: int | None = None,
-) -> list[LocalSweepPoint]:
-    """Evaluate the local-view pipeline at every point of *grid*.
-
-    With ``workers > 1`` the points fan out over a worker-process pool
-    managed by :class:`~repro.analysis.executor.SweepExecutor` (the SDFG
-    is shipped as JSON and deserialized once per worker); the result
-    order always matches *grid*.  With ``adaptive=True`` the executor
-    first times one point serially and only spawns the pool when the
-    measured cost predicts a wall-clock win.
-
-    Error-handling contract: only the narrow "pool cannot be spawned"
-    case (no fork/spawn support, unpicklable payload, or a pool that
-    dies before producing a single result) falls back to serial
-    evaluation.  A deterministic library error at one point — e.g. an
-    :class:`~repro.errors.AnalysisError` from the pipeline — propagates
-    immediately as :class:`~repro.errors.AnalysisError` naming the
-    failing point's parameters; completed points are never re-run.  For
-    partial results with structured per-point error records, use
-    :class:`~repro.analysis.executor.SweepExecutor` (or
-    ``Session.sweep(on_error="record")``) directly.
-    """
-    from repro.analysis.executor import SweepExecutor
-
-    executor = SweepExecutor(
-        workers=None if workers is None or workers <= 1 else workers,
-        tracer=tracer,
-        metrics=metrics,
-        adaptive=adaptive,
-        batch=batch,
-    )
-    run = executor.run(
-        sdfg,
-        grid,
-        line_size=line_size,
-        capacity_lines=capacity_lines,
-        include_transients=include_transients,
-        fail_fast=True,
-    )
-    return run.points

@@ -80,8 +80,8 @@ class AnalyticPass(Pass):
 
     ``capacity`` is deliberately *not* a key component: the product
     carries full histograms, so a capacity re-sweep reuses it.  That
-    holds for pooled sweeps too: the workers of ``Session.sweep`` return
-    the product with each point, and the session stores it under this
+    holds for pooled sweeps and tunes too: pool workers return the
+    product with each point, and ``sweep_points`` stores it under this
     pass's key.  An engine error propagates like any pass error.
     """
 

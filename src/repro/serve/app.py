@@ -41,7 +41,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Awaitable, Callable, Mapping
+from typing import Any, Awaitable, Callable, Iterable, Mapping
 
 from repro.analysis.executor import CancelToken, SweepPointError
 from repro.errors import ReproError
@@ -84,26 +84,45 @@ def _etag(key: Any) -> str:
     return f'"{digest[:32]}"'
 
 
+def _require_symbols(
+    names: Iterable[str],
+    symbols: frozenset[str],
+    what: str,
+    options: frozenset[str] = frozenset(),
+) -> None:
+    """400 naming the first of *names* that is not a program symbol.
+
+    A misspelt or unsupported name is rejected instead of silently
+    ignored or, worse, keyed: a sweep axis that names no symbol would
+    store one computation under many keys.  *what* says where the name
+    came from; *options* lists the names the endpoint reads itself.
+    """
+    for name in names:
+        if name not in symbols:
+            endpoint = (
+                f"not an option of this endpoint {sorted(options)} nor "
+                if options else "not "
+            )
+            raise HttpError(
+                400,
+                f"unknown {what} {name!r}: {endpoint}a program symbol "
+                f"{sorted(symbols)}",
+            )
+
+
 def _parse_symbols(
     query: Mapping[str, str], options: frozenset[str], symbols: frozenset[str]
 ) -> dict[str, int]:
     """Symbol assignments from query parameters.
 
     *options* are the names the endpoint reads itself; every other name
-    must be one of the program's *symbols*, so a misspelt or unsupported
-    parameter is a 400 instead of a silently ignored one.
+    must be one of the program's *symbols* (:func:`_require_symbols`).
     """
     out: dict[str, int] = {}
     for name, value in query.items():
         if name in options:
             continue
-        if name not in symbols:
-            raise HttpError(
-                400,
-                f"unknown query parameter {name!r}: not an option of this "
-                f"endpoint {sorted(options)} nor a program symbol "
-                f"{sorted(symbols)}",
-            )
+        _require_symbols((name,), symbols, "query parameter", options)
         try:
             out[name] = int(value)
         except ValueError:
@@ -697,8 +716,13 @@ class AnalysisServer:
             raise HttpError(400, "grid expands to zero points")
         if points > 10_000:
             raise HttpError(422, f"grid expands to {points} points (max 10000)")
-        line_size = int(body.get("line_size", 64))
-        capacity = int(body.get("capacity", 512))
+        names = grid if isinstance(grid, dict) else (n for p in grid for n in p)
+        _require_symbols(names, self._symbols, "grid parameter")
+        try:
+            line_size = int(body.get("line_size", 64))
+            capacity = int(body.get("capacity", 512))
+        except (TypeError, ValueError):
+            raise HttpError(400, "line_size and capacity must be integers") from None
         if line_size <= 0 or capacity <= 0:
             raise HttpError(400, "line_size and capacity must be positive")
         deadline = _deadline_from_body(body, request.deadline)
@@ -828,6 +852,7 @@ class AnalysisServer:
             raise HttpError(400, "params must map symbols to integers") from None
         if not params:
             raise HttpError(400, "params must assign at least one symbol")
+        _require_symbols(params, self._symbols, "tune parameter")
         transforms = body.get("transforms")
         if transforms is not None and (
             not isinstance(transforms, list)

@@ -20,18 +20,16 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.analysis import ParameterSweep
 from repro.analysis.executor import (
     CancelToken,
-    PooledPoint,
     SweepExecutor,
-    SweepPointError,
     SweepRun,
-    _worker_evaluate_shipping,
+    sweep_points,
 )
 from repro.analysis.parametric import (
     LocalSweepPoint,
     parameter_grid,
 )
 from repro.analysis.timing import maybe_span
-from repro.errors import AnalysisError, ReproError
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry, Tracer
 from repro.frontend.program import Program
 from repro.passes import (
@@ -272,8 +270,11 @@ class Session:
 
         *params_grid* is either a mapping of per-parameter value lists
         (expanded to their cross product) or an explicit sequence of
-        parameter points.  With ``workers > 1``, unevaluated points fan
-        out over worker processes via the fault-tolerant
+        parameter points.  The grid takes
+        :func:`~repro.analysis.executor.sweep_points`, the one path of
+        every batch of local-view points (the tuner's too): with
+        ``workers > 1``, points that need the analytic engine fan out over
+        worker processes via the fault-tolerant
         :class:`~repro.analysis.executor.SweepExecutor`; results always
         come back in grid order.  Every successfully evaluated point is
         a ``local.point`` entry of the session store (memory, then disk
@@ -326,140 +327,37 @@ class Session:
         else:
             grid = [dict(point) for point in params_grid]
 
-        base: PassContext | None = None
-
-        def ctx_of(params: Mapping[str, int]) -> PassContext:
+        points: list[PassContext] = []
+        for params in grid:
             # All points share the graph fingerprints; only ``env`` differs.
-            nonlocal base
             ctx = self.point_context(
                 params,
                 line_size=line_size,
                 capacity_lines=capacity_lines,
                 include_transients=include_transients,
-                base=base,
+                base=points[0] if points else None,
             )
-            if base is None:
-                base = ctx
-            return ctx
-
-        def evaluate_inproc(
-            sdfg, params, line_size, capacity_lines, include_transients
-        ) -> LocalSweepPoint:
-            # A fresh context: the point's ``seconds`` count from its
-            # creation, so the lookup contexts below cannot be reused.
-            return self.pipeline.run("local.point", ctx_of(params))
-
-        def unpooled(outcome: Any) -> Any:
-            return outcome.point if isinstance(outcome, PooledPoint) else outcome
-
-        out: list[LocalSweepPoint | SweepPointError | None] = [None] * len(grid)
-        with self.tracer.span("sweep", points=len(grid)):
-            # Content-addressed: embeds the graph/descriptor fingerprints,
-            # so an in-place transform can never serve a stale point.  Each
-            # context is keyed as it is made, so the first one's graph
+            # Keyed as it is made, so the first context's graph
             # fingerprints are there for the rest to adopt.
-            ctxs: list[PassContext] = []
-            keys: list[tuple] = []
-            for params in grid:
-                ctxs.append(ctx_of(params))
-                keys.append(self.pipeline.key("local.point", ctxs[-1]))
-            missing: list[int] = []
-            for index, key in enumerate(keys):
-                point = self.store.get(key)
-                if ResultStore.is_miss(point):
-                    missing.append(index)
-                else:
-                    out[index] = point
-                    if on_result is not None:
-                        on_result(index, point)
-            self.metrics.counter("sweep.cache_hits").inc(len(grid) - len(missing))
-            # A point whose capacity-independent analytic product is stored
-            # only classifies: answer it here, like a store hit, so the
-            # executor (and its adaptive probe) sees only points that need
-            # the engine.
-            dispatched: list[int] = []
-            for index in missing:
-                if not self.store.contains(
-                    self.pipeline.key("local.analytic", ctxs[index])
-                ):
-                    dispatched.append(index)
-                    continue
-                if cancel is not None and cancel.cancelled:
-                    outcome = SweepPointError(
-                        grid[index], "cancelled", None, cancel.message(), 0
-                    )
-                    self.metrics.counter("sweep.cancelled").inc()
-                else:
-                    try:
-                        outcome = self.pipeline.run(
-                            "local.point", ctx_of(grid[index])
-                        )
-                    except Exception as exc:  # noqa: BLE001 — fault barrier, as in the executor
-                        outcome = SweepPointError(
-                            grid[index], "error", type(exc).__name__, str(exc), 1
-                        )
-                        self.metrics.counter("sweep.failed").inc()
-                    else:
-                        self.metrics.counter("sweep.classified").inc()
-                out[index] = outcome
-                if on_result is not None:
-                    on_result(index, outcome)
-            if dispatched:
-                executor = SweepExecutor(
-                    workers=None if workers is None or workers <= 1 else workers,
-                    retries=retries,
-                    timeout=timeout,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                    point_fn=_worker_evaluate_shipping,
-                    serial_fn=evaluate_inproc,
-                    adaptive=adaptive,
-                    batch=batch,
-                    breaker=self.pool_breaker,
-                )
-                forward = None
-                if on_result is not None:
-                    # Executor indices address the dispatched subgrid;
-                    # remap them to full-grid order for the caller.
-                    forward = lambda sub, outcome: on_result(  # noqa: E731
-                        dispatched[sub], unpooled(outcome)
-                    )
-                with maybe_span(self.tracer, "fanout"):
-                    run = executor.run(
-                        self.sdfg,
-                        [grid[index] for index in dispatched],
-                        line_size=line_size,
-                        capacity_lines=capacity_lines,
-                        include_transients=include_transients,
-                        cancel=cancel,
-                        on_result=forward,
-                    )
-                with maybe_span(self.tracer, "merge"):
-                    for index, outcome in zip(dispatched, run.outcomes):
-                        if isinstance(outcome, PooledPoint):
-                            # The worker's analytic product enters the store
-                            # as a serial sweep would have left it.
-                            key = self.pipeline.key("local.analytic", ctxs[index])
-                            if not self.store.contains(key):
-                                self.store.put(key, outcome.analytic)
-                        out[index] = outcome = unpooled(outcome)
-                        if isinstance(outcome, SweepPointError):
-                            continue
-                        # Pool-evaluated points enter the store here, and
-                        # through it the disk tier; in-process ones are
-                        # already there.
-                        if not self.store.contains(keys[index]):
-                            self.store.put(keys[index], outcome)
-            self.metrics.gauge("cache.entries").set(len(self.store))
+            self.pipeline.key("local.point", ctx)
+            points.append(ctx)
+        executor = SweepExecutor(
+            workers=None if workers is None or workers <= 1 else workers,
+            retries=retries,
+            timeout=timeout,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            adaptive=adaptive,
+            batch=batch,
+            breaker=self.pool_breaker,
+        )
+        run = SweepRun(grid, sweep_points(
+            self.pipeline, points, executor, cancel=cancel, on_result=on_result
+        ))
         if on_error == "record":
-            return SweepRun(grid, out)
-        for outcome in out:
-            if isinstance(outcome, SweepPointError):
-                raise AnalysisError(
-                    f"sweep point {outcome.params} failed "
-                    f"({outcome.kind}): {outcome.message}"
-                )
-        return out  # type: ignore[return-value]
+            return run
+        run.raise_on_error()
+        return run.points  # type: ignore[return-value]
 
     def apply(self, transform: Any, *args, **kwargs) -> TransformReport:
         """Apply a transformation and report what it modified.

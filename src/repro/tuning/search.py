@@ -11,14 +11,17 @@ The search explores sequences of content-keyed transform matches
   then B vs. B then A) are explored once.  Each child's states are hashed
   once: the fingerprint composes from those digests, and the child's
   scoring context adopts them;
-- **scoring** — children are evaluated through the *shared* session
-  pipeline via the fault-tolerant
-  :class:`~repro.analysis.executor.SweepExecutor` (parallel across
-  candidates when *workers* is set); the objective is modeled physical
-  movement at the given parameter point, so layout-only children re-score
-  almost free (the logical-keyed simulation trace is a pipeline cache
-  hit).  Ops are counted once per search, on the baseline: every
-  transform preserves them;
+- **scoring** — each round's children are one batch of points on
+  :func:`~repro.analysis.executor.sweep_points`, the path
+  ``Session.sweep`` takes: a child stored in the shared session store is
+  answered from it, the rest run through the shared pipeline or, when
+  *workers* is set, on a process pool whose tasks carry only their own
+  children's programs and ship each child's analytic product home to
+  the store.  The objective is modeled physical movement at the given
+  parameter point, so layout-only children re-score almost free (the
+  logical-keyed simulation trace is a pipeline cache hit).  Ops are
+  counted once per search, on the baseline: every transform preserves
+  them;
 - **selection** — the best *beam* children (fewest moved bytes) form the
   next frontier; the search runs until *depth* rounds, the evaluation
   *budget*, the wall-clock *timeout*, or a frontier with no new children.
@@ -37,7 +40,12 @@ import time
 from contextlib import nullcontext
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.analysis.executor import CancelToken, SweepExecutor, SweepPointError
+from repro.analysis.executor import (
+    CancelToken,
+    SweepExecutor,
+    SweepPointError,
+    sweep_points,
+)
 from repro.errors import TransformError, TuningError
 from repro.resilience.deadline import Deadline
 from repro.passes import PassContext, Pipeline, build_pipeline
@@ -47,10 +55,7 @@ from repro.transforms.protocol import Match, Transform, resolve_transforms
 from repro.transforms.report import TransformReport
 from repro.tuning.objective import CandidateScore, MovementObjective
 
-__all__ = ["Candidate", "TuningResult", "TuningSearch", "VARIANT_KEY"]
-
-#: Synthetic grid key carrying the candidate index through the executor.
-VARIANT_KEY = "__variant__"
+__all__ = ["Candidate", "TuningResult", "TuningSearch"]
 
 
 class Candidate:
@@ -157,31 +162,6 @@ class TuningResult:
         )
 
 
-class _VariantPointFn:
-    """Picklable pool-side evaluator: variant marker -> serialized SDFG.
-
-    Worker processes cannot share the session pipeline, so each call
-    hands its variant's text to the executor's default worker entry
-    point, which runs the same ``local.point`` passes on a fresh store
-    (and keeps the deserialized variant for repeat calls).
-    """
-
-    def __init__(self, texts: dict[int, str]):
-        self.texts = texts
-
-    def __call__(
-        self, _sdfg_text, params, line_size, capacity_lines, include_transients
-    ):
-        from repro.analysis.executor import _worker_evaluate
-
-        params = dict(params)
-        index = int(params.pop(VARIANT_KEY))
-        return _worker_evaluate(
-            self.texts[index], params, line_size, capacity_lines,
-            include_transients,
-        )
-
-
 class TuningSearch:
     """Beam search over transform sequences on one program.
 
@@ -203,9 +183,10 @@ class TuningSearch:
     timeout:
         Overall wall-clock budget in seconds (``None`` disables).
     workers:
-        Fan candidate evaluation out over a process pool when > 1; the
-        in-process path (default) scores through the shared pipeline and
-        benefits from cross-candidate pass caching.
+        Fan candidate evaluation out over a process pool when > 1 (its
+        workers ship each child's analytic product home to the shared
+        store); the in-process path (default) scores through the shared
+        pipeline and benefits from cross-candidate pass caching.
     pipeline:
         The session's incremental pipeline; a private one is built when
         absent (standalone use).
@@ -274,11 +255,6 @@ class TuningSearch:
             timings=self.tracer,
             metrics=self.metrics,
         )
-        self._cfg = {
-            "line_size": line_size,
-            "capacity_lines": capacity_lines,
-            "include_transients": include_transients,
-        }
 
     # -- observability helpers ------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
@@ -488,61 +464,30 @@ class TuningSearch:
     def _evaluate(
         self, children: list[Candidate], ops: float, cancel: CancelToken | None
     ) -> list[Candidate]:
-        """Score *children* via the sweep executor; returns the scored ones.
+        """Score *children* as one sweep batch; returns the scored ones.
 
-        The executor sees one synthetic grid point per candidate; the
-        in-process path evaluates through the shared pipeline (pass-cache
-        reuse across variants), the pool path ships each variant's
-        serialized text to the workers.  Every score carries *ops*, the
+        Each child's scoring context adopts the graph fingerprints of the
+        context it was deduplicated on.  Every score carries *ops*, the
         search's one operation count.
         """
-        grid = [
-            {**self.params, VARIANT_KEY: index}
-            for index in range(len(children))
-        ]
-        variants = [child.sdfg for child in children]
-
-        def serial_fn(
-            _sdfg, point_params, line_size, capacity_lines, include_transients
-        ):
-            point_params = dict(point_params)
-            index = int(point_params.pop(VARIANT_KEY))
-            ctx = PassContext(
-                variants[index],
-                state=None,
-                env=point_params,
-                line_size=line_size,
-                capacity_lines=capacity_lines,
-                include_transients=include_transients,
-                scope=self.scope,
-                timings=self.tracer,
-                metrics=self.metrics,
-            )
-            ctx.adopt_components(children[index].context)
-            return self.pipeline.run("local.point", ctx)
-
-        use_pool = self.workers is not None and self.workers > 1
-        point_fn = None
-        if use_pool:
-            from repro.sdfg.serialize import dumps
-
-            point_fn = _VariantPointFn({
-                index: dumps(variant, indent=None)
-                for index, variant in enumerate(variants)
-            })
+        points = []
+        for child in children:
+            ctx = self.objective.context(child.sdfg)
+            ctx.adopt_components(child.context)
+            points.append(ctx)
         executor = SweepExecutor(
-            workers=self.workers if use_pool else None,
+            workers=(
+                self.workers
+                if self.workers is not None and self.workers > 1
+                else None
+            ),
             retries=1,
             tracer=self.tracer,
             metrics=self.metrics,
-            point_fn=point_fn,
-            serial_fn=serial_fn,
         )
-        run = executor.run(
-            self.sdfg, grid, cancel=cancel, **self._cfg
-        )
+        outcomes = sweep_points(self.pipeline, points, executor, cancel=cancel)
         scored: list[Candidate] = []
-        for child, outcome in zip(children, run.outcomes):
+        for child, outcome in zip(children, outcomes):
             if isinstance(outcome, SweepPointError):
                 self._count("tuning.candidates.failed")
                 continue

@@ -13,9 +13,11 @@ import time
 
 import pytest
 
+import repro.analysis.executor as executor_module
 from repro.analysis.executor import SweepExecutor
 from repro.apps import hdiff
 from repro.obs import MetricsRegistry, Tracer
+from tests.analysis.grid_points import grid_points, in_process
 
 
 @pytest.fixture(scope="module")
@@ -32,61 +34,69 @@ def _sleepy_point(sdfg_text, params, *cfg):
     return dict(params)
 
 
+def pin(monkeypatch, cores, pool_overhead=0.5):
+    """Fix the cost model's core count and pool overhead."""
+    monkeypatch.setattr(executor_module, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(executor_module, "POOL_OVERHEAD", pool_overhead)
+
+
 class TestChoosePool:
-    """Unit tests of the cost model, with injected cores and overhead."""
+    """Unit tests of the cost model, with pinned cores and overhead."""
 
-    def make(self, workers=4, cores=4, pool_overhead=0.5):
-        return SweepExecutor(
-            workers=workers, adaptive=True, cores=cores, pool_overhead=pool_overhead
-        )
+    @staticmethod
+    def make(monkeypatch, workers=4, cores=4, pool_overhead=0.5):
+        pin(monkeypatch, cores, pool_overhead)
+        return SweepExecutor(workers=workers, adaptive=True)
 
-    def test_expensive_points_choose_pool(self):
+    def test_expensive_points_choose_pool(self, monkeypatch):
         # serial: 4 x 1s = 4s; pool: 0.5 + ceil(4/4) x 1s = 1.5s.
-        assert self.make()._choose_pool(1.0, remaining=4) is True
+        assert self.make(monkeypatch)._choose_pool(1.0, remaining=4) is True
 
-    def test_cheap_points_stay_serial(self):
+    def test_cheap_points_stay_serial(self, monkeypatch):
         # serial: 4 x 10ms = 40ms; pool overhead alone is 0.5s.
-        assert self.make()._choose_pool(0.01, remaining=4) is False
+        assert self.make(monkeypatch)._choose_pool(0.01, remaining=4) is False
 
-    def test_single_core_never_pools(self):
-        assert self.make(cores=1)._choose_pool(10.0, remaining=100) is False
+    def test_single_core_never_pools(self, monkeypatch):
+        executor = self.make(monkeypatch, cores=1)
+        assert executor._choose_pool(10.0, remaining=100) is False
 
-    def test_single_worker_never_pools(self):
-        assert self.make(workers=1)._choose_pool(10.0, remaining=100) is False
+    def test_single_worker_never_pools(self, monkeypatch):
+        executor = self.make(monkeypatch, workers=1)
+        assert executor._choose_pool(10.0, remaining=100) is False
 
-    def test_no_remaining_points_never_pools(self):
-        assert self.make()._choose_pool(10.0, remaining=0) is False
+    def test_no_remaining_points_never_pools(self, monkeypatch):
+        assert self.make(monkeypatch)._choose_pool(10.0, remaining=0) is False
 
     def test_default_cores_follow_the_affinity_mask(self, monkeypatch):
         # A cpuset or ``taskset`` leaves this process one CPU, whatever
         # ``os.cpu_count()`` says about the host.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        executor = SweepExecutor(workers=4, adaptive=True, pool_overhead=0.5)
+        executor = SweepExecutor(workers=4, adaptive=True)
         assert executor._choose_pool(10.0, remaining=100) is False
 
-    def test_effective_workers_capped_by_remaining(self):
+    def test_effective_workers_capped_by_remaining(self, monkeypatch):
         # 2 remaining on 8 workers: pool = 0.5 + 1s, serial = 2s -> pool;
         # with a 2s overhead the pool can no longer win.
-        assert self.make(workers=8)._choose_pool(1.0, remaining=2) is True
-        assert self.make(workers=8, pool_overhead=2.0)._choose_pool(
-            1.0, remaining=2
-        ) is False
+        executor = self.make(monkeypatch, workers=8)
+        assert executor._choose_pool(1.0, remaining=2) is True
+        executor = self.make(monkeypatch, workers=8, pool_overhead=2.0)
+        assert executor._choose_pool(1.0, remaining=2) is False
 
 
 class TestAdaptiveRuns:
-    def test_cheap_grid_never_spawns_a_pool(self, sdfg):
+    def test_cheap_grid_never_spawns_a_pool(self, sdfg, monkeypatch):
+        monkeypatch.setattr(executor_module, "_usable_cores", lambda: 4)
         metrics = MetricsRegistry()
         tracer = Tracer()
         executor = SweepExecutor(
             workers=4,
             adaptive=True,
-            cores=4,
             point_fn=_echo_point,
             metrics=metrics,
             tracer=tracer,
         )
         grid = [{"idx": i} for i in range(8)]
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_echo_point))
         assert run.points == grid  # order preserved, probe included
         counters = metrics.to_dict()["counters"]
         assert counters.get("sweep.pool_spawns", 0) == 0
@@ -96,20 +106,19 @@ class TestAdaptiveRuns:
         assert root.attributes["adaptive"] == "serial"
         assert metrics.gauge("sweep.adaptive.point_seconds").value >= 0.0
 
-    def test_expensive_grid_spawns_a_pool(self, sdfg):
+    def test_expensive_grid_spawns_a_pool(self, sdfg, monkeypatch):
+        pin(monkeypatch, cores=2, pool_overhead=0.05)
         metrics = MetricsRegistry()
         tracer = Tracer()
         executor = SweepExecutor(
             workers=2,
             adaptive=True,
-            cores=2,
-            pool_overhead=0.05,
             point_fn=_sleepy_point,
             metrics=metrics,
             tracer=tracer,
         )
         grid = [{"idx": i, "sleep": 0.3} for i in range(3)]
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_sleepy_point))
         assert [p["idx"] for p in run.points] == [0, 1, 2]
         counters = metrics.to_dict()["counters"]
         assert counters["sweep.adaptive.pool_chosen"] == 1
@@ -123,7 +132,7 @@ class TestAdaptiveRuns:
             workers=2, point_fn=_echo_point, metrics=metrics
         )
         grid = [{"idx": i} for i in range(4)]
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_echo_point))
         assert run.points == grid
         assert metrics.to_dict()["counters"]["sweep.pool_spawns"] == 1
 

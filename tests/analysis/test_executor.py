@@ -19,10 +19,12 @@ from repro.analysis.executor import (
     SweepPointError,
     SweepRun,
 )
-from repro.analysis.parametric import parameter_grid, sweep_local_views
+from repro.analysis.parametric import parameter_grid
 from repro.apps import hdiff
 from repro.errors import AnalysisError, SimulationError
 from repro.obs import MetricsRegistry, Tracer
+from repro.tool.session import Session
+from tests.analysis.grid_points import grid_points, in_process
 
 GRID = [{"idx": i} for i in range(4)]
 
@@ -115,8 +117,8 @@ class TestSerialExecution:
     def test_partial_results_with_poisoned_point(self, sdfg):
         grid = [dict(p, poison=(p["idx"] == 2)) for p in GRID]
         metrics = MetricsRegistry()
-        executor = SweepExecutor(point_fn=_poison_point, metrics=metrics)
-        run = executor.run(sdfg, grid)
+        executor = SweepExecutor(metrics=metrics)
+        run = executor.run(grid_points(sdfg, grid), in_process(_poison_point))
         assert run.completed == 3
         [error] = run.errors
         assert error.kind == "error"
@@ -128,21 +130,13 @@ class TestSerialExecution:
         assert metrics.counter("sweep.completed").value == 3
         assert metrics.counter("sweep.retries").value == 0
 
-    def test_fail_fast_raises_naming_the_point(self, sdfg):
-        grid = [dict(p, poison=(p["idx"] == 1)) for p in GRID]
-        executor = SweepExecutor(point_fn=_poison_point)
-        with pytest.raises(AnalysisError, match="'idx': 1"):
-            executor.run(sdfg, grid, fail_fast=True)
-
     def test_transient_errors_retry_with_backoff(self, sdfg, tmp_path):
         grid = [
             dict(p, marker=str(tmp_path / f"flaky-{p['idx']}")) for p in GRID
         ]
         metrics = MetricsRegistry()
-        executor = SweepExecutor(
-            retries=2, backoff=0.001, point_fn=_flaky_point, metrics=metrics
-        )
-        run = executor.run(sdfg, grid)
+        executor = SweepExecutor(retries=2, backoff=0.001, metrics=metrics)
+        run = executor.run(grid_points(sdfg, grid), in_process(_flaky_point))
         assert run.ok
         assert metrics.counter("sweep.retries").value == len(grid)
 
@@ -150,8 +144,8 @@ class TestSerialExecution:
         def always_fails(sdfg_text, params, *cfg):
             raise OSError("permanently flaky")
 
-        executor = SweepExecutor(retries=1, backoff=0.001, point_fn=always_fails)
-        run = executor.run(sdfg, GRID[:2])
+        executor = SweepExecutor(retries=1, backoff=0.001)
+        run = executor.run(grid_points(sdfg, GRID[:2]), in_process(always_fails))
         assert [e.kind for e in run.errors] == ["error", "error"]
         assert all(e.attempts == 2 for e in run.errors)  # 1 try + 1 retry
 
@@ -161,13 +155,16 @@ class TestSerialExecution:
         def cancel_after_first(index, outcome):
             token.cancel()
 
-        executor = SweepExecutor(point_fn=_echo_point)
-        run = executor.run(sdfg, GRID, cancel=token, on_result=cancel_after_first)
+        executor = SweepExecutor()
+        run = executor.run(
+            grid_points(sdfg, GRID), in_process(_echo_point),
+            cancel=token, on_result=cancel_after_first,
+        )
         assert run.outcomes[0] == {"idx": 0}
         assert [e.kind for e in run.errors] == ["cancelled"] * 3
 
     def test_empty_grid(self, sdfg):
-        run = SweepExecutor(point_fn=_echo_point).run(sdfg, [])
+        run = SweepExecutor().run([], in_process(_echo_point))
         assert len(run) == 0 and run.ok
 
 
@@ -180,14 +177,14 @@ class TestPoolExecution:
             {"idx": i, "sleep": 0.2 if i == 0 else 0.0} for i in range(4)
         ]
         executor = SweepExecutor(workers=2, point_fn=_sleepy_point)
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_sleepy_point))
         assert run.ok
         assert [p["idx"] for p in run.points] == [0, 1, 2, 3]
 
     def test_poisoned_point_yields_partial_results(self, sdfg):
         grid = [dict(p, poison=(p["idx"] == 2)) for p in GRID]
         executor = SweepExecutor(workers=2, point_fn=_poison_point)
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_poison_point))
         assert run.completed == 3
         [error] = run.errors
         assert error.params["idx"] == 2 and error.kind == "error"
@@ -211,7 +208,7 @@ class TestPoolExecution:
             workers=1, retries=2, backoff=0.001,
             point_fn=_logged_kill_once_point, metrics=metrics,
         )
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_logged_kill_once_point))
         assert run.ok
         assert [p["idx"] for p in run.points] == [0, 1, 2, 3]
         attempts = [int(line) for line in log.read_text().split()]
@@ -230,7 +227,7 @@ class TestPoolExecution:
         executor = SweepExecutor(
             workers=2, timeout=0.25, point_fn=_sleepy_point, metrics=metrics
         )
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_sleepy_point))
         [error] = run.errors
         assert error.kind == "timeout"
         assert error.params["idx"] == 1
@@ -245,7 +242,10 @@ class TestPoolExecution:
 
         grid = [{"idx": i, "sleep": 0.05} for i in range(6)]
         executor = SweepExecutor(workers=1, point_fn=_sleepy_point)
-        run = executor.run(sdfg, grid, cancel=token, on_result=cancel_after_first)
+        run = executor.run(
+            grid_points(sdfg, grid), in_process(_sleepy_point),
+            cancel=token, on_result=cancel_after_first,
+        )
         cancelled = [e for e in run.errors if e.kind == "cancelled"]
         assert run.completed >= 1
         assert cancelled and run.completed + len(cancelled) == len(grid)
@@ -259,7 +259,7 @@ class TestPoolExecution:
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
         metrics = MetricsRegistry()
         executor = SweepExecutor(workers=4, point_fn=_echo_point, metrics=metrics)
-        run = executor.run(sdfg, GRID)
+        run = executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         assert run.ok
         assert [p["idx"] for p in run.points] == [0, 1, 2, 3]
         assert metrics.counter("sweep.serial_fallbacks").value == 1
@@ -292,7 +292,7 @@ class TestPoolExecution:
         )
         metrics = MetricsRegistry()
         executor = SweepExecutor(workers=2, point_fn=_echo_point, metrics=metrics)
-        run = executor.run(sdfg, GRID)
+        run = executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         assert run.ok
         assert [p["idx"] for p in run.points] == [0, 1, 2, 3]
         assert metrics.counter("sweep.serial_fallbacks").value == 1
@@ -304,7 +304,9 @@ class TestPoolExecution:
             raise AssertionError("a 1-point grid must not spawn a pool")
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
-        run = SweepExecutor(workers=4, point_fn=_echo_point).run(sdfg, GRID[:1])
+        run = SweepExecutor(workers=4, point_fn=_echo_point).run(
+            grid_points(sdfg, GRID[:1]), in_process(_echo_point)
+        )
         assert run.ok and run.points == [{"idx": 0}]
 
 
@@ -315,10 +317,8 @@ class TestObservability:
     def test_point_spans_and_latency_histogram(self, sdfg):
         tracer = Tracer()
         metrics = MetricsRegistry()
-        executor = SweepExecutor(
-            point_fn=_echo_point, tracer=tracer, metrics=metrics
-        )
-        executor.run(sdfg, GRID)
+        executor = SweepExecutor(tracer=tracer, metrics=metrics)
+        executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         [root] = tracer.spans("sweep.run")
         assert root.attributes["points"] == 4
         points = tracer.spans("sweep.point")
@@ -330,54 +330,100 @@ class TestObservability:
     def test_failed_point_span_records_error(self, sdfg):
         tracer = Tracer()
         grid = [dict(p, poison=(p["idx"] == 0)) for p in GRID[:2]]
-        SweepExecutor(point_fn=_poison_point, tracer=tracer).run(sdfg, grid)
+        SweepExecutor(tracer=tracer).run(
+            grid_points(sdfg, grid), in_process(_poison_point)
+        )
         failed = [s for s in tracer.spans("sweep.point") if s.status == "error"]
         assert len(failed) == 1
         assert failed[0].attributes["kind"] == "error"
         assert "bad point 0" in failed[0].error
 
 
-# -- the silent-fallback bugfix: sweep_local_views ----------------------------
+# -- the silent-fallback bugfix: Session.sweep(on_error="raise") -------------
+
+
+def _logged_engine(log, fail_at=None):
+    """``analyze_locality`` that appends each call's ``I`` to *log* (a
+    file, so forked pool workers report too) and fails at ``I == fail_at``."""
+    from repro.locality import analyze_locality
+
+    def engine(sdfg, env, *args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{env['I']}\n")
+        if env["I"] == fail_at:
+            raise SimulationError(f"injected failure at {dict(env)}")
+        return analyze_locality(sdfg, env, *args, **kwargs)
+
+    return engine
 
 
 class TestSweepLocalViewsContract:
-    def test_poisoned_grid_fails_fast_and_names_the_point(self, sdfg, monkeypatch):
-        """Regression: a library error used to silently re-run the whole
-        grid serially; now it propagates naming the failing point, and
-        evaluation stops there instead of re-running everything."""
-        from repro.analysis import executor
+    """``Session.sweep(on_error="raise")``, serial and pooled: the one
+    fail-loudly sweep.
 
-        calls = []
-        real = executor.evaluate_point
+    Regression: a library error used to silently re-run the whole grid
+    serially.  Now the sweep raises an error naming the failing point,
+    evaluates every point exactly once, and stores the good points.
+    """
 
-        def counting_poison(base, params, *args, **kwargs):
-            calls.append(dict(params))
-            if params["I"] == 4:
-                raise SimulationError(f"injected failure at {dict(params)}")
-            return real(base, params, *args, **kwargs)
+    GRID = [
+        {"I": 3, "J": 3, "K": 2},
+        {"I": 4, "J": 3},  # no K: a deterministic SimulationError
+        {"I": 5, "J": 3, "K": 2},
+    ]
 
-        monkeypatch.setattr(executor, "evaluate_point", counting_poison)
+    @staticmethod
+    def log_engine(monkeypatch, log, fail_at=None):
+        import importlib
+
+        log.touch()
+        local_passes = importlib.import_module("repro.passes.local_passes")
+        monkeypatch.setattr(
+            local_passes, "analyze_locality", _logged_engine(str(log), fail_at)
+        )
+
+    @staticmethod
+    def assert_good_points_stored(session, good):
+        runs = session.metrics.counter("pass.local.point.runs").value
+        dispatched = session.metrics.counter("sweep.points").value
+        assert session.sweep(good) is not None
+        assert session.metrics.counter("pass.local.point.runs").value == runs
+        assert session.metrics.counter("sweep.points").value == dispatched
+
+    def test_poisoned_grid_fails_fast_and_names_the_point(
+        self, sdfg, monkeypatch, tmp_path
+    ):
+        log = tmp_path / "engine.log"
+        self.log_engine(monkeypatch, log, fail_at=4)
+        session = Session(sdfg)
         grid = parameter_grid({"I": [3, 4, 5], "J": [3], "K": [2]})
         with pytest.raises(AnalysisError, match="'I': 4"):
-            sweep_local_views(sdfg, grid)
-        # Points up to and including the poisoned one ran; nothing after.
-        assert [c["I"] for c in calls] == [3, 4]
+            session.sweep(grid)
+        assert log.read_text().split() == ["3", "4", "5"]
+        self.assert_good_points_stored(session, [grid[0], grid[2]])
 
-    def test_real_pipeline_error_names_the_point(self, sdfg):
-        # The second point misses the K symbol entirely: a deterministic
-        # SimulationError, not a reason to fall back to anything.
-        grid = [{"I": 3, "J": 3, "K": 2}, {"I": 3, "J": 3}]
-        with pytest.raises(AnalysisError, match="'I': 3"):
-            sweep_local_views(sdfg, grid)
+    def test_real_pipeline_error_names_the_point(self, sdfg, monkeypatch, tmp_path):
+        log = tmp_path / "engine.log"
+        self.log_engine(monkeypatch, log)
+        session = Session(sdfg)
+        with pytest.raises(AnalysisError, match=r"\{'I': 4, 'J': 3\}"):
+            session.sweep(self.GRID)
+        assert log.read_text().split() == ["3", "4", "5"]
+        self.assert_good_points_stored(session, [self.GRID[0], self.GRID[2]])
 
-    def test_real_pipeline_error_in_pool_mode(self, sdfg):
-        grid = [
-            {"I": 3, "J": 3, "K": 2},
-            {"I": 3, "J": 3},
-            {"I": 4, "J": 3, "K": 2},
-        ]
-        with pytest.raises(AnalysisError):
-            sweep_local_views(sdfg, grid, workers=2)
+    def test_real_pipeline_error_in_pool_mode(self, sdfg, monkeypatch, tmp_path):
+        log = tmp_path / "engine.log"
+        self.log_engine(monkeypatch, log)
+        session = Session(sdfg)
+        with pytest.raises(AnalysisError, match=r"\{'I': 4, 'J': 3\}"):
+            session.sweep(self.GRID, workers=2, adaptive=False)
+        # Every point ran once, on the pool: the grid was not re-run serially.
+        assert sorted(log.read_text().split()) == ["3", "4", "5"]
+        counters = session.metrics.to_dict()["counters"]
+        assert counters["sweep.batch.points"] == 3
+        assert counters.get("sweep.serial_fallbacks", 0) == 0
+        assert counters.get("pass.local.point.runs", 0) == 0
+        self.assert_good_points_stored(session, [self.GRID[0], self.GRID[2]])
 
 
 def _timed_kill_once_point(sdfg_text, params, *cfg):
@@ -420,7 +466,7 @@ class TestCrashRetryBackoff:
             workers=1, retries=2, backoff=backoff,
             point_fn=_timed_kill_once_point, metrics=metrics,
         )
-        run = executor.run(sdfg, grid)
+        run = executor.run(grid_points(sdfg, grid), in_process(_timed_kill_once_point))
         assert run.ok
         assert [p["idx"] for p in run.points] == [0, 1, 2]
 
@@ -454,11 +500,11 @@ class TestBatchedExecution:
         batched_metrics = MetricsRegistry()
         batched = SweepExecutor(
             workers=2, point_fn=_echo_point, metrics=batched_metrics
-        ).run(sdfg, grid)
+        ).run(grid_points(sdfg, grid), in_process(_echo_point))
         per_point_metrics = MetricsRegistry()
         per_point = SweepExecutor(
             workers=2, batch=1, point_fn=_echo_point, metrics=per_point_metrics
-        ).run(sdfg, grid)
+        ).run(grid_points(sdfg, grid), in_process(_echo_point))
         assert batched.ok and per_point.ok
         assert batched.points == per_point.points
         # 24 points / (2 workers * 4) = chunks of 3.
@@ -471,7 +517,7 @@ class TestBatchedExecution:
         metrics = MetricsRegistry()
         run = SweepExecutor(
             workers=2, batch=8, point_fn=_echo_point, metrics=metrics
-        ).run(sdfg, grid)
+        ).run(grid_points(sdfg, grid), in_process(_echo_point))
         assert run.ok
         assert metrics.counter("sweep.batch.chunks").value == 4
 
@@ -485,7 +531,7 @@ class TestBatchedExecution:
         metrics = MetricsRegistry()
         run = SweepExecutor(
             workers=2, batch=6, point_fn=_poison_point, metrics=metrics
-        ).run(sdfg, grid)
+        ).run(grid_points(sdfg, grid), in_process(_poison_point))
         assert len(run.errors) == 1
         assert run.errors[0].params["idx"] == 5
         assert run.errors[0].error_type == "AnalysisError"
@@ -501,7 +547,7 @@ class TestBatchedExecution:
         run = SweepExecutor(
             workers=2, batch=4, retries=0,
             point_fn=_brittle_point, metrics=metrics,
-        ).run(sdfg, grid)
+        ).run(grid_points(sdfg, grid), in_process(_brittle_point))
         assert metrics.counter("sweep.batch.splits").value >= 1
         assert len(run.errors) == 1
         assert run.errors[0].params["idx"] == 3
@@ -511,8 +557,8 @@ class TestBatchedExecution:
 
 
 class TestShippingWorkerEntry:
-    """``Session.sweep``'s worker entry returns the point together with
-    its capacity-independent analytic product."""
+    """The pool's one worker entry returns the point together with its
+    capacity-independent analytic product."""
 
     def test_ships_the_analytic_product(self, sdfg):
         from repro.analysis.executor import PooledPoint, _worker_evaluate_shipping

@@ -6,11 +6,7 @@ import pickle
 import pytest
 
 from repro.analysis.executor import CancelToken, SweepRun
-from repro.analysis.parametric import (
-    LocalSweepPoint,
-    parameter_grid,
-    sweep_local_views,
-)
+from repro.analysis.parametric import parameter_grid
 from repro.apps import hdiff
 from repro.errors import AnalysisError, ReproError
 from repro.simulation import (
@@ -48,9 +44,11 @@ class TestParameterGrid:
 
 
 class TestSweepLocalViews:
+    """Swept points equal the session's own views and the interpreter."""
+
     def test_serial_sweep_matches_local_view(self, sdfg):
         grid = parameter_grid(GRID_SPEC)
-        points = sweep_local_views(sdfg, grid, capacity_lines=16)
+        points = Session(sdfg).sweep(grid, capacity_lines=16)
         assert [p.params for p in points] == grid
         # Differential: each point equals the session's own pipeline.
         session = Session(sdfg)
@@ -63,14 +61,16 @@ class TestSweepLocalViews:
 
     def test_parallel_equals_serial(self, sdfg):
         grid = parameter_grid(GRID_SPEC)
-        serial = sweep_local_views(sdfg, grid, capacity_lines=16)
-        parallel = sweep_local_views(sdfg, grid, workers=4, capacity_lines=16)
+        serial = Session(sdfg).sweep(grid, capacity_lines=16)
+        parallel = Session(sdfg).sweep(
+            grid, workers=4, adaptive=False, capacity_lines=16
+        )
         assert parallel == serial
         assert [p.params for p in parallel] == grid
 
     def test_interpreter_path_agrees(self, sdfg):
         params = {"I": 3, "J": 3, "K": 2}
-        [point] = sweep_local_views(sdfg, [params])
+        [point] = Session(sdfg).sweep([params])
         # The oracle: per-event references over the interpreter's trace.
         events = simulate_state(sdfg, params, fast=False).events
         memory = MemoryModel(sdfg, params, line_size=64)
@@ -80,7 +80,7 @@ class TestSweepLocalViews:
         assert point.total_accesses == len(events)
 
     def test_point_is_picklable(self, sdfg):
-        point = sweep_local_views(sdfg, [{"I": 3, "J": 3, "K": 2}])[0]
+        point = Session(sdfg).sweep([{"I": 3, "J": 3, "K": 2}])[0]
         clone = pickle.loads(pickle.dumps(point))
         assert clone == point
         assert clone.total_misses == point.total_misses

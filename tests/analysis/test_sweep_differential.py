@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.movement import total_movement_bytes
 from repro.analysis.opcount import program_ops
-from repro.analysis.parametric import LocalSweepPoint, sweep_local_views
+from repro.analysis.parametric import LocalSweepPoint
 from repro.apps import bert, cloudsc, conv, hdiff, linalg
 from repro.simulation import CacheModel, MemoryModel, simulate_state
 from repro.simulation.arrays import build_array_trace, per_container_misses_array
@@ -59,15 +59,6 @@ def test_session_sweep_pool_equals_serial(build):
         grid, workers=2, adaptive=False, capacity_lines=16
     )
     assert pooled_session.metrics.counter("sweep.pool_spawns").value == 1
-    _assert_same(pooled, serial, grid)
-
-
-@pytest.mark.parametrize("build", APPS)
-def test_sweep_local_views_pool_equals_serial(build):
-    sdfg = build()
-    grid = _grid(sdfg)
-    serial = sweep_local_views(sdfg, grid, capacity_lines=16)
-    pooled = sweep_local_views(sdfg, grid, workers=2, capacity_lines=16)
     _assert_same(pooled, serial, grid)
 
 

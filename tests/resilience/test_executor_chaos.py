@@ -12,6 +12,7 @@ from repro.apps import hdiff
 from repro.obs import MetricsRegistry
 from repro.resilience import chaos as chaos_mod
 from repro.resilience.breaker import CircuitBreaker
+from tests.analysis.grid_points import grid_points, in_process
 
 GRID = [{"idx": i} for i in range(4)]
 
@@ -39,17 +40,15 @@ class TestEvalChaos:
         # treats it exactly like any other transient fault.
         chaos_mod.install("eval.error:times=1")
         metrics = MetricsRegistry()
-        executor = SweepExecutor(
-            retries=2, backoff=0.001, point_fn=_echo_point, metrics=metrics
-        )
-        run = executor.run(sdfg, GRID)
+        executor = SweepExecutor(retries=2, backoff=0.001, metrics=metrics)
+        run = executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         assert run.ok
         assert metrics.counter("sweep.retries").value == 1
 
     def test_exhausted_chaos_errors_become_records(self, sdfg):
         chaos_mod.install("eval.error")  # every call fails
-        executor = SweepExecutor(retries=1, backoff=0.001, point_fn=_echo_point)
-        run = executor.run(sdfg, GRID[:2])
+        executor = SweepExecutor(retries=1, backoff=0.001)
+        run = executor.run(grid_points(sdfg, GRID[:2]), in_process(_echo_point))
         assert [e.kind for e in run.errors] == ["error", "error"]
         assert all("chaos" in e.message for e in run.errors)
 
@@ -64,7 +63,7 @@ class TestPoolBreaker:
         executor = SweepExecutor(
             workers=2, point_fn=_echo_point, metrics=metrics, breaker=breaker
         )
-        run = executor.run(sdfg, GRID)
+        run = executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         assert run.ok  # degraded, not broken
         assert [p["idx"] for p in run.points] == [0, 1, 2, 3]
         assert metrics.counter("sweep.serial_fallbacks").value == 1
@@ -81,7 +80,7 @@ class TestPoolBreaker:
         executor = SweepExecutor(
             workers=2, point_fn=_echo_point, metrics=metrics, breaker=breaker
         )
-        run = executor.run(sdfg, GRID)
+        run = executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         assert run.ok
         assert metrics.counter("sweep.breaker.skipped_pool").value == 1
         assert metrics.counter("sweep.pool_spawns").value == 0
@@ -97,7 +96,8 @@ class TestPoolBreaker:
         executor = SweepExecutor(
             workers=2, point_fn=_echo_point, metrics=metrics, breaker=breaker
         )
-        run = executor.run(sdfg, GRID)  # the half-open probe, and it works
+        # The half-open probe, and it works.
+        run = executor.run(grid_points(sdfg, GRID), in_process(_echo_point))
         assert run.ok
         assert metrics.counter("sweep.pool_spawns").value == 1
         assert breaker.state == "closed"
@@ -121,9 +121,35 @@ class TestWorkerKillChaos:
             workers=1, retries=1, backoff=0.001, max_respawns=1,
             point_fn=_echo_point, metrics=metrics, breaker=breaker,
         )
-        run = executor.run(sdfg, GRID[:3])
+        run = executor.run(grid_points(sdfg, GRID[:3]), in_process(_echo_point))
         assert run.ok
         assert [p["idx"] for p in run.points] == [0, 1, 2]
         assert metrics.counter("sweep.pool_respawns").value >= 1
         assert metrics.counter("sweep.serial_fallbacks").value == 1
         assert breaker.state == "open"
+
+    def test_pooled_tune_under_a_worker_kill_returns_the_serial_trajectory(
+        self, monkeypatch
+    ):
+        # Chaos counters are per process and every worker forks with a
+        # fresh one, so each worker dies on its first point: the tuner's
+        # sweeps respawn, then finish in the serial fallback.  No
+        # candidate may be lost or scored differently on the way.
+        from repro.apps import cloudsc
+        from repro.tool.session import Session
+
+        settings = dict(
+            beam=4, depth=2, budget=20,
+            line_size=cloudsc.CACHE["line_size"],
+            capacity_lines=cloudsc.CACHE["capacity_lines"],
+        )
+        serial = Session(cloudsc.build_sdfg()).tune(
+            cloudsc.LOCAL_VIEW_SIZES, **settings
+        )
+        chaos_mod.install("worker.kill:kind=kill:times=1")
+        session = Session(cloudsc.build_sdfg())
+        pooled = session.tune(cloudsc.LOCAL_VIEW_SIZES, workers=2, **settings)
+        counters = session.metrics.to_dict()["counters"]
+        assert counters["sweep.pool_respawns"] >= 1
+        assert counters.get("tuning.candidates.failed", 0) == 0
+        assert pooled.trajectory == serial.trajectory

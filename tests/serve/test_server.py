@@ -328,6 +328,38 @@ class TestSweepStreaming:
         assert resp.status == 400
         conn.close()
 
+    @pytest.mark.parametrize(
+        "settings", [{"line_size": "abc"}, {"capacity": None}]
+    )
+    def test_sweep_bad_cache_model_is_400(self, server, settings):
+        """A malformed cache-model field is the client's error, not 500."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        body = {"grid": {"I": [4], "J": [4], "K": [2]}, **settings}
+        conn.request("POST", "/v1/sweep", body=json.dumps(body))
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "line_size and capacity" in json.loads(resp.read())["error"]
+        conn.close()
+        assert server.metrics.counter("serve.errors").value == 0
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"I": [4], "J": [4], "K": [2], "Z": [1, 2, 3]},
+            [{"I": 4, "J": 4, "K": 2}, {"I": 4, "J": 4, "K": 2, "Z": 1}],
+        ],
+    )
+    def test_sweep_grid_names_must_be_symbols(self, server, grid):
+        """An axis that names no symbol would store one computation under
+        several keys; it is rejected, naming the parameter."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        conn.request("POST", "/v1/sweep", body=json.dumps({"grid": grid}))
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "'Z'" in json.loads(resp.read())["error"]
+        conn.close()
+        assert server.metrics.counter("pass.local.point.runs").value == 0
+
     def test_oversized_grid_is_rejected(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         body = json.dumps(

@@ -92,6 +92,13 @@ class TestTuneEndpoint:
             status, events = post_tune(server, body)
             assert status == 400, body
 
+    def test_params_must_be_symbols(self, server):
+        status, events = post_tune(server, {
+            "params": {**cloudsc.LOCAL_VIEW_SIZES, "Z": 9}, "budget": 2,
+        })
+        assert status == 400
+        assert "'Z'" in events[0]["error"]
+
     def test_unknown_transform_reported_in_stream(self, server):
         """Search-time failures arrive as a terminal error event, not a
         broken connection."""

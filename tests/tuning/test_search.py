@@ -233,6 +233,64 @@ class TestControls:
         assert runs() == before + 1
 
 
+class TestPooledTune:
+    """A pooled tune takes ``Session.sweep``'s path: it reads and fills
+    the session store, and each pool task carries its own programs."""
+
+    SETTINGS = dict(
+        beam=4, depth=2, budget=20, workers=2,
+        line_size=cloudsc.CACHE["line_size"],
+        capacity_lines=cloudsc.CACHE["capacity_lines"],
+    )
+
+    def test_repeat_is_served_from_the_store(self):
+        from repro.tool import Session
+
+        session = Session(cloudsc.build_sdfg())
+        first = session.tune(cloudsc.LOCAL_VIEW_SIZES, **self.SETTINGS)
+        counters = session.metrics.to_dict()["counters"]
+        assert counters["sweep.batch.points"] == first.evaluated - 1
+        again = session.tune(cloudsc.LOCAL_VIEW_SIZES, **self.SETTINGS)
+        repeat = session.metrics.to_dict()["counters"]
+        assert repeat["sweep.batch.points"] == counters["sweep.batch.points"]
+        assert repeat.get("pass.local.analytic.runs", 0) == counters.get(
+            "pass.local.analytic.runs", 0
+        )
+        assert again.trajectory == first.trajectory
+
+    def test_pool_tasks_carry_only_their_points_programs(self, monkeypatch):
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.analysis.executor as executor_module
+        from repro.sdfg.serialize import loads, sdfg_fingerprint
+        from repro.tool import Session
+
+        tasks = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                if fn is executor_module._worker_evaluate_batch:
+                    tasks.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SpyPool)
+        result = Session(cloudsc.build_sdfg()).tune(
+            cloudsc.LOCAL_VIEW_SIZES, **self.SETTINGS
+        )
+        shipped = []
+        for fn, items in tasks:
+            texts = {item[0] for item in items}
+            # The task pickles its points' distinct programs and little
+            # else: no other round's variant, no baseline.
+            overhead = 256 * (len(items) + 1)
+            assert len(pickle.dumps((fn, items))) < sum(map(len, texts)) + overhead
+            shipped.extend(sdfg_fingerprint(loads(item[0])) for item in items)
+        # Each child went to the pool once, with its own program.
+        children = [entry["fingerprint"] for entry in result.trajectory[1:]]
+        assert sorted(shipped) == sorted(children)
+
+
 class TestObjective:
     def test_score_components(self):
         from repro.passes import build_pipeline
