@@ -14,12 +14,19 @@ A second, pooled leg runs the sweep on two workers (``--workers 2
 directory.  The workers' analytic products reach the disk, so that run
 only classifies: it must run zero ``local.analytic`` passes.
 
+A third leg starts two CLI processes at once on a fresh directory whose
+byte budget (``REPRO_CACHE_BYTES``) is half of what the cold run wrote.
+The budget is kept across processes: afterwards the entries must fit
+it (or be one entry that alone exceeds it), the two processes together
+must have evicted, and neither may quarantine or degrade.
+
 Exit code 0 on success; prints the numbers either way.  Run with::
 
     PYTHONPATH=src python benchmarks/check_warm_cache.py
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -50,27 +57,62 @@ ARGS = [
 #: The pooled leg's cold run, and its run at another capacity.
 POOLED_COLD = ["--workers", "2", "--no-adaptive"]
 POOLED_RESWEEP = ["--capacity", "256"]
+#: The shared-budget leg's two processes: the second views another
+#: point (the last ``--local`` wins), so both write their own entries.
+SHARED = (("shared-a", ()), ("shared-b", ("--local", "I=48,J=64,K=24")))
+
+
+def _command(label: str, module: Path, cache: Path, out_dir: Path, extra=()):
+    metrics_path = out_dir / f"{label}-metrics.json"
+    command = [
+        sys.executable, "-m", "repro.tool.cli", str(module),
+        *ARGS,
+        *extra,
+        "--cache-dir", str(cache),
+        "--metrics-out", str(metrics_path),
+        "-o", str(out_dir / f"{label}-report.html"),
+    ]
+    return command, metrics_path
+
+
+def _counters(metrics_path: Path) -> dict:
+    return json.loads(metrics_path.read_text())["counters"]
 
 
 def run_once(
     label: str, module: Path, cache: Path, out_dir: Path, extra=()
 ) -> dict:
-    metrics_path = out_dir / f"{label}-metrics.json"
+    command, metrics_path = _command(label, module, cache, out_dir, extra)
     start = time.perf_counter()
-    subprocess.run(
-        [
-            sys.executable, "-m", "repro.tool.cli", str(module),
-            *ARGS,
-            *extra,
-            "--cache-dir", str(cache),
-            "--metrics-out", str(metrics_path),
-            "-o", str(out_dir / f"{label}-report.html"),
-        ],
-        check=True,
-    )
+    subprocess.run(command, check=True)
     seconds = time.perf_counter() - start
-    counters = json.loads(metrics_path.read_text())["counters"]
-    return {"seconds": seconds, "counters": counters}
+    return {"seconds": seconds, "counters": _counters(metrics_path)}
+
+
+def run_together(
+    legs, module: Path, cache: Path, out_dir: Path, budget: int
+) -> list[dict]:
+    """One CLI process per ``(label, extra)`` leg, all at once, over
+    *cache* at a *budget*-byte ``REPRO_CACHE_BYTES``."""
+    env = {**os.environ, "REPRO_CACHE_BYTES": str(budget)}
+    start = time.perf_counter()
+    started = []
+    for label, extra in legs:
+        command, metrics_path = _command(label, module, cache, out_dir, extra)
+        started.append((subprocess.Popen(command, env=env), metrics_path))
+    for process, _ in started:
+        if process.wait() != 0:
+            raise subprocess.CalledProcessError(process.returncode, process.args)
+    seconds = time.perf_counter() - start
+    return [
+        {"seconds": seconds, "counters": _counters(metrics_path)}
+        for _, metrics_path in started
+    ]
+
+
+def entry_sizes(cache: Path) -> list[int]:
+    """Byte sizes of the entry files in a cache directory."""
+    return [path.stat().st_size for path in cache.glob("??/*.rpc")]
 
 
 def main() -> int:
@@ -81,6 +123,7 @@ def main() -> int:
         cache = out_dir / "cache"
 
         cold = run_once("cold", module, cache, out_dir)
+        cold_bytes = sum(entry_sizes(cache))
         warm = run_once("warm", module, cache, out_dir)
 
         pooled_cache = out_dir / "pooled-cache"
@@ -89,8 +132,16 @@ def main() -> int:
             "resweep", module, pooled_cache, out_dir, POOLED_RESWEEP
         )
 
+        budget = cold_bytes // 2
+        shared_cache = out_dir / "shared-cache"
+        shared = run_together(SHARED, module, shared_cache, out_dir, budget)
+        shared_sizes = entry_sizes(shared_cache)
+
     failures = []
-    runs = (("cold", cold), ("warm", warm), ("pooled", pooled), ("resweep", resweep))
+    runs = (
+        ("cold", cold), ("warm", warm), ("pooled", pooled), ("resweep", resweep),
+        ("shared-a", shared[0]), ("shared-b", shared[1]),
+    )
     for label, run in runs:
         counters = run["counters"]
         print(
@@ -133,6 +184,22 @@ def main() -> int:
         failures.append(
             f"re-sweep at another capacity ran {analytic_runs} local.analytic "
             "passes: the pooled run did not leave its analytic products"
+        )
+
+    shared_bytes = sum(shared_sizes)
+    evictions = sum(run["counters"].get("disk.evictions", 0) for run in shared)
+    print(
+        f"two processes at a {budget}-byte budget: {shared_bytes} bytes in "
+        f"{len(shared_sizes)} entries, {evictions} evictions"
+    )
+    if shared_bytes > budget and len(shared_sizes) != 1:
+        failures.append(
+            f"two processes left {shared_bytes} entry bytes over the "
+            f"{budget}-byte budget"
+        )
+    if not evictions:
+        failures.append(
+            "two processes writing past the budget evicted nothing"
         )
 
     if failures:

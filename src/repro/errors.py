@@ -7,6 +7,8 @@ still being able to distinguish the failing subsystem.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 __all__ = [
     "ReproError",
     "SymbolicError",
@@ -16,6 +18,7 @@ __all__ = [
     "InvalidSDFGError",
     "FrontendError",
     "AnalysisError",
+    "UnknownSymbolError",
     "PipelineError",
     "StorageError",
     "LockTimeout",
@@ -67,6 +70,37 @@ class FrontendError(ReproError):
 
 class AnalysisError(ReproError):
     """A static analysis failed."""
+
+
+class UnknownSymbolError(ReproError):
+    """A parameter names no free symbol of the program.
+
+    Raised before any pass runs: a name the program does not use would
+    otherwise enter the cache key and store one computation under many
+    keys.
+
+    Attributes
+    ----------
+    name:
+        The offending parameter name.
+    symbols:
+        The program's free symbols, sorted.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        symbols: Iterable[str],
+        what: str = "parameter",
+        options: Iterable[str] = (),
+    ):
+        self.name = name
+        self.symbols = sorted(symbols)
+        alternative = f"an option {sorted(options)} nor " if options else ""
+        super().__init__(
+            f"unknown {what} {name!r}: not {alternative}a program symbol "
+            f"{self.symbols}"
+        )
 
 
 class PipelineError(ReproError):

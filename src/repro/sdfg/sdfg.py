@@ -259,22 +259,30 @@ class SDFG:
         return outputs
 
     def free_symbols(self) -> frozenset[str]:
-        """All symbols the SDFG's descriptors and memlets depend on."""
+        """All symbols the SDFG's descriptors and memlets depend on.
+
+        Map parameters are bound within their scopes, so none is free;
+        every declared symbol that no map binds is.
+        """
         out: set[str] = set(self.symbols)
         for desc in self.arrays.values():
             out |= desc.free_symbols()
         for state in self.states():
             for _, memlet in state.all_memlets():
                 out |= memlet.free_symbols()
-            # Exclude map parameters: they are bound within scopes.
             for entry in state.map_entries():
-                out -= set(entry.map.params)
                 for r in entry.map.ranges:
                     out |= r.free_symbols()
-        for state in self.states():
-            for entry in state.map_entries():
-                out -= set(entry.map.params)
-        return frozenset(out)
+        return frozenset(out - self.map_params())
+
+    def map_params(self) -> frozenset[str]:
+        """The parameters the maps of the SDFG's states bind."""
+        return frozenset(
+            param
+            for state in self.states()
+            for entry in state.map_entries()
+            for param in entry.map.params
+        )
 
     def validate(self) -> None:
         """Run structural validation; raises on the first violation."""

@@ -41,10 +41,10 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Awaitable, Callable, Iterable, Mapping
+from typing import Any, Awaitable, Callable, Mapping
 
 from repro.analysis.executor import CancelToken, SweepPointError
-from repro.errors import ReproError
+from repro.errors import ReproError, UnknownSymbolError
 from repro.resilience.admission import AdmissionController, Overloaded
 from repro.resilience.chaos import active as _chaos_active
 from repro.resilience.deadline import DEADLINE_REASON, Deadline, DeadlineExceeded
@@ -58,7 +58,7 @@ from repro.serve.http import (
     json_response,
     read_request,
 )
-from repro.tool.session import Session
+from repro.tool.session import Session, require_symbols
 from repro.version import __version__
 
 __all__ = ["AnalysisServer", "ServeShutdownWarning"]
@@ -84,45 +84,20 @@ def _etag(key: Any) -> str:
     return f'"{digest[:32]}"'
 
 
-def _require_symbols(
-    names: Iterable[str],
-    symbols: frozenset[str],
-    what: str,
-    options: frozenset[str] = frozenset(),
-) -> None:
-    """400 naming the first of *names* that is not a program symbol.
-
-    A misspelt or unsupported name is rejected instead of silently
-    ignored or, worse, keyed: a sweep axis that names no symbol would
-    store one computation under many keys.  *what* says where the name
-    came from; *options* lists the names the endpoint reads itself.
-    """
-    for name in names:
-        if name not in symbols:
-            endpoint = (
-                f"not an option of this endpoint {sorted(options)} nor "
-                if options else "not "
-            )
-            raise HttpError(
-                400,
-                f"unknown {what} {name!r}: {endpoint}a program symbol "
-                f"{sorted(symbols)}",
-            )
-
-
 def _parse_symbols(
     query: Mapping[str, str], options: frozenset[str], symbols: frozenset[str]
 ) -> dict[str, int]:
     """Symbol assignments from query parameters.
 
     *options* are the names the endpoint reads itself; every other name
-    must be one of the program's *symbols* (:func:`_require_symbols`).
+    must be one of the program's *symbols*
+    (:func:`~repro.tool.session.require_symbols`, answered 400).
     """
     out: dict[str, int] = {}
     for name, value in query.items():
         if name in options:
             continue
-        _require_symbols((name,), symbols, "query parameter", options)
+        require_symbols((name,), symbols, "query parameter", options)
         try:
             out[name] = int(value)
         except ValueError:
@@ -456,8 +431,11 @@ class AnalysisServer:
         except asyncio.CancelledError:
             raise
         except ReproError as exc:
+            # A name that is not a program symbol is a bad request; any
+            # other library error is an unprocessable one.
+            status = 400 if isinstance(exc, UnknownSymbolError) else 422
             await conn.send(
-                json_response({"error": str(exc)}, 422),
+                json_response({"error": str(exc)}, status),
                 keep_alive=request.keep_alive,
             )
             return request.keep_alive
@@ -717,7 +695,7 @@ class AnalysisServer:
         if points > 10_000:
             raise HttpError(422, f"grid expands to {points} points (max 10000)")
         names = grid if isinstance(grid, dict) else (n for p in grid for n in p)
-        _require_symbols(names, self._symbols, "grid parameter")
+        require_symbols(names, self._symbols, "grid parameter")
         try:
             line_size = int(body.get("line_size", 64))
             capacity = int(body.get("capacity", 512))
@@ -852,7 +830,7 @@ class AnalysisServer:
             raise HttpError(400, "params must map symbols to integers") from None
         if not params:
             raise HttpError(400, "params must assign at least one symbol")
-        _require_symbols(params, self._symbols, "tune parameter")
+        require_symbols(params, self._symbols, "tune parameter")
         transforms = body.get("transforms")
         if transforms is not None and (
             not isinstance(transforms, list)

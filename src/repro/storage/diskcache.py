@@ -36,7 +36,15 @@ Concretely:
   only that entry (``disk.unpicklable``).
 - *Eviction* — the cache is byte-budgeted: when the directory exceeds
   ``max_bytes``, the oldest entries by mtime are removed
-  (``disk.evicted_bytes``).  Reads touch mtime, approximating LRU.
+  (``disk.evicted_bytes``).  Reads touch mtime, approximating LRU.  The
+  entry bytes are kept in a ledger, one fixed-width record in
+  ``<root>/.ledger`` that is read and rewritten only under the writer
+  lock, so a put under budget adds its size in O(1).  The directory is
+  walked (``disk.scans``) only on an instance's first write, when the
+  record is missing or unreadable, or when the sum passes the budget.
+  The record never decides what is served: an unlocked removal
+  (quarantine) can only leave it too high, which brings the next walk
+  earlier, and the walk corrects it.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import os
 import pickle
 import struct
 import warnings
+import zlib
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Any
@@ -83,6 +92,10 @@ DEFAULT_MAX_BYTES = 1 << 30
 _ENTRY_SUFFIX = ".rpc"
 _TMP_PREFIX = ".tmp-"
 
+#: The byte ledger's record: magic, entry bytes, CRC-32 of the bytes.
+_LEDGER = struct.Struct("<4sQI")
+_LEDGER_MAGIC = b"RPLB"
+
 _tmp_counter = itertools.count()
 
 
@@ -108,6 +121,11 @@ def _canonical(obj: Any) -> str:
         )
         return "{" + ",".join(f"{k}:{v}" for k, v in pairs) + "}"
     return repr(obj)
+
+
+def _ledger_check(total: int) -> int:
+    """CRC-32 of a ledger total: a damaged record fails it and is rebuilt."""
+    return zlib.crc32(total.to_bytes(8, "little"))
 
 
 def key_digest(key: Any) -> str:
@@ -162,6 +180,11 @@ class DiskCache:
             "disk", failure_threshold=3, reset_timeout=30.0, metrics=metrics
         )
         self._lock = FileLock(self.root / ".lock", timeout=lock_timeout)
+        #: The shared byte ledger; outside the shards, so no walk counts it.
+        self._ledger = self.root / ".ledger"
+        #: Whether this instance walked the directory and wrote the
+        #: record since; until then its next write walks (re-baselines).
+        self._baselined = False
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -202,6 +225,68 @@ class DiskCache:
                     yield from shard.glob(f"*{_ENTRY_SUFFIX}")
         except OSError:
             return
+
+    def _stat_entries(self):
+        """``(path, stat)`` of every entry file, in one directory walk.
+
+        A file that vanishes mid-walk (another process evicted or
+        quarantined it) is skipped.
+        """
+        for path in self._entry_files():
+            try:
+                yield path, path.stat()
+            except OSError:
+                continue
+
+    # -- byte ledger -------------------------------------------------------
+    def _read_ledger(self) -> int | None:
+        """The recorded entry bytes; ``None`` if the record is missing,
+        short or fails its checksum."""
+        try:
+            fd = os.open(self._ledger, os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            record = os.read(fd, _LEDGER.size)
+        except OSError:
+            return None
+        finally:
+            os.close(fd)
+        if len(record) != _LEDGER.size:
+            return None
+        magic, total, check = _LEDGER.unpack(record)
+        if magic != _LEDGER_MAGIC or check != _ledger_check(total):
+            return None
+        return total
+
+    def _write_ledger(self, total: int) -> None:
+        """Rewrite the record in place (called with the writer lock held)."""
+        record = _LEDGER.pack(_LEDGER_MAGIC, total, _ledger_check(total))
+        fd = os.open(self._ledger, os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, record)
+        finally:
+            os.close(fd)
+
+    def _account(self, size: int, keep: Path) -> None:
+        """Add a just-published entry's *size* to the ledger.
+
+        Called with the writer lock held.  Walks the directory (and
+        evicts to budget) only when this instance has not walked yet,
+        when the record is unreadable, or when the sum passes
+        ``max_bytes``; otherwise the put costs one record read and one
+        rewrite.
+        """
+        total = self._read_ledger() if self._baselined else None
+        # Cleared until the record is rewritten: if the walk or the
+        # rewrite fails, this instance's next write walks again.
+        self._baselined = False
+        if total is None or total + size > self.max_bytes:
+            total = self._evict_to_budget(keep=keep)
+        else:
+            total += size
+        self._write_ledger(total)
+        self._baselined = True
 
     # -- quarantine --------------------------------------------------------
     def _quarantine(self, path: Path, reason: str) -> None:
@@ -324,8 +409,12 @@ class DiskCache:
                 self._degrade(f"writer lock starvation: {exc}")
                 return
             try:
-                self._write_entry(path, header + payload)
-                self._evict_to_budget(keep=path)
+                # Another process may have published the key meanwhile:
+                # it is then neither rewritten nor counted twice.
+                if not path.exists():
+                    blob = header + payload
+                    self._write_entry(path, blob)
+                    self._account(len(blob), keep=path)
             except OSError as exc:
                 if exc.errno == errno.ENOSPC:
                     # Disk full cannot heal from here: degrade for good.
@@ -362,28 +451,26 @@ class DiskCache:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
-                pass  # leave the stray temp file to the next eviction
+                pass  # a stray temp file is never read: only entries are
             raise
         self._count("disk.writes")
 
-    def _evict_to_budget(self, keep: Path | None = None) -> None:
-        """Drop oldest entries (and stray temp files) past the byte budget.
+    def _evict_to_budget(self, keep: Path | None = None) -> int:
+        """Walk the directory, drop the oldest entries past the byte
+        budget, and return the entry bytes that remain.
 
         Called with the writer lock held.  The just-written entry is
         exempt so a single oversized product cannot evict itself into a
         write/miss loop.
         """
+        self._count("disk.scans")
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for path in self._entry_files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
+        for path, stat in self._stat_entries():
             total += stat.st_size
             entries.append((stat.st_mtime, stat.st_size, path))
         if total <= self.max_bytes:
-            return
+            return total
         with self._span("storage:evict", bytes=total - self.max_bytes):
             evicted = 0
             for _, size, path in sorted(entries):
@@ -399,18 +486,33 @@ class DiskCache:
                 evicted += size
                 self._count("disk.evictions")
             self._count("disk.evicted_bytes", evicted)
+        return total
 
     def clear(self) -> None:
-        """Remove every entry (an explicit wipe; never done implicitly)."""
+        """Remove every entry (an explicit wipe; never done implicitly).
+
+        The ledger is left at the bytes of the entries that could not
+        be deleted.
+        """
         if self.disabled:
             return
         try:
             with self._lock:
+                self._count("disk.scans")
+                left = 0
                 for path in list(self._entry_files()):
                     try:
                         path.unlink()
                     except OSError:
-                        continue
+                        try:
+                            left += path.stat().st_size
+                        except OSError:
+                            pass  # gone after all
+                try:
+                    self._write_ledger(left)
+                    self._baselined = True
+                except OSError:
+                    self._baselined = False  # the next write re-baselines
         except LockTimeout as exc:
             self._count("disk.lock_timeouts")
             self._degrade(f"writer lock starvation: {exc}")
@@ -422,20 +524,18 @@ class DiskCache:
         return sum(1 for _ in self._entry_files()) if not self.disabled else 0
 
     def total_bytes(self) -> int:
-        """Current on-disk footprint of all entries."""
-        total = 0
-        for path in self._entry_files():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+        """Current on-disk footprint of all entries (walks the directory)."""
+        return sum(stat.st_size for _, stat in self._stat_entries())
 
     def info(self) -> dict[str, Any]:
+        entries = size = 0
+        for _, stat in self._stat_entries():
+            entries += 1
+            size += stat.st_size
         return {
             "root": str(self.root),
-            "entries": len(self),
-            "bytes": self.total_bytes(),
+            "entries": 0 if self.disabled else entries,
+            "bytes": size,
             "max_bytes": self.max_bytes,
             "disabled": self.disabled,
             "degraded_reason": self._degraded_reason,

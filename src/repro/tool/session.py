@@ -29,7 +29,7 @@ from repro.analysis.parametric import (
     parameter_grid,
 )
 from repro.analysis.timing import maybe_span
-from repro.errors import ReproError
+from repro.errors import ReproError, UnknownSymbolError
 from repro.obs import MetricsRegistry, Tracer
 from repro.frontend.program import Program
 from repro.passes import (
@@ -63,7 +63,25 @@ from repro.viz.report import ReportBuilder
 from repro.viz.containerview import render_container
 from repro.viz.histogramview import render_histogram
 
-__all__ = ["Session", "GlobalView", "LocalView"]
+__all__ = ["Session", "GlobalView", "LocalView", "require_symbols"]
+
+
+def require_symbols(
+    names: Iterable[str],
+    symbols: frozenset[str],
+    what: str = "parameter",
+    options: frozenset[str] = frozenset(),
+) -> None:
+    """Raise :class:`~repro.errors.UnknownSymbolError` for the first of
+    *names* that is not one of the program's *symbols*.
+
+    The one check of the session's entry points and the analysis
+    service.  *what* says where the name came from; *options* lists the
+    names the caller reads itself, which the message then mentions.
+    """
+    for name in names:
+        if name not in symbols:
+            raise UnknownSymbolError(name, symbols, what, options)
 
 
 class Session:
@@ -172,6 +190,19 @@ class Session:
         """Stable, content-based key prefix for session store entries."""
         return (self._sdfg.name, self._generation)
 
+    def _require_symbols(self, names: Iterable[str]) -> None:
+        """:func:`require_symbols` against the current program.
+
+        Every declared symbol that no map binds is free, so when every
+        name is one of those the free-symbol walk (0.3 ms on hdiff,
+        1.5 ms on BERT) is skipped and a warm call stays cheap.
+        """
+        names = list(names)
+        sdfg = self._sdfg
+        if sdfg.symbols.issuperset(names) and sdfg.map_params().isdisjoint(names):
+            return
+        require_symbols(names, sdfg.free_symbols())
+
     def global_view(self, state: SDFGState | None = None) -> "GlobalView":
         """Open the global (whole-program) analysis view."""
         return GlobalView(
@@ -196,8 +227,10 @@ class Session:
         *capacity_lines* parameterize the cache model (both adjustable
         later via :attr:`LocalView.cache`).  Views share the session's
         pipeline and store, so revisiting a parameter point reuses the
-        previous simulation.
+        previous simulation.  A name that is not a program symbol raises
+        :class:`~repro.errors.UnknownSymbolError`.
         """
+        self._require_symbols(symbols)
         return LocalView(
             self.sdfg,
             symbols,
@@ -227,7 +260,24 @@ class Session:
         long-lived analysis service chains its contexts this way so a
         warm request never re-hashes the graph).  Only graph content is
         shared: *base* may have any environment and cache model.
+
+        A name in *params* that is not a program symbol raises
+        :class:`~repro.errors.UnknownSymbolError`.
         """
+        self._require_symbols(params)
+        return self._point_context(
+            params, line_size, capacity_lines, include_transients, base
+        )
+
+    def _point_context(
+        self,
+        params: Mapping[str, int],
+        line_size: int,
+        capacity_lines: int,
+        include_transients: bool,
+        base: PassContext | None,
+    ) -> PassContext:
+        """:meth:`point_context` for names the caller already checked."""
         ctx = PassContext(
             self.sdfg,
             state=None,
@@ -317,6 +367,9 @@ class Session:
         *index* in grid order — as each point finishes, including points
         served from the store.  The analysis service streams sweep
         progress events from this hook.
+
+        A grid name that is not a program symbol raises
+        :class:`~repro.errors.UnknownSymbolError` before any point runs.
         """
         if on_error not in ("raise", "record"):
             raise ReproError(
@@ -327,14 +380,16 @@ class Session:
         else:
             grid = [dict(point) for point in params_grid]
 
+        # One check for the whole grid, before any point runs.
+        self._require_symbols(dict.fromkeys(n for params in grid for n in params))
         points: list[PassContext] = []
         for params in grid:
             # All points share the graph fingerprints; only ``env`` differs.
-            ctx = self.point_context(
+            ctx = self._point_context(
                 params,
-                line_size=line_size,
-                capacity_lines=capacity_lines,
-                include_transients=include_transients,
+                line_size,
+                capacity_lines,
+                include_transients,
                 base=points[0] if points else None,
             )
             # Keyed as it is made, so the first context's graph
@@ -455,8 +510,11 @@ class Session:
         (and vice versa: the winning variant's analyses are warm).
 
         The session's SDFG is never mutated — candidates are copies.  To
-        adopt the winner, ``session.load(result.best.sdfg)``.
+        adopt the winner, ``session.load(result.best.sdfg)``.  A name in
+        *params* that is not a program symbol raises
+        :class:`~repro.errors.UnknownSymbolError`.
         """
+        self._require_symbols(params)
         search = TuningSearch(
             self._sdfg,
             params,

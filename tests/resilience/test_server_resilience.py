@@ -303,10 +303,18 @@ class TestStopWedgeRegression:
                     continue  # deliberately ignores cancellation
 
         srv._routes[("GET", "/v1/wedge")] = wedge
-        threading.Thread(
-            target=get, args=(srv, "/v1/wedge"), kwargs={"timeout": 10},
-            daemon=True,
-        ).start()
+        outcome = []
+
+        def client():
+            try:
+                outcome.append(get(srv, "/v1/wedge", timeout=2))
+            except (OSError, http.client.HTTPException) as exc:
+                outcome.append(exc)
+
+        # Joined below: a client left running would raise its timeout
+        # into whichever test runs when it expires.
+        thread = threading.Thread(target=client, daemon=True)
+        thread.start()
         assert wait_for(lambda: srv.drain.inflight == 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -315,6 +323,11 @@ class TestStopWedgeRegression:
             issubclass(w.category, ServeShutdownWarning) for w in caught
         )
         assert srv.metrics.counter("serve.stop.join_timeouts").value == 1
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        # The wedged handler never answered the client.
+        [failure] = outcome
+        assert isinstance(failure, (OSError, http.client.HTTPException))
         # The loop thread is leaked (daemon) by design; no further joins.
 
 

@@ -5,7 +5,9 @@ Fault injection (corruption, degradation, races) lives in
 ``test_session_disk.py``.
 """
 
+import errno
 import gc
+import os
 import pickle
 import threading
 import time
@@ -169,6 +171,150 @@ class TestEviction:
             cache.put(("k", index), "x" * 1500)
             time.sleep(0.01)
         assert tracer.count("storage:evict") >= 1
+
+
+class TestByteLedger:
+    """The ledger keeps the budget without walking the directory per put."""
+
+    @staticmethod
+    def _spy_walks(cache, monkeypatch) -> list:
+        calls = []
+        walk = cache._entry_files
+
+        def spy():
+            calls.append(1)
+            return walk()
+
+        monkeypatch.setattr(cache, "_entry_files", spy)
+        return calls
+
+    def test_puts_under_budget_walk_once(self, tmp_path, monkeypatch):
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, metrics=metrics)
+        walks = self._spy_walks(cache, monkeypatch)
+        for index in range(200):
+            cache.put(("k", index), index)
+        assert len(walks) == 1  # the first write's re-baseline
+        assert metrics.counter("disk.scans").value == 1
+        assert metrics.counter("disk.writes").value == 200
+        assert cache._read_ledger() == cache.total_bytes()
+
+    def test_two_instances_share_the_budget(self, tmp_path):
+        """Two writers on one directory, each with its own lock as two
+        processes would have: a total kept per writer would let the
+        directory grow to twice the budget."""
+        budget = 4096
+        metrics = MetricsRegistry()
+        writers = [
+            DiskCache(tmp_path, max_bytes=budget, metrics=metrics)
+            for _ in range(2)
+        ]
+        assert writers[0]._lock is not writers[1]._lock
+        for index in range(30):
+            writers[index % 2].put(("k", index), "x" * 500)
+            assert writers[0].total_bytes() <= budget
+        assert metrics.counter("disk.evictions").value > 0
+        assert writers[1]._read_ledger() == writers[0].total_bytes()
+
+    def test_oversized_entry_is_the_only_excess(self, tmp_path):
+        writers = [DiskCache(tmp_path, max_bytes=1024) for _ in range(2)]
+        writers[0].put(("small",), "x" * 200)
+        writers[1].put(("big",), "x" * 3000)
+        assert len(writers[0]) == 1  # one entry that alone exceeds it
+        writers[0].put(("small", 2), "x" * 200)
+        assert writers[0].total_bytes() <= 1024
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.unlink(),
+            lambda path: path.write_bytes(path.read_bytes()[:5]),
+            lambda path: path.write_bytes(b"not a ledger record"),
+            lambda path: path.write_bytes(bytes(16)),
+        ],
+        ids=["deleted", "truncated", "garbage", "zeroed"],
+    )
+    def test_damaged_record_is_rebuilt_by_a_walk(self, tmp_path, damage):
+        budget = 4096
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, max_bytes=budget, metrics=metrics)
+        for index in range(2):
+            cache.put(("k", index), "x" * 1500)
+        scans = metrics.counter("disk.scans").value
+        damage(cache._ledger)
+        cache.put(("k", 2), "x" * 1500)  # past the budget: must evict
+        assert metrics.counter("disk.scans").value == scans + 1
+        assert cache.total_bytes() <= budget
+        assert cache._read_ledger() == cache.total_bytes()
+
+    def test_undercounting_record_evicts_on_first_write(self, tmp_path):
+        filler = DiskCache(tmp_path)
+        for index in range(10):
+            filler.put(("k", index), "x" * 1500)
+        filler._write_ledger(0)  # e.g. a crash between publish and update
+        metrics = MetricsRegistry()
+        fresh = DiskCache(tmp_path, max_bytes=4096, metrics=metrics)
+        fresh.put(("new",), "x" * 100)
+        assert fresh.total_bytes() <= 4096
+        assert metrics.counter("disk.evictions").value > 0
+        assert fresh._read_ledger() == fresh.total_bytes()
+
+    def test_clear_resets_the_record(self, tmp_path):
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, max_bytes=4096, metrics=metrics)
+        for index in range(3):
+            cache.put(("old", index), "x" * 1500)
+        cache.clear()
+        assert cache._read_ledger() == 0
+        evictions = metrics.counter("disk.evictions").value
+        scans = metrics.counter("disk.scans").value
+        cache.put(("new", 0), "x" * 1500)
+        cache.put(("new", 1), "x" * 1500)
+        assert metrics.counter("disk.evictions").value == evictions
+        assert metrics.counter("disk.scans").value == scans  # no walk
+        assert len(cache) == 2
+
+    def test_failed_write_leaves_record_unchanged(self, tmp_path, monkeypatch):
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, metrics=metrics)
+        cache.put(("k",), "value")
+        before = cache._read_ledger()
+
+        def flaky(src, dst, **kwargs):
+            raise OSError(errno.EIO, "input/output error", str(dst))
+
+        monkeypatch.setattr(os, "replace", flaky)
+        cache.put(("k2",), "value")
+        assert metrics.counter("disk.io_errors").value == 1
+        assert not cache.disabled
+        assert cache._read_ledger() == before
+
+    def test_key_published_meanwhile_is_not_counted_twice(self, tmp_path, monkeypatch):
+        metrics = MetricsRegistry()
+        first = DiskCache(tmp_path, metrics=metrics)
+        other = DiskCache(tmp_path)
+        first.put(("seed",), "x")
+        acquire = first._lock.acquire
+
+        def racing_acquire():
+            other.put(("k",), "v" * 100)  # another process wins the race
+            return acquire()
+
+        monkeypatch.setattr(first._lock, "acquire", racing_acquire)
+        first.put(("k",), "v" * 100)
+        assert metrics.counter("disk.writes").value == 1  # ("seed",) only
+        assert first._read_ledger() == first.total_bytes()
+
+    def test_info_walks_once(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put(("a",), "x" * 100)
+        cache.put(("b",), "y" * 300)
+        walks = self._spy_walks(cache, monkeypatch)
+        info = cache.info()
+        assert len(walks) == 1
+        files = list(tmp_path.glob("??/*.rpc"))
+        assert info["entries"] == len(files) == 2
+        assert info["bytes"] == sum(f.stat().st_size for f in files)
 
 
 class TestFileLock:

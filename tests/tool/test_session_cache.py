@@ -1,9 +1,13 @@
 """Tests for the session's result store and stage timings."""
 
+import pytest
+
 from repro.apps import hdiff
+from repro.errors import UnknownSymbolError
 from repro.frontend import pmap, program
 from repro.passes.store import ResultStore, _LRUBacking
 from repro.sdfg.dtypes import float64
+from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import state_fingerprint
 from repro.simulation import MemoryModel, per_container_misses, simulate_state
 from repro.symbolic import symbols
@@ -240,6 +244,91 @@ class TestContentBasedCacheKeys:
         [truth] = make_session().sweep([params], capacity_lines=4)
         assert point == truth
         assert point.total_misses == 5888
+
+
+class TestParameterNamesMustBeSymbols:
+    """A name that is not a program symbol would enter the cache key and
+    store one computation under many keys; every entry point rejects it
+    before any pass runs."""
+
+    @staticmethod
+    def _assert_rejected(session, call):
+        with pytest.raises(UnknownSymbolError) as caught:
+            call()
+        assert caught.value.name == "Z"
+        assert caught.value.symbols == ["I", "J", "K"]
+        assert "'Z'" in str(caught.value) and "'K'" in str(caught.value)
+        assert session.metrics.counter("pass.local.analytic.runs").value == 0
+
+    def test_sweep_axis(self):
+        session = make_session()
+        self._assert_rejected(
+            session,
+            lambda: session.sweep({"I": [4], "J": [4], "K": [2], "Z": [1, 2, 3]}),
+        )
+
+    def test_sweep_point_list(self):
+        session = make_session()
+        grid = [{"I": 4, "J": 4, "K": 2}, {"I": 4, "J": 4, "K": 2, "Z": 1}]
+        self._assert_rejected(session, lambda: session.sweep(grid))
+
+    def test_local_view(self):
+        session = make_session()
+        self._assert_rejected(
+            session, lambda: session.local_view({**SIZES, "Z": 7})
+        )
+
+    def test_point_context(self):
+        session = make_session()
+        self._assert_rejected(
+            session, lambda: session.point_context({**SIZES, "Z": 7})
+        )
+
+    def test_tune(self):
+        session = make_session()
+        self._assert_rejected(
+            session, lambda: session.tune({**SIZES, "Z": 7}, budget=2)
+        )
+
+    def test_declared_symbols_skip_the_free_symbol_walk(self, monkeypatch):
+        calls = []
+        free_symbols = SDFG.free_symbols
+
+        def spy(sdfg):
+            calls.append(sdfg)
+            return free_symbols(sdfg)
+
+        monkeypatch.setattr(SDFG, "free_symbols", spy)
+        session = make_session()
+        grid = {"I": [3, 4], "J": [3], "K": [2]}
+        session.sweep(grid)
+        calls.clear()
+        # Warm: every point comes from the store, and every name is a
+        # declared symbol that no map binds.
+        session.sweep(grid)
+        session.point_context(SIZES)
+        session.local_view(SIZES)
+        assert calls == []
+        with pytest.raises(UnknownSymbolError):
+            session.local_view({**SIZES, "Z": 7})
+        assert len(calls) == 1
+
+    def test_check_agrees_with_free_symbols(self):
+        """The shortcut never changes the verdict of the full walk."""
+        session = make_session()
+        session.sdfg.symbols.discard("K")  # undeclared, yet free: shapes use it
+        session.local_view(SIZES)
+        param = sorted(session.sdfg.map_params())[0]
+        session.sdfg.symbols.add(param)  # declared, yet bound by a map
+        with pytest.raises(UnknownSymbolError):
+            session.local_view({**SIZES, param: 2})
+
+    def test_follows_a_loaded_program(self):
+        session = make_session()
+        session.load(_make_kernel(0))
+        with pytest.raises(UnknownSymbolError):
+            session.sweep([{"I": 3, "J": 4, "K": 2}])
+        session.sweep([{"I": 3, "J": 4}])
 
 
 def _value_len(cell):
