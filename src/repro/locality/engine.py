@@ -296,14 +296,18 @@ def _build_symbolic(fold: FoldedSummary) -> SymbolicLocality:
 class AnalyticLocality:
     """The engine's product: exact locality aggregates without full traces.
 
+    ``declined`` counts the enumerated regions by the guard that
+    declined their fold (:data:`~repro.locality.fold.DECLINE_GUARDS`);
+    its counts sum to ``fallback_regions``.
+
     Picklable (plain data and NumPy arrays only), so it caches and ships
     through sweep worker pools like any other pass product.
     """
 
     __slots__ = (
         "containers", "events_per_container", "total_events",
-        "analytic_regions", "fallback_regions", "line_size", "_summaries",
-        "_symbolic", "_hist", "_cold", "_element_cache",
+        "analytic_regions", "fallback_regions", "declined", "line_size",
+        "_summaries", "_symbolic", "_hist", "_cold", "_element_cache",
     )
 
     def __init__(
@@ -312,10 +316,12 @@ class AnalyticLocality:
         analytic_regions: int,
         fallback_regions: int,
         line_size: int,
+        declined: dict[str, int],
     ):
         self._summaries = summaries
         self.analytic_regions = analytic_regions
         self.fallback_regions = fallback_regions
+        self.declined = declined
         self._symbolic: SymbolicLocality | None = None
         self.line_size = line_size
         self.containers: list[str] = []
@@ -464,22 +470,25 @@ def analyze_locality(
     lines: list[np.ndarray] = []
     folded = 0
     enumerated = 0
+    declined: dict[str, int] = {}
     for region in regions:
-        summary = None
+        outcome = "multi_region" if not single else "statics"
         if single and isinstance(region.node, MapEntry):
             candidate = fold_statics(
                 sdfg, region.state, region.node, env,
                 include_transients=include_transients,
             )
             if candidate is not None:
-                summary = try_build_fold(
+                outcome = try_build_fold(
                     sdfg, env, region.state, candidate, memory,
                     include_transients=include_transients, timings=timings,
                 )
-        if summary is not None:
+        if isinstance(outcome, FoldedSummary):
             folded += 1
-            summaries.append(summary)
+            summaries.append(outcome)
             continue
+        # A declined region is simulated once, here.
+        declined[outcome] = declined.get(outcome, 0) + 1
         enumerated += 1
         result = simulate_region(
             sdfg, env, region.state, region.node,
@@ -491,4 +500,4 @@ def analyze_locality(
             lines.append(cols.lines)
     if len(summaries) > 1:
         _compose(summaries, lines)
-    return AnalyticLocality(summaries, folded, enumerated, line_size)
+    return AnalyticLocality(summaries, folded, enumerated, line_size, declined)

@@ -15,15 +15,19 @@ its own span — impossible.  Two consequences carry the whole analysis:
   ``t mod P`` once ``t ≥ Δmax``, because the window of the last ``Δmax``
   blocks is the same line pattern up to a per-group constant relabeling.
 
-So the engine enumerates one window of ``Δmax + P`` blocks — a
-**constant** number — and computes its stack distances once: the first
-``Δmax`` blocks are the exact prefix, and each of the last ``P`` blocks
-represents one phase (every reuse lies within ``Δmax`` blocks, so its
-distances equal those over its own ``Δmax+1``-block window).  Each
-phase's histogram is multiplied by its block count ``m_r(n)``.
-Everything else (containers whose allocations share cache lines must
-share ``Δ``; non-uniform structures) declines to per-region
-enumeration, which is always exact.
+Every guard that precedes the window — in-bounds indices, line-sharing
+groups and their ``Δ``, ``P``, ``Δmax``, the caps and the economic test
+— is decided by :func:`fold_geometry` from the candidate's access boxes
+and the memory layout, before anything is simulated.  A region that
+passes simulates one window of ``Δmax + P`` blocks — a **constant**
+number — in one :func:`simulate_region` call and computes its stack
+distances once: the first ``Δmax`` blocks are the exact prefix, and
+each of the last ``P`` blocks represents one phase (every reuse lies
+within ``Δmax`` blocks, so its distances equal those over its own
+``Δmax+1``-block window).  Each phase's histogram is multiplied by its
+block count ``m_r(n)``.  A region that fails a guard, or whose window
+disagrees with the statics, declines to per-region enumeration, which
+is always exact; :data:`DECLINE_GUARDS` names every reason.
 """
 
 from __future__ import annotations
@@ -38,13 +42,28 @@ from repro.simulation.layout import MemoryModel
 from repro.simulation.simulator import simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
-__all__ = ["FoldedSummary", "try_build_fold", "P_JOINT_MAX", "DELTA_MAX_CAP"]
+__all__ = [
+    "DECLINE_GUARDS",
+    "DELTA_MAX_CAP",
+    "FoldGeometry",
+    "FoldedSummary",
+    "P_JOINT_MAX",
+    "fold_geometry",
+    "try_build_fold",
+]
 
 #: Joint phase count above which folding is declined (window enumeration
 #: would approach the cost of full enumeration).
 P_JOINT_MAX = 64
 #: Block-span bound above which folding is declined.
 DELTA_MAX_CAP = 64
+#: Why a region enumerates instead of folding, in the order the engine
+#: asks: more than one region in the program, the statics of
+#: :func:`~repro.locality.regions.fold_statics`, then the guards of
+#: :func:`fold_geometry` and the simulated window's checks.
+DECLINE_GUARDS = (
+    "multi_region", "statics", "bounds", "shared_line", "caps", "economic", "window",
+)
 
 
 class _Phase:
@@ -215,38 +234,6 @@ class FoldedSummary:
                     _scatter(dense_cap, (base_cap[None, :] + offsets).ravel())
 
 
-def _append_blocks(
-    block: RegionColumns, rest: RegionColumns, blocks: int
-) -> RegionColumns | None:
-    """Block 0's columns followed by *rest*, its blocks ``1..blocks-1``.
-
-    ``None`` unless every block repeats block 0's container sequence, so
-    that each block's events line up with block 0's positions.
-    """
-    events = block.num_events
-    if rest.num_events != (blocks - 1) * events or rest.containers != block.containers:
-        return None
-    if not np.array_equal(
-        rest.container_ids.reshape(blocks - 1, events),
-        np.broadcast_to(block.container_ids, (blocks - 1, events)),
-    ):
-        return None
-    return RegionColumns(
-        blocks * events,
-        block.containers,
-        np.concatenate([block.container_ids, rest.container_ids]),
-        np.concatenate([block.lines, rest.lines]),
-        {
-            name: np.concatenate([pos, rest.positions[name] + events])
-            for name, pos in block.positions.items()
-        },
-        {
-            name: np.concatenate([matrix, rest.index_matrices[name]])
-            for name, matrix in block.index_matrices.items()
-        },
-    )
-
-
 def _leading(cols: RegionColumns, num_events: int) -> RegionColumns:
     """Copies of the first *num_events* events of *cols*.
 
@@ -267,62 +254,38 @@ def _leading(cols: RegionColumns, num_events: int) -> RegionColumns:
     )
 
 
-def try_build_fold(
-    sdfg,
-    symbols: Mapping[str, int],
-    state,
-    candidate: FoldCandidate,
-    memory: MemoryModel,
-    include_transients: bool = False,
-    timings=None,
-) -> FoldedSummary | None:
-    """Build a :class:`FoldedSummary`, or return ``None`` to enumerate.
+class FoldGeometry:
+    """Every pre-window guard of a fold, decided without simulating.
 
-    Dynamic guards on top of the statics: in-bounds element indices over
-    the whole outer extent (so lines stay inside their allocation and
-    groups never alias), a uniform byte delta per line-sharing container
-    group, bounded phase count and block span, an economic test
-    (``n ≥ 2·(Δmax + P·(Δmax+1))``), and a container sequence per
-    enumerated block equal to block 0's.
+    Derived from a :class:`FoldCandidate`'s access boxes and the memory
+    layout: ``index_bounds[c]`` holds container *c*'s per-dimension
+    ``(min, max)`` element index over outer block 0 and
+    ``line_bounds[c]`` its ``(min, max)`` cache line; ``groups`` lists
+    the containers whose allocations share cache lines (in address
+    order) and ``deltas`` each group's set of byte deltas per block.
+    ``p_joint`` and ``delta_max`` are ``None`` when a group's delta is
+    not uniform.  ``guard`` names the first guard that declines the
+    fold (in :data:`DECLINE_GUARDS` order), or is ``None``.
     """
-    entry = candidate.entry
-    n = candidate.n
+
+    __slots__ = ("index_bounds", "line_bounds", "groups", "deltas",
+                 "p_joint", "delta_max", "guard")
+
+    def __init__(self) -> None:
+        self.index_bounds: dict[str, list[tuple[int, int]]] = {}
+        self.line_bounds: dict[str, tuple[int, int]] = {}
+        self.groups: list[list[str]] = []
+        self.deltas: list[set[int]] = []
+        self.p_joint: int | None = None
+        self.delta_max: int | None = None
+        self.guard: str | None = None
+
+
+def _line_groups(containers, memory: MemoryModel) -> list[list[str]]:
+    """Containers whose allocations share cache lines, in address order."""
     line_size = memory.line_size
-
-    def window(lo: int, hi: int) -> RegionColumns:
-        result = simulate_region(
-            sdfg, symbols, state, entry,
-            include_transients=include_transients, timings=timings,
-            outer_slice=(lo, hi),
-        )
-        return region_columns(result, memory)
-
-    block = window(0, 1)
-    block_events = block.num_events
-    if block_events == 0:
-        return None
-    shifts = candidate.container_shifts
-    # Every container observed in the block must be statically described
-    # and stay inside its allocation over all n blocks.
-    for name in block.containers:
-        if name not in shifts:
-            return None
-        layout = memory.layout(name)
-        matrix = block.index_matrices[name]
-        if matrix.shape[1] != len(layout.shape):
-            return None
-        shift = shifts[name]
-        for d in range(matrix.shape[1]):
-            lo = int(matrix[:, d].min()) + min(0, shift[d] * (n - 1))
-            hi = int(matrix[:, d].max()) + max(0, shift[d] * (n - 1))
-            if lo < 0 or hi >= layout.shape[d]:
-                return None
-
-    # Group containers whose allocations share cache lines; within a
-    # group the byte delta per block must be uniform, so the group's
-    # line pattern translates rigidly and relabeling stays bijective.
     intervals = []
-    for name in block.containers:
+    for name in containers:
         layout = memory.layout(name)
         intervals.append((
             layout.base_address // line_size,
@@ -339,6 +302,60 @@ def try_build_fold(
         else:
             groups.append([name])
             reach = end
+    return groups
+
+
+def fold_geometry(candidate: FoldCandidate, memory: MemoryModel) -> FoldGeometry:
+    """Decide the fold's guards from the statics, in order:
+
+    - ``bounds``: every element index stays inside its container over
+      all ``n`` blocks (so lines stay inside their allocation and groups
+      never alias);
+    - ``shared_line``: containers whose allocations share cache lines
+      move by one byte delta ``Δ`` per block, so the group's line
+      pattern translates rigidly and relabeling stays bijective;
+    - ``caps``: the joint period ``P`` (lcm over groups of
+      ``L / gcd(|Δ|, L)``) and the block span ``Δmax`` (from block 0's
+      line diameter per group) stay within :data:`P_JOINT_MAX` and
+      :data:`DELTA_MAX_CAP`;
+    - ``economic``: ``n ≥ 2·(Δmax + P)``, so the one window of
+      ``Δmax + P`` blocks the fold enumerates is at most half the
+      region.
+    """
+    geometry = FoldGeometry()
+    n = candidate.n
+    line_size = memory.line_size
+    shifts = candidate.container_shifts
+    byte_bounds: dict[str, tuple[int, int]] = {}
+    for box in candidate.boxes:
+        layout = memory.layout(box.data)
+        if len(box.bases[0]) != len(layout.shape):
+            geometry.guard = "bounds"
+            return geometry
+        dims = box.index_bounds()
+        lo, hi = box.bounds(layout.strides)
+        lo = layout.base_address + (layout.start_offset + lo) * layout.itemsize
+        hi = layout.base_address + (layout.start_offset + hi) * layout.itemsize
+        known = geometry.index_bounds.get(box.data)
+        if known is not None:
+            dims = [
+                (min(a, c), max(b, e)) for (a, b), (c, e) in zip(known, dims)
+            ]
+            lo = min(lo, byte_bounds[box.data][0])
+            hi = max(hi, byte_bounds[box.data][1])
+        geometry.index_bounds[box.data] = dims
+        byte_bounds[box.data] = (lo, hi)
+    for name, dims in geometry.index_bounds.items():
+        geometry.line_bounds[name] = (
+            byte_bounds[name][0] // line_size, byte_bounds[name][1] // line_size
+        )
+        layout = memory.layout(name)
+        for (lo, hi), shift, extent in zip(dims, shifts[name], layout.shape):
+            if (
+                lo + min(0, shift * (n - 1)) < 0
+                or hi + max(0, shift * (n - 1)) >= extent
+            ):
+                geometry.guard = geometry.guard or "bounds"
 
     def delta_bytes(name: str) -> int:
         layout = memory.layout(name)
@@ -346,39 +363,105 @@ def try_build_fold(
             stride * s for stride, s in zip(layout.strides, shifts[name])
         )
 
+    geometry.groups = _line_groups(geometry.index_bounds, memory)
+    geometry.deltas = [
+        {delta_bytes(name) for name in group} for group in geometry.groups
+    ]
+    if any(len(deltas) != 1 for deltas in geometry.deltas):
+        geometry.guard = geometry.guard or "shared_line"
+        return geometry
     delta_max = 1
     p_joint = 1
-    for group in groups:
-        deltas = {delta_bytes(name) for name in group}
-        if len(deltas) != 1:
-            return None
-        delta = deltas.pop()
+    for group, (delta,) in zip(geometry.groups, geometry.deltas):
         if delta == 0:
             continue  # stationary group: period 1, span 1
         period = line_size // math.gcd(abs(delta), line_size)
-        member_lines = np.concatenate(
-            [block.lines[block.positions[name]] for name in group]
+        diam_lines = (
+            max(geometry.line_bounds[name][1] for name in group)
+            - min(geometry.line_bounds[name][0] for name in group)
         )
-        diam_lines = int(member_lines.max() - member_lines.min())
         span = ((diam_lines + 2) * line_size) // abs(delta) + 1
         p_joint = math.lcm(p_joint, period)
         delta_max = max(delta_max, span)
+    geometry.p_joint = p_joint
+    geometry.delta_max = delta_max
     if p_joint > P_JOINT_MAX or delta_max > DELTA_MAX_CAP:
-        return None
-    # Fold only from twice `valid_from` of the symbolic form (engine.py).
-    if n < 2 * (delta_max + p_joint * (delta_max + 1)):
-        return None
+        geometry.guard = geometry.guard or "caps"
+    elif n < 2 * (delta_max + p_joint):
+        geometry.guard = geometry.guard or "economic"
+    return geometry
+
+
+def _window_agrees(
+    geometry: FoldGeometry, cols: RegionColumns, blocks: int, block_events: int
+) -> bool:
+    """Whether the simulated window is the one the statics describe.
+
+    Its event count is ``blocks`` blocks of ``block_events``, every
+    block repeats block 0's container sequence (so each block's events
+    line up with block 0's positions), and block 0 touches exactly the
+    containers, index bounds and line bounds of the geometry.
+    """
+    if cols.num_events != blocks * block_events:
+        return False
+    ids = cols.container_ids.reshape(blocks, block_events)
+    if not (ids == ids[0]).all() or len(cols.containers) != len(geometry.index_bounds):
+        return False
+    for name, pos in cols.positions.items():
+        dims = geometry.index_bounds.get(name)
+        if dims is None:
+            return False
+        cut = int(np.searchsorted(pos, block_events))
+        matrix = cols.index_matrices[name][:cut]
+        if dims != list(zip(matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist())):
+            return False
+        lines = cols.lines[pos[:cut]]
+        if geometry.line_bounds[name] != (int(lines.min()), int(lines.max())):
+            return False
+    return True
+
+
+def try_build_fold(
+    sdfg,
+    symbols: Mapping[str, int],
+    state,
+    candidate: FoldCandidate,
+    memory: MemoryModel,
+    include_transients: bool = False,
+    timings=None,
+) -> FoldedSummary | str:
+    """Build a :class:`FoldedSummary`, or name the guard that declines
+    it (one of :data:`DECLINE_GUARDS`) so the caller enumerates.
+
+    The guards of :func:`fold_geometry` are decided before anything is
+    simulated.  A region that passes them simulates its window of
+    blocks ``[0, Δmax+P)`` in one :func:`simulate_region` call, and the
+    window declines (``window``) unless :func:`_window_agrees`: a wrong
+    static value costs time, never exactness.
+    """
+    geometry = fold_geometry(candidate, memory)
+    if geometry.guard is not None:
+        return geometry.guard
+    n = candidate.n
+    block_events = candidate.block_events
+    delta_max = geometry.delta_max
+    p_joint = geometry.p_joint
 
     # One window of blocks [0, Δmax+P) holds the prefix and, as its last
     # P blocks, one representative block per phase.  Every reuse lies
     # within Δmax blocks, so a block's distances over this window equal
-    # those over its own (Δmax+1)-block window.  Block 0 is simulated
-    # already; the rest of the window is appended to it.
+    # those over its own (Δmax+1)-block window.
     blocks = delta_max + p_joint
-    cols = _append_blocks(block, window(1, blocks), blocks)
-    if cols is None:
-        return None
+    result = simulate_region(
+        sdfg, symbols, state, candidate.entry,
+        include_transients=include_transients, timings=timings,
+        outer_slice=(0, blocks),
+    )
+    cols = region_columns(result, memory)
+    if not _window_agrees(geometry, cols, blocks, block_events):
+        return "window"
     distances = stack_distances_array(cols.lines)
+    block = _leading(cols, block_events)
     prefix = _leading(cols, delta_max * block_events)
     prefix_distances = distances[:prefix.num_events].copy()
 
@@ -393,8 +476,8 @@ def try_build_fold(
         )
         covered += m_r
     if covered != n - delta_max:
-        return None
+        return "window"
     return FoldedSummary(
-        block, dict(shifts), prefix, prefix_distances, phases,
-        n, delta_max, p_joint, candidate,
+        block, dict(candidate.container_shifts), prefix, prefix_distances,
+        phases, n, delta_max, p_joint, candidate,
     )

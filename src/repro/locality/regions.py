@@ -15,11 +15,14 @@ checks that a flat affine map region has *uniform outer shift* — every
 access to a container moves by the same per-dimension index delta per
 outer-loop iteration — which is the property that makes the reuse
 pattern of the steady state periodic in the outer loop
-(:mod:`repro.locality.fold`).
+(:mod:`repro.locality.fold`).  It also describes outer block 0 without
+simulating it: one :class:`AccessBox` per memlet, from which the fold
+decides its guards before it simulates anything.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +40,7 @@ from repro.symbolic.expr import Expr
 __all__ = [
     "Region",
     "RegionColumns",
+    "AccessBox",
     "FoldCandidate",
     "extract_regions",
     "region_columns",
@@ -133,6 +137,57 @@ def region_columns(result: SimulationResult, memory: MemoryModel) -> RegionColum
     )
 
 
+class AccessBox:
+    """The element indices that memlets with one index map touch in
+    outer block 0.
+
+    For each point ``b`` of ``bases`` (one per memlet), index dimension
+    ``d`` is ``b[d] + Σ_j column_j[d]·v_j`` over the box's ``terms``
+    ``(column_j, lo_j, hi_j)``: one term per inner map parameter (its
+    coefficients; it takes its concrete values) and one per range
+    dimension of the subsets (a unit column; it takes the local
+    offsets).  Every combination of values occurs and each variable
+    attains its ``lo`` and ``hi``, so a weighted index sum is smallest
+    and largest at the box's corners (:meth:`bounds`).  A stencil's
+    memlets differ only in their base points, so they share one box.
+    """
+
+    __slots__ = ("data", "bases", "terms")
+
+    def __init__(
+        self,
+        data: str,
+        bases: list[tuple[int, ...]],
+        terms: tuple[tuple[tuple[int, ...], int, int], ...],
+    ):
+        self.data = data
+        self.bases = bases
+        self.terms = terms
+
+    def bounds(self, weights: tuple[int, ...]) -> tuple[int, int]:
+        """Minimum and maximum of ``Σ_d weights[d]·index[d]`` over block 0."""
+        sums = [sum(w * b for w, b in zip(weights, base)) for base in self.bases]
+        lo = min(sums)
+        hi = max(sums)
+        for column, v_lo, v_hi in self.terms:
+            a = sum(w * c for w, c in zip(weights, column))
+            lo += min(a * v_lo, a * v_hi)
+            hi += max(a * v_lo, a * v_hi)
+        return lo, hi
+
+    def index_bounds(self) -> list[tuple[int, int]]:
+        """Per-dimension ``(min, max)`` element index over block 0: the
+        :meth:`bounds` of each unit weight, in one pass over the terms."""
+        lo = [min(values) for values in zip(*self.bases)]
+        hi = [max(values) for values in zip(*self.bases)]
+        for column, v_lo, v_hi in self.terms:
+            for d, c in enumerate(column):
+                if c:
+                    lo[d] += min(c * v_lo, c * v_hi)
+                    hi[d] += max(c * v_lo, c * v_hi)
+        return list(zip(lo, hi))
+
+
 class FoldCandidate:
     """Static description of a window-foldable map region.
 
@@ -140,10 +195,13 @@ class FoldCandidate:
     every access to container *c* per outer-loop iteration (uniform by
     the statics guard); ``n`` is the concrete outer extent and
     ``n_expr`` the same extent as a symbolic expression over the program
-    parameters.
+    parameters.  ``boxes`` holds the :class:`AccessBox` of every memlet
+    that records events, and ``block_events`` is the number of events
+    of one outer block.
     """
 
-    __slots__ = ("entry", "n", "step0", "outer_param", "container_shifts", "n_expr")
+    __slots__ = ("entry", "n", "step0", "outer_param", "container_shifts",
+                 "n_expr", "boxes", "block_events")
 
     def __init__(
         self,
@@ -153,6 +211,8 @@ class FoldCandidate:
         outer_param: str,
         container_shifts: dict[str, tuple[int, ...]],
         n_expr: Expr,
+        boxes: list[AccessBox],
+        block_events: int,
     ):
         self.entry = entry
         self.n = n
@@ -160,6 +220,8 @@ class FoldCandidate:
         self.outer_param = outer_param
         self.container_shifts = container_shifts
         self.n_expr = n_expr
+        self.boxes = boxes
+        self.block_events = block_events
 
 
 def _tracked(sdfg: SDFG, data: str, include_transients: bool) -> bool:
@@ -167,6 +229,11 @@ def _tracked(sdfg: SDFG, data: str, include_transients: bool) -> bool:
         return True
     desc = sdfg.arrays.get(data)
     return desc is None or isinstance(desc, Array)
+
+
+def _value_range(values) -> tuple[int, int]:
+    """``(min, max)`` of a non-empty arithmetic progression."""
+    return min(values[0], values[-1]), max(values[0], values[-1])
 
 
 def fold_statics(
@@ -183,9 +250,10 @@ def fold_statics(
     - the scope is flat: tasklets only, no nested maps or nested SDFGs;
     - the outer extent has ≥ 2 iterations and no range depends on any
       map parameter (triangular nests decline naturally);
-    - every tracked memlet subset is affine in the map parameters; and
+    - every tracked memlet subset is affine in the map parameters;
     - each container's outer shift (per-dimension index delta per outer
-      iteration) is identical across all accesses to it.
+      iteration) is identical across all accesses to it; and
+    - an outer block records at least one event.
     """
     params = entry.map.params
     if not params:
@@ -196,17 +264,25 @@ def fold_statics(
         if r.free_symbols() & pset:
             return None
     try:
-        outer = list(ranges[0].concretize(env))
+        concrete = [r.concretize(env) for r in ranges]
     except Exception:  # noqa: BLE001 — undecidable extent: enumerate instead
         return None
+    outer = concrete[0]
     n = len(outer)
-    if n < 2:
+    if n < 2 or not all(concrete[1:]):
         return None
     step0 = outer[1] - outer[0]
+    inner = [
+        (name, _value_range(values))
+        for name, values in zip(params[1:], concrete[1:])
+    ]
+    inner_points = math.prod(len(values) for values in concrete[1:])
     children = state.scope_children().get(entry, [])
     if any(isinstance(node, (MapEntry, NestedSDFG)) for node in children):
         return None
     container_shifts: dict[str, tuple[int, ...]] = {}
+    bases: dict[tuple, list[tuple[int, ...]]] = {}
+    block_events = 0
     for node in children:
         if not isinstance(node, Tasklet):
             continue
@@ -217,16 +293,40 @@ def fold_statics(
             subset = AffineSubset.from_memlet(memlet, pset)
             if subset is None:
                 return None
+            ndim = len(subset.dims)
             shifts = []
-            for dim in subset.dims:
-                _, coeffs = dim.begin.concretize(env)
+            base = []
+            columns = [[0] * ndim for _ in inner]
+            terms = []
+            width = 1
+            for d, dim in enumerate(subset.dims):
+                offset, coeffs = dim.begin.concretize(env)
                 shifts.append(coeffs.get(params[0], 0) * step0)
+                base.append(offset + coeffs.get(params[0], 0) * outer[0])
+                for column, (name, _) in zip(columns, inner):
+                    column[d] = coeffs.get(name, 0)
+                if dim.is_point:
+                    continue
+                local = dim.local_offsets(env)
+                width *= len(local)
+                if local:
+                    unit = tuple(int(k == d) for k in range(ndim))
+                    terms.append((unit, *_value_range(local)))
             shift = tuple(shifts)
             previous = container_shifts.setdefault(memlet.data, shift)
             if previous != shift:
                 return None
-    if not container_shifts:
+            if width:
+                terms += [
+                    (tuple(column), *bounds)
+                    for column, (_, bounds) in zip(columns, inner)
+                ]
+                bases.setdefault((memlet.data, tuple(terms)), []).append(tuple(base))
+                block_events += width * inner_points
+    if not block_events:
         return None
+    boxes = [AccessBox(data, points, terms) for (data, terms), points in bases.items()]
     return FoldCandidate(
-        entry, n, step0, params[0], container_shifts, ranges[0].num_elements()
+        entry, n, step0, params[0], container_shifts, ranges[0].num_elements(),
+        boxes, block_events,
     )

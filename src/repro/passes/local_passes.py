@@ -106,6 +106,8 @@ class AnalyticPass(Pass):
             ctx.metrics.counter("locality.analytic.fallbacks").inc(
                 product.fallback_regions
             )
+            for guard, count in product.declined.items():
+                ctx.metrics.counter(f"locality.fold.declined.{guard}").inc(count)
         return product
 
 

@@ -640,6 +640,7 @@ class AnalysisServer:
                     capacity_lines=capacity,
                     on_error="record",
                     cancel=cancel,
+                    base=ctx,
                 )
             outcome = run.outcomes[0]
             if isinstance(outcome, SweepPointError):
@@ -714,6 +715,8 @@ class AnalysisServer:
         def on_result(index: int, outcome: Any) -> None:
             loop.call_soon_threadsafe(queue.put_nowait, (index, outcome))
 
+        base = self._base
+
         def run_sweep() -> Any:
             try:
                 with self._session_lock:
@@ -725,6 +728,7 @@ class AnalysisServer:
                             on_error="record",
                             cancel=token,
                             on_result=on_result,
+                            base=base,
                         )
             finally:
                 loop.call_soon_threadsafe(queue.put_nowait, _END)

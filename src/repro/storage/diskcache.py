@@ -16,7 +16,8 @@ Concretely:
 - *Atomicity* — an entry is written to a temporary file in the cache
   directory, flushed and ``fsync``-ed, then published with
   :func:`os.replace`.  A crash mid-write leaves at most a stray temp
-  file, never a half-visible entry.
+  file, never a half-visible entry; the next walk under the writer lock
+  removes it (``disk.tmp_removed``).
 - *Integrity* — every entry carries a fixed header (magic, format
   version, schema version, payload length, SHA-256 payload checksum)
   followed by the pickled ``(key, value)`` payload.  Reads verify all
@@ -81,7 +82,7 @@ MAGIC = b"RPRC"
 FORMAT_VERSION = 1
 #: Payload schema version: bump when the pickled product types change
 #: incompatibly; older entries are then quarantined and recomputed.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: magic, format version, schema version, payload length, payload SHA-256.
 _HEADER = struct.Struct("<4sHHQ32s")
@@ -218,21 +219,41 @@ class DiskCache:
         digest = key_digest(key)
         return self.root / digest[:2] / f"{digest}{_ENTRY_SUFFIX}"
 
-    def _entry_files(self):
+    def _entry_files(self, sweep: bool = False):
+        """Every entry file, in one directory walk.
+
+        With *sweep* (the caller holds the writer lock) the walk also
+        removes the stray temp files it meets (``disk.tmp_removed``): a
+        writer creates its temp file and publishes or unlinks it under
+        that lock, so one seen here was left by a writer that died.
+        """
+        removed = 0
         try:
             for shard in self.root.iterdir():
-                if shard.is_dir() and len(shard.name) == 2:
-                    yield from shard.glob(f"*{_ENTRY_SUFFIX}")
+                if not (shard.is_dir() and len(shard.name) == 2):
+                    continue
+                for path in shard.iterdir():
+                    if path.name.endswith(_ENTRY_SUFFIX):
+                        yield path
+                    elif sweep and path.name.startswith(_TMP_PREFIX):
+                        try:
+                            path.unlink()
+                            removed += 1
+                        except OSError:
+                            pass  # never read: only entries are
         except OSError:
             return
+        finally:
+            self._count("disk.tmp_removed", removed)
 
-    def _stat_entries(self):
-        """``(path, stat)`` of every entry file, in one directory walk.
+    def _stat_entries(self, sweep: bool = False):
+        """``(path, stat)`` of every entry file, in one directory walk
+        (which, with *sweep*, removes stray temp files).
 
         A file that vanishes mid-walk (another process evicted or
         quarantined it) is skipped.
         """
-        for path in self._entry_files():
+        for path in self._entry_files(sweep):
             try:
                 yield path, path.stat()
             except OSError:
@@ -459,14 +480,15 @@ class DiskCache:
         """Walk the directory, drop the oldest entries past the byte
         budget, and return the entry bytes that remain.
 
-        Called with the writer lock held.  The just-written entry is
+        Called with the writer lock held, so the walk also removes stray
+        temp files, which no budget counts.  The just-written entry is
         exempt so a single oversized product cannot evict itself into a
         write/miss loop.
         """
         self._count("disk.scans")
         entries: list[tuple[float, int, Path]] = []
         total = 0
-        for path, stat in self._stat_entries():
+        for path, stat in self._stat_entries(sweep=True):
             total += stat.st_size
             entries.append((stat.st_mtime, stat.st_size, path))
         if total <= self.max_bytes:
@@ -500,7 +522,7 @@ class DiskCache:
             with self._lock:
                 self._count("disk.scans")
                 left = 0
-                for path in list(self._entry_files()):
+                for path in list(self._entry_files(sweep=True)):
                     try:
                         path.unlink()
                     except OSError:

@@ -32,6 +32,7 @@ from repro.analysis.timing import maybe_span
 from repro.errors import ReproError, UnknownSymbolError
 from repro.obs import MetricsRegistry, Tracer
 from repro.frontend.program import Program
+from repro.locality.fold import DECLINE_GUARDS
 from repro.passes import (
     DistanceProduct,
     LayoutProduct,
@@ -315,6 +316,7 @@ class Session:
         adaptive: bool = True,
         batch: int | None = None,
         on_result: Callable[[int, Any], None] | None = None,
+        base: PassContext | None = None,
     ) -> list[LocalSweepPoint] | SweepRun:
         """Run the local-view locality pipeline over a parameter grid.
 
@@ -368,6 +370,11 @@ class Session:
         served from the store.  The analysis service streams sweep
         progress events from this hook.
 
+        *base* shares a previous context's graph fingerprints with the
+        grid's points, as in :meth:`point_context`; the service hands in
+        the context it already keyed, so a sweep does not hash the
+        unchanged SDFG again.
+
         A grid name that is not a program symbol raises
         :class:`~repro.errors.UnknownSymbolError` before any point runs.
         """
@@ -390,7 +397,7 @@ class Session:
                 line_size,
                 capacity_lines,
                 include_transients,
-                base=points[0] if points else None,
+                base=points[0] if points else base,
             )
             # Keyed as it is made, so the first context's graph
             # fingerprints are there for the rest to adopt.
@@ -544,6 +551,14 @@ class Session:
                 f"analytic locality: {folded} region(s) folded closed-form, "
                 f"{fallbacks} enumerated (fallback)"
             )
+            counters = self.metrics.to_dict()["counters"]
+            counts = [
+                (guard, counters.get(f"locality.fold.declined.{guard}", 0))
+                for guard in DECLINE_GUARDS
+            ]
+            declined = ", ".join(f"{guard} {n}" for guard, n in counts if n)
+            if declined:
+                lines.append(f"  fold declined by: {declined}")
         info = self.cache_info()
         lines.append(
             f"result store: {info['entries']}/{info['maxsize']} entries, "

@@ -186,6 +186,22 @@ class TestFoldEngagement:
         analytic = assert_engine_exact(sdfg, {})
         assert analytic.analytic_regions == 1
 
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        """The ``outer_slice`` of every region simulation the engine and
+        the fold make (``None`` = the whole region)."""
+        from repro.locality import engine, fold
+
+        calls = []
+
+        def counting(*args, outer_slice=None, **kwargs):
+            calls.append(outer_slice)
+            return simulate_region(*args, outer_slice=outer_slice, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate_region", counting)
+        monkeypatch.setattr(fold, "simulate_region", counting)
+        return calls
+
     @pytest.mark.parametrize(
         "build, env, phases",
         [
@@ -194,32 +210,71 @@ class TestFoldEngagement:
         ],
         ids=["hdiff-P1", "stencil-P8"],
     )
-    def test_fold_simulates_one_window(self, monkeypatch, build, env, phases):
-        """Block 0 for the guards, then one window holding the prefix and
-        every phase: at most 1 + Δmax + P simulated blocks."""
-        from repro.locality import fold
-
-        simulated = []
-
-        def counting(*args, outer_slice, **kwargs):
-            simulated.append(outer_slice[1] - outer_slice[0])
-            return simulate_region(*args, outer_slice=outer_slice, **kwargs)
-
-        monkeypatch.setattr(fold, "simulate_region", counting)
+    def test_fold_simulates_one_window(self, simulated, build, env, phases):
+        """The guards are decided before simulating; the fold then
+        simulates one window holding the prefix and every phase."""
         analytic = assert_engine_exact(build(), dict(env))
         assert analytic.analytic_regions == 1
         summary = analytic._summaries[0]
         assert summary.p_joint == phases
-        assert sum(simulated) <= 1 + summary.delta_max + summary.p_joint
+        assert simulated == [(0, summary.delta_max + summary.p_joint)]
+
+    @pytest.mark.parametrize(
+        "build, env, guard",
+        [
+            (hdiff.build_sdfg, hdiff.LOCAL_VIEW_SIZES, "economic"),
+            (lambda: hdiff_variant(1), {"I": 28, "J": 18, "K": 8}, "caps"),
+            (lambda: hdiff_variant(3), {"I": 28, "J": 18, "K": 8}, "shared_line"),
+            (bert.build_sdfg, {"B": 1, "H": 2, "SM": 4, "EMB": 8, "FF": 8, "P": 4},
+             "multi_region"),
+        ],
+        ids=["economic", "caps", "shared_line", "multi_region"],
+    )
+    def test_declined_region_is_simulated_once(self, simulated, build, env, guard):
+        """Enumeration is a declined region's only simulation."""
+        analytic = analyze_locality(build(), dict(env))
+        assert analytic.analytic_regions == 0
+        assert set(analytic.declined) == {guard}
+        assert simulated == [None] * analytic.fallback_regions
 
     def test_declined_fold_falls_back_exactly(self):
-        # matmul's inner extents make the fold uneconomic; the engine
-        # must decline and enumerate, still exact.
+        # At 12 outer iterations matmul's window of Δmax + P = 7 blocks
+        # makes the fold uneconomic; the engine must decline and
+        # enumerate, still exact.
         analytic = assert_engine_exact(
-            linalg.build_matmul(), {"I": 32, "J": 8, "K": 8}
+            linalg.build_matmul(), {"I": 12, "J": 8, "K": 8}
         )
         assert analytic.analytic_regions == 0
-        assert analytic.fallback_regions >= 1
+        assert analytic.declined == {"economic": 1}
+
+    @pytest.mark.parametrize(
+        "build, env",
+        [
+            (linalg.build_matmul, {"I": 32, "J": 8, "K": 8}),
+            (lambda: hdiff_variant(2), {"I": 28, "J": 18, "K": 8}),
+            (lambda: hdiff_variant(2), {"I": 31, "J": 20, "K": 8}),
+        ],
+        ids=["matmul", "hdiff-v2-28", "hdiff-v2-31"],
+    )
+    def test_window_sized_economic_bound_folds_exactly(self, build, env):
+        """Folds that the economic bound ``n ≥ 2·(Δmax + P)`` admits
+        and the one charging per-phase windows declined."""
+        analytic = assert_engine_exact(build(), dict(env))
+        assert analytic.analytic_regions == 1
+        summary = analytic._summaries[0]
+        n = summary.n
+        assert 2 * (summary.delta_max + summary.p_joint) <= n < 2 * (
+            summary.delta_max + summary.p_joint * (summary.delta_max + 1)
+        )
+
+
+def hdiff_variant(level):
+    """hdiff after the first *level* of the paper's three tuning steps:
+    reshape (K-major), reorder (outer ``k``), pad rows to a line."""
+    sdfg = hdiff.build_sdfg()
+    for step in (hdiff.apply_reshape, hdiff.apply_reorder, hdiff.apply_padding)[:level]:
+        step(sdfg)
+    return sdfg
 
 
 def stencil_1d(n):

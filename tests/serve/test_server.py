@@ -142,6 +142,44 @@ class TestEndpoints:
         assert "simulation_cache" in payload
 
 
+class TestGraphHashing:
+    """The service never reloads its program, so after the first request
+    no view or sweep hashes the graph again."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        import repro.passes.base as base
+
+        calls = []
+        for name in ("state_fingerprint", "sdfg_fingerprint", "arrays_fingerprint"):
+            real = getattr(base, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(base, name, spy)
+        return calls
+
+    def test_distinct_views_and_sweeps_hash_nothing(self, server, hashes):
+        status, _, _ = get(server, "/v1/local/view?I=5&J=5&K=2")
+        assert status == 200
+        assert hashes  # the first request hashes the graph
+        hashes.clear()
+        for i in (6, 7):
+            status, _, _ = get(server, f"/v1/local/view?I={i}&J=5&K=2")
+            assert status == 200
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/sweep", body=json.dumps(
+                {"grid": {"I": [8, 9], "J": [5], "K": [2]}}
+            ))
+            assert conn.getresponse().read().splitlines()[-1].startswith(b'{"event": "end"')
+        finally:
+            conn.close()
+        assert hashes == []
+
+
 class TestETag:
     def test_revalidation_round_trip(self, server):
         path = "/v1/local/view?I=4&J=4&K=2"

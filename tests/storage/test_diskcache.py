@@ -181,9 +181,9 @@ class TestByteLedger:
         calls = []
         walk = cache._entry_files
 
-        def spy():
+        def spy(*args, **kwargs):
             calls.append(1)
-            return walk()
+            return walk(*args, **kwargs)
 
         monkeypatch.setattr(cache, "_entry_files", spy)
         return calls
@@ -315,6 +315,64 @@ class TestByteLedger:
         files = list(tmp_path.glob("??/*.rpc"))
         assert info["entries"] == len(files) == 2
         assert info["bytes"] == sum(f.stat().st_size for f in files)
+
+
+
+class TestStrayTempFiles:
+    """A writer that dies between creating its temp file and publishing
+    it leaves the file behind; walks under the writer lock remove it."""
+
+    @staticmethod
+    def _plant(cache, key, size=100_000):
+        path = cache._entry_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        stray = path.parent / ".tmp-99999-0"
+        stray.write_bytes(b"x" * size)
+        return stray
+
+    def test_rebaseline_removes_a_stray(self, tmp_path):
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, metrics=metrics)
+        stray = self._plant(cache, ("k",))
+        cache.put(("k",), "value")  # first write: re-baseline walk
+        assert not stray.exists()
+        assert metrics.counter("disk.tmp_removed").value == 1
+        assert cache._read_ledger() == cache.total_bytes()
+
+    def test_eviction_removes_a_stray_the_budget_never_counts(self, tmp_path):
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, max_bytes=4096, metrics=metrics)
+        cache.put(("a",), "x" * 1500)
+        stray = self._plant(cache, ("b",), size=10_000)
+        cache.put(("b",), "x" * 1500)  # under budget: no walk
+        assert stray.exists()
+        assert cache._read_ledger() == cache.total_bytes() <= 4096
+        assert cache.info()["bytes"] == cache.total_bytes()
+        cache.put(("c",), "x" * 1500)  # past the budget: the walk evicts
+        assert not stray.exists()
+        assert metrics.counter("disk.tmp_removed").value == 1
+        assert len(cache) == 2  # the stray's bytes evicted nothing extra
+
+    def test_clear_removes_a_stray(self, tmp_path):
+        metrics = MetricsRegistry()
+        cache = DiskCache(tmp_path, metrics=metrics)
+        cache.put(("a",), "value")
+        stray = self._plant(cache, ("a",))
+        cache.clear()
+        assert not stray.exists()
+        assert metrics.counter("disk.tmp_removed").value == 1
+        assert cache._read_ledger() == 0
+
+    def test_unlocked_walks_leave_temp_files(self, tmp_path):
+        """``info`` and ``len`` walk without the lock, where a temp file
+        may be a live writer's."""
+        cache = DiskCache(tmp_path)
+        cache.put(("a",), "value")
+        stray = self._plant(cache, ("a",))
+        assert len(cache) == 1
+        cache.info()
+        cache.total_bytes()
+        assert stray.exists()
 
 
 class TestFileLock:
