@@ -977,8 +977,9 @@ def sweep_points(
     3. The rest go to *executor*.  It evaluates in process through
        *pipeline*, or ships each point's program to its workers.
     4. A pooled point's ``local.analytic`` product and the point itself
-       enter the store (and through it any disk tier), so a pooled sweep
-       leaves the store as a serial one would.
+       enter the store (and through it any disk tier), and the product's
+       regions are counted, so a pooled sweep leaves the store and the
+       locality counters as a serial one would.
 
     Returns one outcome per point: the evaluated point or a
     :class:`SweepPointError`.  *on_result* is called as
@@ -986,6 +987,8 @@ def sweep_points(
     points served from the store.  Spans (``sweep``, ``fanout``,
     ``merge``) and counters go to *executor*'s tracer and metrics.
     """
+    from repro.passes.local_passes import count_locality
+
     store = pipeline.store
     count = executor._count
     out: list[Any] = [None] * len(points)
@@ -1054,6 +1057,7 @@ def sweep_points(
                         key = pipeline.key("local.analytic", points[index])
                         if not store.contains(key):
                             store.put(key, outcome.analytic)
+                            count_locality(points[index].metrics, outcome.analytic)
                     out[index] = outcome = _unpooled(outcome)
                     if isinstance(outcome, SweepPointError):
                         continue

@@ -23,6 +23,7 @@ from a *constant* number of enumerated loop blocks:
 
 from repro.locality.engine import (
     AnalyticLocality,
+    ElementCounts,
     SymbolicLocality,
     analyze_locality,
 )
@@ -30,6 +31,7 @@ from repro.locality.regions import FoldCandidate, Region, extract_regions
 
 __all__ = [
     "AnalyticLocality",
+    "ElementCounts",
     "SymbolicLocality",
     "analyze_locality",
     "FoldCandidate",

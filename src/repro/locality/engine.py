@@ -13,7 +13,8 @@ of the event count.
 
 The :class:`AnalyticLocality` product answers the enumeration pipeline's
 queries (``miss_counts``, ``per_element_misses``, ``histogram``) with
-exactly equal results.  When the region folded, its ``symbolic``
+exactly equal results; per-element queries read dense
+:class:`ElementCounts` arrays.  When the region folded, its ``symbolic``
 attribute builds a :class:`SymbolicLocality` on first read —
 per-container count expressions over the outer extent, evaluable on
 whole grids via :func:`repro.symbolic.compiled.compile_expr`.
@@ -21,7 +22,9 @@ whole grids via :func:`repro.symbolic.compiled.compile_expr`.
 
 from __future__ import annotations
 
-from typing import Mapping
+import itertools
+import math
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from repro.symbolic.expr import Expr, Integer, add, floor_div, mul, smax, sub
 
 __all__ = [
     "AnalyticLocality",
+    "ElementCounts",
     "EnumeratedSummary",
     "SymbolicLocality",
     "analyze_locality",
@@ -203,9 +207,15 @@ class SymbolicLocality:
 
     ``total``/``cold`` map containers to :class:`~repro.symbolic.expr.Expr`
     trees in the program parameters; ``hist`` maps containers to
-    ``{distance: count-Expr}``.  Exact for extents ≥ :attr:`valid_from`
-    of the analyzed program family (same inner sizes and layouts, outer
-    extent varying); evaluable point-wise or batched over grids with
+    ``{distance: count-Expr}``.  They describe the analyzed program
+    family: the same inner sizes and every container at the same offset
+    within its cache line, with the outer extent varying.
+    :attr:`valid_from` is a sufficient bound, not where exactness starts:
+    the expressions are exact at every extent ≥ ``valid_from`` of the
+    family, and may be below it too (matmul at ``{I: 14, J: 8, K: 8}``
+    folds with ``valid_from`` 17, and its expressions hold at every even
+    ``I`` from 6; an odd ``I`` moves ``B`` half a line, out of the
+    family).  Evaluable point-wise or batched over grids with
     :func:`repro.symbolic.compiled.compile_expr`.
     """
 
@@ -291,6 +301,53 @@ def _build_symbolic(fold: FoldedSummary) -> SymbolicLocality:
     return SymbolicLocality(
         fold.outer_param, n_expr, valid_from, total, cold, hist
     )
+
+
+def _miss_counts(total: int, cold: int, capacity: int) -> MissCounts:
+    return MissCounts(hits=total - cold - capacity, cold=cold, capacity=capacity)
+
+
+class ElementCounts:
+    """Dense per-element counts of one container at one capacity.
+
+    ``present`` lists the row-major positions (over ``shape``, the
+    accessed index span) of every element the program accesses, in
+    ascending order; ``total``, ``cold`` and ``capacity`` hold each
+    one's access, cold-miss and capacity-miss counts, aligned with it.
+    Plain arrays: a per-element view zips them into its dict at C
+    speed, with no object per element.
+    """
+
+    __slots__ = ("shape", "present", "total", "cold", "capacity")
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        present: np.ndarray,
+        total: np.ndarray,
+        cold: np.ndarray,
+        capacity: np.ndarray,
+    ):
+        self.shape = shape
+        self.present = present
+        self.total = total
+        self.cold = cold
+        self.capacity = capacity
+
+    @property
+    def misses(self) -> np.ndarray:
+        return self.cold + self.capacity
+
+    def indices(self) -> Iterator[tuple[int, ...]]:
+        """Each present element's index tuple, aligned with the counts."""
+        if not self.shape:
+            return itertools.repeat((), self.present.size)
+        columns = np.unravel_index(self.present, self.shape)
+        return zip(*(column.tolist() for column in columns))
+
+    def to_dict(self, counts: np.ndarray) -> dict[tuple[int, ...], int]:
+        """``{indices: count}`` for one of the count arrays."""
+        return dict(zip(self.indices(), counts.tolist()))
 
 
 class AnalyticLocality:
@@ -394,24 +451,27 @@ class AnalyticLocality:
             return None
         return tuple(max(dims) for dims in zip(*spans)) if spans[0] else ()
 
-    def per_element_misses(
-        self, container: str, capacity_lines: int
-    ) -> dict[tuple[int, ...], MissCounts]:
-        """Per-element miss counts — equals
-        :func:`~repro.simulation.arrays.per_element_misses_array`."""
+    def element_counts(self, container: str, capacity_lines: int) -> ElementCounts:
+        """Dense per-element counts of one container, memoized per
+        ``(container, capacity_lines)``; empty for a container the
+        program never accesses."""
         key = (container, capacity_lines)
-        cached = self._element_cache.get(key)
-        if cached is not None:
-            return cached
+        counts = self._element_cache.get(key)
+        if counts is None:
+            counts = self._element_cache[key] = self._count_elements(
+                container, capacity_lines
+            )
+        return counts
+
+    def _count_elements(self, container: str, capacity_lines: int) -> ElementCounts:
         shape = self._element_shape(container)
         if shape is None:
-            return {}
-        size = 1
-        for extent in shape:
-            size *= extent
+            empty = np.zeros(0, dtype=np.int32)
+            return ElementCounts((), empty, empty, empty, empty)
         mult = np.ones(len(shape), dtype=np.int64)
         for d in range(len(shape) - 2, -1, -1):
             mult[d] = mult[d + 1] * shape[d + 1]
+        size = math.prod(shape)
         dense_total = np.zeros(size, dtype=np.int64)
         dense_cold = np.zeros(size, dtype=np.int64)
         dense_cap = np.zeros(size, dtype=np.int64)
@@ -422,21 +482,29 @@ class AnalyticLocality:
                     dense_total, dense_cold, dense_cap,
                 )
         present = np.flatnonzero(dense_total)
-        out: dict[tuple[int, ...], MissCounts] = {}
-        if shape:
-            columns = np.unravel_index(present, shape)
-            indices = list(zip(*(c.tolist() for c in columns)))
-        else:
-            indices = [()] * present.size
-        for element, t, k, p in zip(
-            indices,
-            dense_total[present].tolist(),
-            dense_cold[present].tolist(),
-            dense_cap[present].tolist(),
-        ):
-            out[element] = MissCounts(hits=t - k - p, cold=k, capacity=p)
-        self._element_cache[key] = out
-        return out
+        # Narrowed together: cold + capacity <= total, so sums fit too.
+        total = _narrow(dense_total[present])
+        return ElementCounts(
+            shape,
+            _narrow(present),
+            total,
+            dense_cold[present].astype(total.dtype),
+            dense_cap[present].astype(total.dtype),
+        )
+
+    def per_element_misses(
+        self, container: str, capacity_lines: int
+    ) -> dict[tuple[int, ...], MissCounts]:
+        """Per-element miss counts — equals
+        :func:`~repro.simulation.arrays.per_element_misses_array`; built
+        from :meth:`element_counts` on each call."""
+        counts = self.element_counts(container, capacity_lines)
+        return dict(zip(counts.indices(), map(
+            _miss_counts,
+            counts.total.tolist(),
+            counts.cold.tolist(),
+            counts.capacity.tolist(),
+        )))
 
     def __repr__(self) -> str:
         return (

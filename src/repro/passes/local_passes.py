@@ -50,6 +50,7 @@ __all__ = [
     "ClassifyPass",
     "PhysicalMovementPass",
     "SweepPointPass",
+    "count_locality",
     "local_passes",
 ]
 
@@ -99,16 +100,23 @@ class AnalyticPass(Pass):
                 include_transients=ctx.include_transients,
                 timings=ctx.timings,
             )
-        if ctx.metrics is not None:
-            ctx.metrics.counter("locality.analytic.hits").inc(
-                product.analytic_regions
-            )
-            ctx.metrics.counter("locality.analytic.fallbacks").inc(
-                product.fallback_regions
-            )
-            for guard, count in product.declined.items():
-                ctx.metrics.counter(f"locality.fold.declined.{guard}").inc(count)
+        count_locality(ctx.metrics, product)
         return product
+
+
+def count_locality(metrics, product: AnalyticLocality) -> None:
+    """Count a computed product's folded and enumerated regions, and each
+    enumerated region's declining guard, into *metrics* (if any).
+
+    Called wherever a product is computed or, from a pool worker,
+    brought home, so pooled and serial sweeps count alike.
+    """
+    if metrics is None:
+        return
+    metrics.counter("locality.analytic.hits").inc(product.analytic_regions)
+    metrics.counter("locality.analytic.fallbacks").inc(product.fallback_regions)
+    for guard, count in product.declined.items():
+        metrics.counter(f"locality.fold.declined.{guard}").inc(count)
 
 
 class TracePass(Pass):

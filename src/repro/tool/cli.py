@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
                 capacity_lines=args.capacity,
             )
             report.add_heading(f"Local view (parameterized at {local_env})")
-            for data in lv.result.containers():
+            for data in lv.containers():
                 counts = lv.access_heatmap(data)
                 report.add_svg(
                     lv.render_container(data, values=dict(counts)),

@@ -32,6 +32,7 @@ from repro.analysis.timing import maybe_span
 from repro.errors import ReproError, UnknownSymbolError
 from repro.obs import MetricsRegistry, Tracer
 from repro.frontend.program import Program
+from repro.locality import ElementCounts
 from repro.locality.fold import DECLINE_GUARDS
 from repro.passes import (
     DistanceProduct,
@@ -763,14 +764,14 @@ class GlobalView:
 class LocalView:
     """The local view (Section V): parameterized simulation and locality.
 
-    A thin facade: miss counts and movement resolve through the analytic
-    passes (``local.analytic`` → ``local.classify`` → ``local.physmove``),
-    the per-event views (access heatmaps, playback, related accesses,
-    reuse distances, set-associative misses) through the enumeration
-    chain (trace → layout → stack distance).  Every product is memoized
-    in the pipeline's store under *content-addressed* keys, and the view
-    keeps none of its own, so mutating the SDFG makes the next query
-    miss and recompute — no explicit invalidation needed.
+    A thin facade: miss counts, access counts and movement resolve
+    through the analytic passes (``local.analytic`` → ``local.classify``
+    → ``local.physmove``), the per-event views (playback, related
+    accesses, reuse distances, set-associative misses) through the
+    enumeration chain (trace → layout → stack distance).  Every product
+    is memoized in the pipeline's store under *content-addressed* keys,
+    and the view keeps none of its own, so mutating the SDFG makes the
+    next query miss and recompute — no explicit invalidation needed.
     """
 
     def __init__(
@@ -846,10 +847,23 @@ class LocalView:
         """
         self._pipeline.store.clear()
 
+    def _element_counts(self, data: str) -> ElementCounts:
+        """The engine's dense per-element counts of *data* at the view's
+        capacity."""
+        analytic = self._product("local.analytic")
+        with maybe_span(self.timings, "classify"):
+            return analytic.element_counts(data, self.cache.capacity_lines)
+
     # -- access patterns ----------------------------------------------------------
+    def containers(self) -> list[str]:
+        """The containers the program accesses, in first-access order."""
+        return list(self._product("local.analytic").containers)
+
     def access_heatmap(self, data: str) -> dict[tuple[int, ...], int]:
-        """Flattened access counts per element (Fig. 4b)."""
-        return self.result.access_counts(data)
+        """Flattened access counts per element (Fig. 4b), from the
+        engine's per-element totals."""
+        counts = self._element_counts(data)
+        return counts.to_dict(counts.total)
 
     def playback(self):
         """Iterate animation frames (lists of events per timestep)."""
@@ -926,9 +940,8 @@ class LocalView:
 
     def miss_heatmap(self, data: str) -> dict[tuple[int, ...], int]:
         """Per-element total misses of one container (Fig. 5c)."""
-        return {
-            idx: counts.misses for idx, counts in self.miss_counts(data).items()
-        }
+        counts = self._element_counts(data)
+        return counts.to_dict(counts.misses)
 
     def miss_counts_set_associative(self, num_sets: int, ways: int):
         """Per-container misses under a *set-associative* backend.

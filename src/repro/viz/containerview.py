@@ -10,13 +10,17 @@ overlays), with the exact value available as a tooltip.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from repro.errors import VisualizationError
 from repro.viz.color import GREEN_YELLOW_RED, ColorScale
 from repro.viz.scaling import ScalingMethod, make_scaling
-from repro.viz.svg import SVGDocument, rect_element, rect_style, serialize_attrs
+from repro.viz.svg import SVGDocument, number_attrs, rect_style
 
 __all__ = ["ContainerGrid", "render_container", "aggregate_tiles", "render_container_aggregated"]
 
@@ -31,70 +35,94 @@ _NO_VALUE = object()  # for cells that the values mapping leaves out
 
 
 class ContainerGrid:
-    """Geometry of one container's hierarchical element grid."""
+    """Geometry of one container's hierarchical element grid.
+
+    Every dimension moves a cell along one axis by a fixed pitch:
+    ``axes[d]`` is ``(axis, pitch)``, axis 0 for x and 1 for y.  A
+    cell's origin is the sum of its indices times their dimensions'
+    pitches, so :meth:`cell_origin` and :func:`render_container`'s
+    coordinate columns read the same few numbers.
+    """
 
     def __init__(self, shape: Sequence[int]):
         self.shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in self.shape):
             raise VisualizationError(f"invalid shape {self.shape}")
-        self.positions, (self.width, self.height) = _geometry(self.shape)
+        self.axes, (self.width, self.height) = _geometry(self.shape)
+
+    def flat_index(self, indices: Sequence[int]) -> int | None:
+        """Row-major position of one element; ``None`` outside the grid."""
+        if len(indices) != len(self.shape):
+            return None
+        flat = 0
+        for i, extent in zip(indices, self.shape):
+            if not 0 <= i < extent or i % 1:
+                return None
+            flat = flat * extent + int(i)
+        return flat
 
     def cell_origin(self, indices: Sequence[int]) -> tuple[float, float]:
         """Top-left pixel of one element's cell."""
-        try:
-            return self.positions[tuple(indices)]
-        except KeyError:
+        indices = tuple(indices)
+        if self.flat_index(indices) is None:
             raise VisualizationError(
-                f"indices {tuple(indices)} outside shape {self.shape}"
-            ) from None
+                f"indices {indices} outside shape {self.shape}"
+            )
+        origin = [0.0, 0.0]
+        for i, (axis, pitch) in zip(indices, self.axes):
+            origin[axis] += int(i) * pitch
+        return origin[0], origin[1]
+
+    def coordinates(self, axis: int) -> tuple[list[float], np.ndarray]:
+        """The distinct cell coordinates along *axis*, and for every cell
+        (row-major) the position of its coordinate in that list."""
+        coords = np.zeros(1)
+        ids = np.zeros(self.shape, dtype=np.intp)
+        for d, (along, pitch) in enumerate(self.axes):
+            if along != axis:
+                continue
+            extent = self.shape[d]
+            coords = (coords[:, None] + np.arange(extent) * pitch).ravel()
+            ids = ids * extent + _arange_along(self.shape, d)
+        return coords.tolist(), ids.ravel()
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return math.prod(self.shape)
 
 
 def _geometry(
     shape: tuple[int, ...]
-) -> tuple[dict[tuple[int, ...], tuple[float, float]], tuple[float, float]]:
-    """Recursive placement: indices → (x, y), inserted in row-major index
-    order (``render_container`` relies on it); returns the overall size."""
+) -> tuple[list[tuple[int, float]], tuple[float, float]]:
+    """Each dimension's ``(axis, pitch)`` and the overall size."""
     if len(shape) == 0:
-        return {(): (0.0, 0.0)}, (CELL, CELL)
+        return [], (CELL, CELL)
+    pitch = CELL + CELL_GAP
     if len(shape) == 1:
-        positions = {
-            (i,): (i * (CELL + CELL_GAP), 0.0) for i in range(shape[0])
-        }
         width = shape[0] * CELL + (shape[0] - 1) * CELL_GAP
-        return positions, (width, CELL)
+        return [(0, pitch)], (width, CELL)
     if len(shape) == 2:
         rows, cols = shape
-        positions = {
-            (r, c): (c * (CELL + CELL_GAP), r * (CELL + CELL_GAP))
-            for r in range(rows)
-            for c in range(cols)
-        }
         width = cols * CELL + (cols - 1) * CELL_GAP
         height = rows * CELL + (rows - 1) * CELL_GAP
-        return positions, (width, height)
+        return [(1, pitch), (0, pitch)], (width, height)
 
     # Higher dimensions: nest sub-blocks along alternating axes.  Counting
     # from the innermost 2D grid outward, the first extra dimension is laid
     # out horizontally, the next vertically, and so on — odd total rank
     # means the outermost extra dim runs horizontally.
-    sub_positions, (sub_w, sub_h) = _geometry(shape[1:])
-    horizontal = len(shape) % 2 == 1
-    positions: dict[tuple[int, ...], tuple[float, float]] = {}
-    for block in range(shape[0]):
-        if horizontal:
-            ox, oy = block * (sub_w + BLOCK_GAP), 0.0
-        else:
-            ox, oy = 0.0, block * (sub_h + BLOCK_GAP)
-        for idx, (x, y) in sub_positions.items():
-            positions[(block,) + idx] = (ox + x, oy + y)
-    if horizontal:
+    axes, (sub_w, sub_h) = _geometry(shape[1:])
+    if len(shape) % 2 == 1:
         size = (shape[0] * sub_w + (shape[0] - 1) * BLOCK_GAP, sub_h)
-    else:
-        size = (sub_w, shape[0] * sub_h + (shape[0] - 1) * BLOCK_GAP)
-    return positions, size
+        return [(0, sub_w + BLOCK_GAP)] + axes, size
+    size = (sub_w, shape[0] * sub_h + (shape[0] - 1) * BLOCK_GAP)
+    return [(1, sub_h + BLOCK_GAP)] + axes, size
+
+
+def _arange_along(shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """``arange(shape[dim])`` shaped to broadcast along *dim*."""
+    return np.arange(shape[dim]).reshape(
+        [-1 if d == dim else 1 for d in range(len(shape))]
+    )
 
 
 def render_container(
@@ -121,12 +149,13 @@ def render_container(
     selections:
         Elements drawn with a selection stroke (the clicked elements).
 
-    Everything that repeats across cells is serialized once: each distinct
-    coordinate, each distinct value's fill and tooltip suffix, each
-    fill/stroke style and the escaped name.  A cell then costs only string
-    assembly, which keeps re-coloring a large grid (every slider move)
-    cheap; the output is byte-identical to drawing each cell with
-    :meth:`SVGDocument.rect`.
+    The cells are assembled as whole columns, one string per cell and
+    column taken from a table of what repeats: each distinct x and y
+    coordinate, each index digit per dimension, and each distinct
+    value's style and tooltip suffix (``ColorScale.sample`` runs once per
+    distinct value).  Only the marked cells' styles are patched, and
+    the columns are joined once.  The output is byte-identical to
+    drawing each cell with :meth:`SVGDocument.rect`.
     """
     grid = ContainerGrid(shape)
     label_height = 18.0
@@ -135,72 +164,122 @@ def render_container(
 
     values = values or {}
     scaling = make_scaling(method, list(values.values())) if values else None
-    highlight_set = {tuple(h) for h in highlights}
-    selection_set = {tuple(s) for s in selections}
-
-    xs = _Memo(lambda x: serialize_attrs({"x": x}))
-    ys = _Memo(lambda y: serialize_attrs({"y": y}))
-    styles = _Memo(_cell_style)
-    marks = highlight_set | selection_set
+    cells = list(map(
+        values.get,
+        itertools.product(*map(range, grid.shape)),
+        itertools.repeat(_NO_VALUE),
+    ))
+    codes, groups = _value_groups(cells)
     # XML escaping works character by character, so escaped parts join
     # into the escaped title.
-    head = escape(name) + "["
-    # value -> (fill, style of an unmarked cell, escaped tooltip suffix)
-    paints = {_NO_VALUE: (_DEFAULT_FILL, styles[_DEFAULT_FILL, False], "")}
-    cells = []
-    for (idx, (x, y)), index_text in zip(grid.positions.items(), _index_texts(grid.shape)):
-        value = values.get(idx, _NO_VALUE)
-        # Equal values share a paint, but -0.0 == 0.0 prints as "-0" and
-        # nan != nan: zeros and NaNs are keyed by their repr.
-        key = value if value and value == value else repr(value)
-        paint = paints.get(key)
-        if paint is None:
+    title_open = "><title>" + escape(name) + "["
+    fills = []
+    style_table = []
+    tip_table = []
+    for value in groups:
+        if value is _NO_VALUE:
+            fill, tip = _DEFAULT_FILL, ""
+        else:
             fill = colors.sample(scaling.normalize(value)).to_hex()
-            paint = paints[key] = (
-                fill, styles[fill, False], escape(f": {value:g} {value_label}")
-            )
-        fill, style, tip = paint
-        if marks and idx in marks:
-            if idx in highlight_set:
-                fill = _HIGHLIGHT_FILL
-            style = styles[fill, idx in selection_set]
-        cells.append(rect_element(xs[x] + ys[y], style, f"{head}{index_text}]{tip}"))
+            tip = escape(f": {value:g} {value_label}")
+        fills.append(fill)
+        style_table.append(_cell_style(fill, False) + title_open)
+        tip_table.append("]" + tip + "</title></rect>")
+    styles = _column(style_table, codes)
+
+    highlighted = _flat_indices(grid, highlights)
+    selected = _flat_indices(grid, selections)
+    marked_styles: dict[tuple[str, bool], str] = {}
+    for cell in highlighted | selected:
+        fill = _HIGHLIGHT_FILL if cell in highlighted else fills[codes[cell]]
+        key = (fill, cell in selected)
+        if key not in marked_styles:
+            marked_styles[key] = _cell_style(*key) + title_open
+        styles[cell] = marked_styles[key]
+
+    columns = [
+        _coordinate_column(grid, 0, "<rect", "x"),
+        _coordinate_column(grid, 1, "", "y"),
+        styles,
+    ]
+    for d, extent in enumerate(grid.shape):
+        digits = np.array(
+            [f"{', ' if d else ''}{i}" for i in range(extent)], dtype=object
+        )
+        inner = math.prod(grid.shape[d + 1:])
+        outer = len(grid) // (inner * extent)
+        columns.append(np.tile(np.repeat(digits, inner), outer).tolist())
+    columns.append(_column(tip_table, codes))
     doc.begin_group(transform=f"translate(6 {label_height + 6.0})")
-    doc.extend(cells)
+    doc.extend_columns(columns)
     doc.end_group()
     return doc.to_string()
 
 
-def _cell_style(fill_and_selected: tuple[str, bool]) -> str:
-    fill, selected = fill_and_selected
+def _value_groups(cells: list) -> tuple[np.ndarray, list]:
+    """Group the cells' values by how they render: ``(codes, groups)``
+    with one group index per cell and one representative value per group.
+
+    Equal values share a group, except that ``-0.0 == 0.0`` prints as
+    ``-0``, so zeros split by sign, and ``nan != nan``, so every NaN
+    joins one group.
+    """
+    first: dict = {}
+    # Each cell's value, by the first cell that holds an equal one.
+    firsts = np.fromiter(
+        map(first.setdefault, cells, itertools.count()), np.intp, len(cells)
+    )
+    groups: list = []
+    group_at = np.empty(len(cells), dtype=np.intp)
+    nan_group = zero = None
+    for value, cell in first.items():
+        if value != value:
+            if nan_group is None:
+                nan_group = len(groups)
+                groups.append(value)
+            group_at[cell] = nan_group
+            continue
+        if not value:
+            zero = cell
+        group_at[cell] = len(groups)
+        groups.append(value)
+    codes = group_at[firsts]
+    if zero is not None:
+        members = np.flatnonzero(firsts == zero)
+        column = np.fromiter(cells, object, len(cells))[members]
+        negative = np.signbit(column.astype(np.float64))
+        other = members[negative != negative[0]]
+        if other.size:
+            codes[other] = len(groups)
+            groups.append(cells[other[0]])
+    return codes, groups
+
+
+def _flat_indices(grid: ContainerGrid, elements: Iterable[Sequence[int]]) -> set[int]:
+    """Row-major positions of the *elements* inside the grid."""
+    found = {grid.flat_index(tuple(element)) for element in elements}
+    found.discard(None)
+    return found
+
+
+def _coordinate_column(grid: ContainerGrid, axis: int, prefix: str, name: str) -> list[str]:
+    """Every cell's serialized coordinate along *axis*, row-major."""
+    coords, ids = grid.coordinates(axis)
+    table = [prefix + attr for attr in number_attrs(name, coords)]
+    return _column(table, ids)
+
+
+def _column(table: list[str], ids: np.ndarray) -> list[str]:
+    """``[table[i] for i in ids]``, gathered by NumPy."""
+    return np.array(table, dtype=object)[ids].tolist()
+
+
+def _cell_style(fill: str, selected: bool) -> str:
     return rect_style(
         CELL, CELL, fill=fill,
         stroke=_SELECT_STROKE if selected else "#666666",
         stroke_width=2.0 if selected else 0.5,
     )
-
-
-class _Memo(dict):
-    """A dict that computes each missing entry once, from its key."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self._compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self._compute(key)
-        return value
-
-
-def _index_texts(shape: tuple[int, ...]) -> list[str]:
-    """``"i, j, k"`` for every element, in the row-major order in which
-    :class:`ContainerGrid` places them; built one dimension at a time, so
-    each element costs one string concatenation."""
-    texts = [""]
-    for dim, extent in enumerate(shape):
-        digits = [f"{', ' if dim else ''}{i}" for i in range(extent)]
-        texts = [prefix + digit for prefix in texts for digit in digits]
-    return texts
 
 
 def aggregate_tiles(

@@ -23,6 +23,8 @@ import math
 import statistics
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import VisualizationError
 
 __all__ = [
@@ -53,10 +55,11 @@ class Scaling:
     method: ScalingMethod
 
     def __init__(self, values: Sequence[float]):
-        cleaned = [float(v) for v in values if not math.isnan(float(v))]
-        if not cleaned:
+        array = np.asarray(values, dtype=np.float64)
+        self._array = array[~np.isnan(array)]
+        if not self._array.size:
             raise VisualizationError("cannot fit a scale to an empty value set")
-        self.values = cleaned
+        self.values = self._array.tolist()
 
     def normalize(self, value: float) -> float:
         raise NotImplementedError
@@ -93,12 +96,16 @@ class _CenteredScale(Scaling):
 
     def __init__(self, values: Sequence[float]):
         super().__init__(values)
-        if any(v < 0 for v in self.values):
+        array = self._array
+        if (array < 0).any():
             raise VisualizationError("centered scales require nonnegative values")
-        self.center = self._center(sorted(self.values))
-        self._max = max(self.values)
+        self.center = self._center()
+        # ``max`` of the list: when every value is a zero it returns the
+        # first, whose sign the domain shows.
+        top = float(array.max())
+        self._max = top if top else self.values[0]
 
-    def _center(self, ordered: list[float]) -> float:
+    def _center(self) -> float:
         raise NotImplementedError
 
     def normalize(self, value: float) -> float:
@@ -120,8 +127,8 @@ class MeanCenteredScale(_CenteredScale):
 
     method = ScalingMethod.MEAN
 
-    def _center(self, ordered: list[float]) -> float:
-        return statistics.fmean(ordered)
+    def _center(self) -> float:
+        return statistics.fmean(self.values)
 
 
 class MedianCenteredScale(_CenteredScale):
@@ -129,8 +136,15 @@ class MedianCenteredScale(_CenteredScale):
 
     method = ScalingMethod.MEDIAN
 
-    def _center(self, ordered: list[float]) -> float:
-        return statistics.median(ordered)
+    def _center(self) -> float:
+        # ``statistics.median``'s arithmetic.  A stable sort orders equal
+        # values (0.0 and -0.0) as ``sorted`` does, so even the sign of a
+        # zero center matches.
+        ordered = np.sort(self._array, kind="stable")
+        mid = ordered.size // 2
+        if ordered.size % 2:
+            return float(ordered[mid])
+        return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 class HistogramScale(Scaling):
@@ -207,11 +221,11 @@ class ExponentialScale(Scaling):
 
     def __init__(self, values: Sequence[float]):
         super().__init__(values)
-        positive = [v for v in self.values if v > 0]
-        if not positive:
+        positive = self._array[self._array > 0]
+        if not positive.size:
             raise VisualizationError("exponential scaling needs positive values")
-        self.lo = min(positive)
-        self.hi = max(positive)
+        self.lo = float(positive.min())
+        self.hi = float(positive.max())
 
     def normalize(self, value: float) -> float:
         value = max(value, self.lo)

@@ -8,9 +8,9 @@ requirement for golden-file tests).
 from __future__ import annotations
 
 import xml.sax.saxutils as saxutils
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-__all__ = ["SVGDocument", "rect_element", "rect_style", "serialize_attrs"]
+__all__ = ["SVGDocument", "number_attrs", "rect_style", "serialize_attrs"]
 
 
 def _fmt(value: object) -> str:
@@ -37,6 +37,12 @@ def serialize_attrs(values: Mapping[str, object]) -> str:
     return (" " + " ".join(items)) if items else ""
 
 
+def number_attrs(name: str, values: Iterable[float]) -> list[str]:
+    """``serialize_attrs({name: value})`` for each number in *values*
+    (a number's text needs no escaping)."""
+    return [f' {name}="{_fmt(value)}"' for value in values]
+
+
 def rect_style(
     width: float,
     height: float,
@@ -48,18 +54,6 @@ def rect_style(
     return serialize_attrs(
         {"width": width, "height": height, "fill": fill, "stroke": stroke, **extra}
     )
-
-
-def rect_element(position: str, style: str, title: str | None = None) -> str:
-    """One serialized ``<rect>``, as :meth:`SVGDocument.rect` writes it.
-
-    *position* is the serialized ``x`` and ``y`` (:func:`serialize_attrs`),
-    *style* comes from :func:`rect_style`, and *title* is tooltip text that
-    is already XML-escaped.
-    """
-    if title:
-        return f"<rect{position}{style}><title>{title}</title></rect>"
-    return f"<rect{position}{style}/>"
 
 
 class SVGDocument:
@@ -75,15 +69,27 @@ class SVGDocument:
     def _emit(self, text: str) -> None:
         self._parts.append("  " * (1 + self._group_depth) + text)
 
-    def extend(self, elements: Iterable[str]) -> None:
-        """Append pre-serialized elements at the current group depth.
+    def extend_columns(self, columns: Sequence[Sequence[str]]) -> None:
+        """Append one pre-serialized element per row of *columns*, at the
+        current group depth.
 
-        For views that draw many similar elements: they serialize the
-        repeated parts once (:func:`serialize_attrs`, :func:`rect_style`)
-        and hand over the finished elements here.
+        For views that draw many similar elements: element ``i`` is the
+        concatenation of every column's ``i``-th string, each column
+        holding strings serialized once per distinct value.  The columns
+        are interleaved and joined once, into one part of the document,
+        so no per-element string is built.
         """
-        indent = "  " * (1 + self._group_depth)
-        self._parts.extend(indent + element for element in elements)
+        rows = len(columns[0])
+        if not rows:
+            return
+        indent = "\n" + "  " * (1 + self._group_depth)
+        width = len(columns) + 1
+        parts = [indent] * (rows * width)
+        for k, column in enumerate(columns, 1):
+            parts[k::width] = column
+        # The document joins its parts with newlines.
+        parts[0] = indent[1:]
+        self._parts.append("".join(parts))
 
     def rect(
         self,
@@ -96,11 +102,13 @@ class SVGDocument:
         title: str | None = None,
         **extra: object,
     ) -> None:
-        self._emit(rect_element(
-            serialize_attrs({"x": x, "y": y}),
-            rect_style(width, height, fill, stroke, **extra),
-            saxutils.escape(title) if title else None,
-        ))
+        attrs = serialize_attrs({"x": x, "y": y}) + rect_style(
+            width, height, fill, stroke, **extra
+        )
+        if title:
+            self._emit(f"<rect{attrs}><title>{saxutils.escape(title)}</title></rect>")
+        else:
+            self._emit(f"<rect{attrs}/>")
 
     def ellipse(
         self,

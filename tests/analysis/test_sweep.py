@@ -286,3 +286,30 @@ class TestSessionSweepObservability:
         metrics = json.loads(metrics_path.read_text())
         assert metrics["counters"]["sweep.points"] == 1
         assert metrics["histograms"]["sweep.point_seconds"]["count"] == 1
+
+    def test_pooled_sweep_counts_locality_like_a_serial_one(self, sdfg):
+        grid = {"I": [5, 6, 7, 8], "J": [5], "K": [2]}
+
+        def locality(workers):
+            session = Session(sdfg)
+            session.sweep(grid, workers=workers, adaptive=False)
+            counters = session.metrics.to_dict()["counters"]
+            lines = [
+                line for line in session.pass_report().splitlines()
+                if line.lstrip().startswith(("analytic locality", "fold declined"))
+            ]
+            spawns = counters.get("sweep.pool_spawns", 0)
+            return spawns, lines, {
+                name: count for name, count in counters.items()
+                if name.startswith("locality.")
+            }
+
+        serial_spawns, serial_lines, serial = locality(None)
+        pooled_spawns, pooled_lines, pooled = locality(2)
+        assert serial_spawns == 0 and pooled_spawns >= 1
+        assert serial["locality.analytic.fallbacks"] == 4
+        assert serial["locality.fold.declined.economic"] == 1
+        assert serial["locality.fold.declined.shared_line"] == 3
+        assert pooled == serial
+        assert pooled_lines == serial_lines
+        assert serial_lines[0].startswith("analytic locality: ")

@@ -88,9 +88,15 @@ def assert_engine_exact(sdfg, env, per_element=True, include_transients=False):
         )
         if per_element:
             for name in analytic.containers:
-                assert analytic.per_element_misses(
-                    name, capacity
-                ) == per_element_misses_array(trace, distances, model, name), name
+                oracle = per_element_misses_array(trace, distances, model, name)
+                assert analytic.per_element_misses(name, capacity) == oracle, name
+                counts = analytic.element_counts(name, capacity)
+                assert counts.to_dict(counts.misses) == {
+                    idx: c.misses for idx, c in oracle.items()
+                }, name
+                assert counts.to_dict(counts.total) == {
+                    idx: c.total for idx, c in oracle.items()
+                }, name
     return analytic
 
 

@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.linalg import build_matmul
 from repro.locality import analyze_locality
 from repro.sdfg import dtypes
 from repro.sdfg.memlet import Memlet
@@ -170,3 +171,51 @@ class TestSymbolicExtrapolation:
             finite = sum(evaluate_int(e, env) for e in bucket.values())
             cold = evaluate_int(symbolic.cold[name], env)
             assert finite + cold == evaluate_int(symbolic.total[name], env)
+
+
+class TestValidFromIsASufficientBound:
+    """``valid_from`` bounds exactness from above, not from below: matmul
+    at ``{I: 14, J: 8, K: 8}`` folds although its ``valid_from`` is 17,
+    and its expressions equal a fresh analysis at every extent of the
+    analyzed family, below ``valid_from`` and above it."""
+
+    SIZES = {"I": 14, "J": 8, "K": 8}
+
+    @staticmethod
+    def _line_offsets(sdfg, env):
+        memory = MemoryModel(sdfg, env, line_size=LINE)
+        return {
+            name: memory.layout(name).base_address % LINE
+            for name in ("A", "B", "C")
+        }
+
+    def test_matmul_expressions_hold_below_valid_from(self):
+        sdfg = build_matmul()
+        analytic = analyze_locality(sdfg, self.SIZES, line_size=LINE)
+        assert analytic.analytic_regions == 1
+        symbolic = analytic.symbolic
+        assert symbolic.outer_param == "i"
+        assert symbolic.valid_from == 17 > self.SIZES["I"]
+        family = self._line_offsets(sdfg, self.SIZES)
+        checked = []
+        for extent in range(6, 21):
+            env = {**self.SIZES, "I": extent}
+            # An odd I moves B and C half a line: another layout family.
+            if self._line_offsets(sdfg, env) != family:
+                continue
+            checked.append(extent)
+            fresh = analyze_locality(sdfg, env, line_size=LINE)
+            for capacity in CAPACITIES:
+                capacity_exprs = symbolic.capacity_misses(capacity)
+                counts = fresh.miss_counts(capacity)
+                for name in fresh.containers:
+                    assert evaluate_int(symbolic.total[name], env) == (
+                        fresh.events_per_container[name]
+                    ), (name, extent)
+                    assert evaluate_int(symbolic.cold[name], env) == (
+                        counts[name].cold
+                    ), (name, extent)
+                    assert evaluate_int(capacity_exprs[name], env) == (
+                        counts[name].capacity
+                    ), (name, extent, capacity)
+        assert checked == list(range(6, 21, 2))

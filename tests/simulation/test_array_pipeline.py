@@ -405,6 +405,69 @@ class TestViewsMatchOracle:
         assert lv.miss_counts_set_associative(num_sets=2, ways=2) == expected
 
 
+def hdiff_reordered():
+    """hdiff after the paper's reshape and map reorder."""
+    sdfg = hdiff_reshaped()
+    hdiff.apply_reorder(sdfg)
+    return sdfg
+
+
+#: The five apps (hdiff variants at sizes the engine folds and ones it
+#: enumerates), a nested SDFG, an access-node copy and transients:
+#: ``(build, sizes, include_transients, folds)``.
+ENGINE_VIEW_CASES = [
+    pytest.param(hdiff.build_sdfg, {"I": 4, "J": 4, "K": 3}, False, False,
+                 id="hdiff-enumerated"),
+    pytest.param(hdiff.build_sdfg, {"I": 28, "J": 18, "K": 8}, False, True,
+                 id="hdiff-folded"),
+    pytest.param(hdiff_reshaped, {"I": 28, "J": 18, "K": 8}, False, False,
+                 id="hdiff-reshaped"),
+    pytest.param(hdiff_reordered, {"I": 28, "J": 18, "K": 8}, False, True,
+                 id="hdiff-reordered-folded"),
+    pytest.param(hdiff.build_sdfg, {"I": 4, "J": 4, "K": 3}, True, False,
+                 id="hdiff-transients"),
+    pytest.param(bert.build_sdfg, {"B": 1, "H": 2, "SM": 4, "EMB": 8, "FF": 8, "P": 4},
+                 False, False, id="bert"),
+    pytest.param(cloudsc.build_sdfg, {"NBLOCKS": 32, "KLEV": 16}, False, False,
+                 id="cloudsc"),
+    pytest.param(conv.build_conv, {"Cout": 2, "Cin": 2, "H": 6, "W": 6, "KY": 3, "KX": 3},
+                 False, False, id="conv"),
+    pytest.param(linalg.build_matmul, {"I": 5, "J": 4, "K": 3}, False, False, id="matmul"),
+    pytest.param(build_outer, {"N": 5}, False, False, id="nested"),
+    pytest.param(copy_program, {}, False, False, id="copy"),
+]
+
+
+class TestEngineViewsMatchOracle:
+    """The local view's per-element counts come from the analytic
+    engine's dense arrays; they must equal the enumeration oracle
+    (``SimulationResult.access_counts`` and ``per_element_misses_array``)
+    at two capacities, with the containers in first-access order."""
+
+    @pytest.mark.parametrize("build, sizes, transients, folds", ENGINE_VIEW_CASES)
+    def test_heatmaps_equal_enumeration(self, build, sizes, transients, folds):
+        sdfg = build()
+        result = simulate_state(sdfg, sizes, include_transients=transients)
+        trace = build_array_trace(result, MemoryModel(sdfg, sizes, line_size=64))
+        distances = stack_distances_array(trace.lines)
+        session = Session(sdfg)
+        for capacity in (4, 512):
+            lv = session.local_view(
+                sizes, capacity_lines=capacity, include_transients=transients
+            )
+            assert lv.containers() == result.containers()
+            for name in result.containers():
+                oracle = per_element_misses_array(trace, distances, lv.cache, name)
+                assert lv.access_heatmap(name) == result.access_counts(name), name
+                assert lv.miss_counts(name) == oracle, name
+                assert lv.miss_heatmap(name) == {
+                    idx: counts.misses for idx, counts in oracle.items()
+                }, name
+        assert session.pipeline.runs("local.trace") == 0
+        folded = session.metrics.counter("locality.analytic.hits").value
+        assert bool(folded) == folds
+
+
 class TestNegativeIndices:
     """A negative element index is a SimulationError naming the
     container, the dimension and the index — not a NumPy error from a
@@ -417,6 +480,8 @@ class TestNegativeIndices:
             lv.miss_counts("A")
         with pytest.raises(SimulationError, match=r"'A' .* index -1 in dimension 0"):
             lv.miss_heatmap("A")
+        with pytest.raises(SimulationError, match=r"'A' .* index -1 in dimension 0"):
+            lv.access_heatmap("A")
 
 
 class TestRandomPrograms:

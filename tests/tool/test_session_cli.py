@@ -283,7 +283,10 @@ class TestCLIObservability:
         assert rc == 0
         captured = capsys.readouterr().out
         assert "analysis-pass cache report:" in captured
-        assert "local.trace" in captured
+        # A report simulates nothing beyond the engine's own regions.
+        rows = {line.split()[0]: line.split()[1:] for line in captured.splitlines() if line}
+        assert rows["local.trace"][:2] == ["0", "0"]
+        assert int(rows["local.analytic"][0]) == 1
         assert "first run" in captured
         assert "result store:" in captured
 
@@ -299,10 +302,12 @@ class TestCLIObservability:
         table = captured.split("pipeline stage timings:\n", 1)[1].splitlines()
         assert table[0].split() == ["stage", "spans", "total"]
         rows = {line.split()[0]: line.split()[1:] for line in table[1:]}
-        for stage in ("pass:local.trace", "evaluate", "classify", "(all)"):
+        # The local view's heatmaps and miss counts come from the engine.
+        for stage in ("pass:local.analytic", "evaluate", "classify", "(all)"):
             assert stage in rows, stage
-        count, total = rows["pass:local.trace"]
+        count, total = rows["pass:local.analytic"]
         assert int(count) >= 1 and total.endswith("ms")
+        assert "pass:local.trace" not in rows
 
     def test_failed_sweep_points_are_reported_and_exit_nonzero(
         self, tmp_path, capsys

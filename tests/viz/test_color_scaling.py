@@ -1,5 +1,8 @@
 """Tests for color scales and adaptive heatmap scaling."""
 
+import math
+import statistics
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +205,35 @@ class TestMakeScaling:
         ordered = sorted(values)
         normalized = [scale.normalize(v) for v in ordered]
         assert all(a <= b + 1e-12 for a, b in zip(normalized, normalized[1:]))
+
+
+class TestCentersMatchStatistics:
+    """The centered scales fit on a NumPy array; their centers and bounds
+    stay bit-equal to the ``statistics`` calls on the cleaned values,
+    signed zeros included."""
+
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0, 0.0, -0.0, 1, 2.5]),
+            st.integers(0, 2**60),
+            st.floats(min_value=0, max_value=1e300),
+            st.builds(float, st.just("nan")),
+        ),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_centers_equal_statistics(self, values):
+        cleaned = [float(v) for v in values if not math.isnan(float(v))]
+        if not cleaned:
+            with pytest.raises(VisualizationError):
+                MedianCenteredScale(values)
+            return
+        median = MedianCenteredScale(values)
+        assert repr(median.center) == repr(statistics.median(cleaned))
+        assert repr(median.domain()) == repr(
+            (0.0, max(cleaned)) if median.center == 0 else (0.0, 2.0 * median.center)
+        )
+        assert repr(MeanCenteredScale(values).center) == repr(statistics.fmean(cleaned))
 
 
 class TestHeatmap:

@@ -6,6 +6,8 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import VisualizationError
 from repro.frontend import pmap, program
@@ -21,6 +23,7 @@ from repro.viz.heatmap import Heatmap
 from repro.viz.histogramview import histogram_buckets, render_histogram
 from repro.viz.layout import layout_state
 from repro.viz.report import ReportBuilder
+from repro.viz.scaling import ScalingMethod, make_scaling
 from repro.viz.svg import SVGDocument
 from repro.symbolic import symbols
 
@@ -337,6 +340,78 @@ class TestContainerRenderBytes:
         render_container("A", (6, 8, 5), values=values,
                          colors=CountingScale("counting", GREEN_YELLOW_RED.stops))
         assert CountingScale.calls == len(set(values.values())) == 3
+
+
+def _reference_render(name, shape, values=None, highlights=(), selections=(),
+                      method="median", value_label="accesses"):
+    """``render_container`` as one :meth:`SVGDocument.rect` per cell, at
+    :meth:`ContainerGrid.cell_origin`, sampling the fill per cell."""
+    grid = ContainerGrid(shape)
+    doc = SVGDocument(grid.width + 12.0, grid.height + 30.0)
+    doc.text(6.0, 13.0, name, font_size=12, anchor="start")
+    values = values or {}
+    scaling = make_scaling(method, list(values.values())) if values else None
+    highlights = {tuple(h) for h in highlights}
+    selections = {tuple(s) for s in selections}
+    doc.begin_group(transform="translate(6 24.0)")
+    for idx in _cells(grid.shape):
+        fill, tip = "#e8e8e2", ""
+        if idx in values:
+            value = values[idx]
+            fill = GREEN_YELLOW_RED.sample(scaling.normalize(value)).to_hex()
+            tip = f": {value:g} {value_label}"
+        if idx in highlights:
+            fill = "#37c871"
+        selected = idx in selections
+        x, y = grid.cell_origin(idx)
+        doc.rect(x, y, 18.0, 18.0, fill=fill,
+                 stroke="#1a56c4" if selected else "#666666",
+                 title=f"{name}[{', '.join(map(str, idx))}]{tip}",
+                 stroke_width=2.0 if selected else 0.5)
+    doc.end_group()
+    return doc.to_string()
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0]),
+    st.sampled_from([1, 1.0, 2.5]),
+    st.integers(-(2**40), 2**40),
+    st.floats(-1e12, 1e12, allow_nan=False),
+    st.builds(float, st.just("nan")),  # a distinct NaN object each time
+)
+
+
+@st.composite
+def _render_inputs(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    cells = _cells(shape)
+    outside = st.lists(st.integers(0, 5), min_size=len(shape), max_size=len(shape) + 1)
+    element = st.one_of(st.sampled_from(cells), outside.map(tuple))
+    some_cells = st.lists(element, max_size=6)
+    return dict(
+        name=draw(st.text("aZ&<>\"", max_size=5)),
+        shape=shape,
+        values=draw(st.dictionaries(element, _VALUES, max_size=16)),
+        highlights=draw(some_cells),
+        selections=[list(idx) for idx in draw(some_cells)],
+        method=draw(st.sampled_from([m.value for m in ScalingMethod])),
+        value_label=draw(st.sampled_from(["accesses", "misses & <hits>"])),
+    )
+
+
+class TestRenderMatchesPerCellReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_render_inputs())
+    def test_column_render_equals_per_cell_rects(self, case):
+        case = dict(case)
+        name, shape = case.pop("name"), case.pop("shape")
+        try:
+            expected = _reference_render(name, shape, **case)
+        except VisualizationError:
+            with pytest.raises(VisualizationError):
+                render_container(name, shape, **case)
+            return
+        assert render_container(name, shape, **case) == expected
 
 
 class TestHistogram:
