@@ -44,12 +44,12 @@ def main(argv: list[str]) -> None:
     report = session.report("Convolution locality analysis")
     report.add_heading("Weight tensor (4-D hierarchical grid, Fig. 4a)")
     report.add_svg(
-        lv.render_container("w", values=dict(lv.access_heatmap("w"))),
+        lv.render_container("w", values=lv.access_heatmap("w")),
         caption="w[C_out, C_in, K_y, K_x] access counts",
     )
     report.add_heading("Input access distribution (Fig. 4b)")
     report.add_svg(
-        lv.render_container("inp", values=dict(counts)),
+        lv.render_container("inp", values=counts),
         caption="3-channel 9x9 input, 4x4 kernel, no padding",
     )
     report.save(output)

@@ -64,7 +64,7 @@ def main(output: str = "quickstart_report.html") -> None:
     report.add_heading("Local view")
     for name in lv.result.containers():
         report.add_svg(
-            lv.render_container(name, values=dict(lv.access_heatmap(name))),
+            lv.render_container(name, values=lv.access_heatmap(name)),
             caption=f"access counts on {name}",
         )
     report.save(output)

@@ -19,6 +19,7 @@ __all__ = [
     "FrontendError",
     "AnalysisError",
     "UnknownSymbolError",
+    "UnknownContainerError",
     "PipelineError",
     "StorageError",
     "LockTimeout",
@@ -100,6 +101,30 @@ class UnknownSymbolError(ReproError):
         super().__init__(
             f"unknown {what} {name!r}: not {alternative}a program symbol "
             f"{self.symbols}"
+        )
+
+
+class UnknownContainerError(ReproError):
+    """A name is not one of the program's data containers.
+
+    Raised by a local view before any pass runs: a per-container query
+    for such a name would otherwise answer empty, as if the container
+    were never accessed.
+
+    Attributes
+    ----------
+    name:
+        The offending container name.
+    containers:
+        The program's containers, sorted.
+    """
+
+    def __init__(self, name: str, containers: Iterable[str]):
+        self.name = name
+        self.containers = sorted(containers)
+        super().__init__(
+            f"unknown container {name!r}: not a program container "
+            f"{self.containers}"
         )
 
 

@@ -24,6 +24,7 @@ from a *constant* number of enumerated loop blocks:
 from repro.locality.engine import (
     AnalyticLocality,
     ElementCounts,
+    ElementMap,
     SymbolicLocality,
     analyze_locality,
 )
@@ -32,6 +33,7 @@ from repro.locality.regions import FoldCandidate, Region, extract_regions
 __all__ = [
     "AnalyticLocality",
     "ElementCounts",
+    "ElementMap",
     "SymbolicLocality",
     "analyze_locality",
     "FoldCandidate",

@@ -13,9 +13,11 @@ of the event count.
 
 The :class:`AnalyticLocality` product answers the enumeration pipeline's
 queries (``miss_counts``, ``per_element_misses``, ``histogram``) with
-exactly equal results; per-element queries read dense
-:class:`ElementCounts` arrays.  When the region folded, its ``symbolic``
-attribute builds a :class:`SymbolicLocality` on first read —
+exactly equal results; per-element queries read dense, read-only
+:class:`ElementCounts` arrays, which an :class:`ElementMap` presents as
+an ``{indices: count}`` mapping without building a dict.  When the
+region folded, its ``symbolic`` attribute builds a
+:class:`SymbolicLocality` on first read —
 per-container count expressions over the outer extent, evaluable on
 whole grids via :func:`repro.symbolic.compiled.compile_expr`.
 """
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Iterator
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from repro.symbolic.expr import Expr, Integer, add, floor_div, mul, smax, sub
 __all__ = [
     "AnalyticLocality",
     "ElementCounts",
+    "ElementMap",
     "EnumeratedSummary",
     "SymbolicLocality",
     "analyze_locality",
@@ -314,8 +318,9 @@ class ElementCounts:
     accessed index span) of every element the program accesses, in
     ascending order; ``total``, ``cold`` and ``capacity`` hold each
     one's access, cold-miss and capacity-miss counts, aligned with it.
-    Plain arrays: a per-element view zips them into its dict at C
-    speed, with no object per element.
+    Plain arrays, read-only once the engine built them (they are its
+    memo): a per-element view reads them through an :class:`ElementMap`,
+    with no object per element.
     """
 
     __slots__ = ("shape", "present", "total", "cold", "capacity")
@@ -345,9 +350,98 @@ class ElementCounts:
         columns = np.unravel_index(self.present, self.shape)
         return zip(*(column.tolist() for column in columns))
 
-    def to_dict(self, counts: np.ndarray) -> dict[tuple[int, ...], int]:
-        """``{indices: count}`` for one of the count arrays."""
-        return dict(zip(self.indices(), counts.tolist()))
+
+class ElementMap(Mapping):
+    """A read-only ``{indices: count}`` mapping over :class:`ElementCounts`
+    and one of its count arrays.
+
+    Equal to the dict ``dict(zip(elements.indices(), counts.tolist()))``
+    — same length, iteration order (row-major), lookups and ``values()``
+    order — but it keeps the arrays: a lookup finds the element's
+    row-major position by binary search, and only iteration builds index
+    tuples.  :func:`~repro.viz.containerview.render_container` scatters
+    :attr:`positions` and :attr:`counts` straight onto its grid.
+    """
+
+    __slots__ = ("_elements", "counts")
+
+    def __init__(self, elements: ElementCounts, counts: np.ndarray):
+        self._elements = elements
+        #: One count per present element, aligned with :attr:`positions`.
+        self.counts = _read_only(counts.view())
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The index span :attr:`positions` are row-major over."""
+        return self._elements.shape
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The present elements' row-major positions, ascending."""
+        return self._elements.present
+
+    def _find(self, key) -> int | None:
+        """Where *key*'s count sits in :attr:`counts`; ``None`` when the
+        mapping has no such key."""
+        shape = self._elements.shape
+        if not isinstance(key, tuple) or len(key) != len(shape):
+            return None
+        flat = 0
+        try:
+            for i, extent in zip(key, shape):
+                if not 0 <= i < extent or i % 1:
+                    return None
+                flat = flat * extent + int(i)
+        except TypeError:
+            return None
+        positions = self._elements.present
+        at = int(np.searchsorted(positions, flat))
+        if at < positions.size and positions[at] == flat:
+            return at
+        return None
+
+    def __getitem__(self, key) -> int:
+        at = self._find(key)
+        if at is None:
+            raise KeyError(key)
+        return self.counts[at].item()
+
+    def __contains__(self, key) -> bool:
+        return self._find(key) is not None
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self._elements.indices()
+
+    def __len__(self) -> int:
+        return self._elements.present.size
+
+    def values(self) -> ValuesView:
+        return _ElementValues(self)
+
+    def items(self) -> ItemsView:
+        return _ElementItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ElementValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.counts.tolist())
+
+
+class _ElementItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.counts.tolist())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class AnalyticLocality:
@@ -466,7 +560,7 @@ class AnalyticLocality:
     def _count_elements(self, container: str, capacity_lines: int) -> ElementCounts:
         shape = self._element_shape(container)
         if shape is None:
-            empty = np.zeros(0, dtype=np.int32)
+            empty = _read_only(np.zeros(0, dtype=np.int32))
             return ElementCounts((), empty, empty, empty, empty)
         mult = np.ones(len(shape), dtype=np.int64)
         for d in range(len(shape) - 2, -1, -1):
@@ -484,12 +578,14 @@ class AnalyticLocality:
         present = np.flatnonzero(dense_total)
         # Narrowed together: cold + capacity <= total, so sums fit too.
         total = _narrow(dense_total[present])
+        # Read-only: the arrays are the product's memo, and every later
+        # per-element view reads them.
         return ElementCounts(
             shape,
-            _narrow(present),
-            total,
-            dense_cold[present].astype(total.dtype),
-            dense_cap[present].astype(total.dtype),
+            _read_only(_narrow(present)),
+            _read_only(total),
+            _read_only(dense_cold[present].astype(total.dtype)),
+            _read_only(dense_cap[present].astype(total.dtype)),
         )
 
     def per_element_misses(

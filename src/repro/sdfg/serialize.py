@@ -10,12 +10,15 @@ structurally, and the :func:`to_json` / :func:`from_json` round trip is
 its test oracle — the clone must serialize exactly like the round trip.
 
 The same canonical documents double as *content fingerprints* for the
-incremental analysis pipeline (:mod:`repro.passes`): every node, edge,
-state, data descriptor and whole SDFG hashes to a stable hex digest.
-Digests are SHA-256 over canonical JSON — dictionary keys sorted, compact
-separators — so they are independent of dict construction order, process
-hash seeds, and round trips through :func:`dumps`/:func:`loads`.  Two
-orderings *are* semantic and therefore preserved in the hash document:
+incremental analysis pipeline (:mod:`repro.passes`): every state, data
+descriptor, descriptor list and whole SDFG hashes to a stable hex digest.
+A state or a descriptor list is hashed as one document, once per query:
+nothing memoizes a digest on a graph object, so an in-place mutation
+always reaches the next query's hash.  Digests are SHA-256 over
+canonical JSON — dictionary keys sorted, compact separators — so they are
+independent of dict construction order, process hash seeds, and round
+trips through :func:`dumps`/:func:`loads`.  Two orderings *are* semantic
+and therefore preserved in the hash document:
 
 - graph (node/edge) order, which fixes the simulated execution sequence;
 - container registration order, which fixes the physical allocation
@@ -45,8 +48,6 @@ __all__ = [
     "loads",
     "canonical_json",
     "data_fingerprint",
-    "node_fingerprint",
-    "edge_fingerprint",
     "state_fingerprint",
     "arrays_fingerprint",
     "sdfg_fingerprint",
@@ -287,6 +288,15 @@ def _digest(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:16]
 
 
+def _logical_doc(desc: Data) -> dict[str, Any]:
+    """A descriptor's document without its layout fields (strides, start
+    offset, alignment): what determines the *logical* access pattern."""
+    doc = _data_to_json(desc)
+    for field in ("strides", "start_offset", "alignment"):
+        doc.pop(field, None)
+    return doc
+
+
 def data_fingerprint(desc: Data, logical: bool = False) -> str:
     """Stable digest of one data descriptor.
 
@@ -295,78 +305,35 @@ def data_fingerprint(desc: Data, logical: bool = False) -> str:
     fields (strides, start offset, alignment) are excluded, so e.g. stride
     padding does not perturb logical fingerprints.
     """
-    doc = _data_to_json(desc)
-    if logical:
-        doc.pop("strides", None)
-        doc.pop("start_offset", None)
-        doc.pop("alignment", None)
-    return _digest(doc)
-
-
-def node_fingerprint(node: Node) -> str:
-    """Stable digest of one graph node's content.
-
-    Self-contained (no per-state index table): a :class:`MapExit` hashes
-    its entry's map content instead of a node index, so the digest does
-    not depend on the node's position in a particular state.
-    """
-    if isinstance(node, MapExit):
-        doc: dict[str, Any] = {
-            "type": "MapExit",
-            "label": node.map.label,
-            "params": list(node.map.params),
-            "ranges": [
-                [str(r.begin), str(r.end), str(r.step)] for r in node.map.ranges
-            ],
-        }
-    else:
-        doc = _node_to_json(node, {})
-    return _digest(doc)
-
-
-def edge_fingerprint(edge, node_ids: dict[Node, int]) -> str:
-    """Stable digest of one dataflow edge (endpoints by state-local index)."""
-    conn = edge.data
-    doc = {
-        "src": node_ids[edge.src],
-        "dst": node_ids[edge.dst],
-        "src_conn": None if conn is None else conn.src_conn,
-        "dst_conn": None if conn is None else conn.dst_conn,
-        "memlet": None if conn is None else _memlet_to_json(conn.memlet),
-    }
-    return _digest(doc)
+    return _digest(_logical_doc(desc) if logical else _data_to_json(desc))
 
 
 def state_fingerprint(state: SDFGState) -> str:
-    """Stable digest of one state: Merkle over node and edge fingerprints."""
-    nodes = state.nodes()
-    node_ids = {n: i for i, n in enumerate(nodes)}
-    doc = {
-        "name": state.name,
-        "nodes": [node_fingerprint(n) for n in nodes],
-        "edges": [edge_fingerprint(e, node_ids) for e in state.edges()],
-    }
-    return _digest(doc)
+    """Stable digest of one state: one hash over its wire document.
+
+    The document (:func:`_state_to_json`) is the state's whole content —
+    its nodes and edges in graph order, each memlet, a nested SDFG's
+    full document — so hashing it once sees everything a per-node and
+    per-edge digest would.
+    """
+    return _digest(_state_to_json(state))
 
 
 def arrays_fingerprint(sdfg: SDFG, logical: bool = False) -> str:
-    """Stable digest of the SDFG's data descriptors.
+    """Stable digest of the SDFG's data descriptors, hashed as one
+    document.
 
     The full (physical) fingerprint hashes descriptors as an *ordered*
-    pair list — registration order determines allocation order and thus
-    physical addresses.  The ``logical=True`` variant drops layout fields
-    and sorts by name, since the logical access pattern is insensitive to
-    both.
+    ``(name, descriptor)`` list — registration order determines
+    allocation order and thus physical addresses.  The ``logical=True``
+    variant drops layout fields and sorts by name, since the logical
+    access pattern is insensitive to both.
     """
+    arrays = sdfg.arrays
     if logical:
-        pairs = sorted(
-            (name, data_fingerprint(desc, logical=True))
-            for name, desc in sdfg.arrays.items()
-        )
+        pairs = [[name, _logical_doc(arrays[name])] for name in sorted(arrays)]
     else:
-        pairs = [
-            (name, data_fingerprint(desc)) for name, desc in sdfg.arrays.items()
-        ]
+        pairs = [[name, _data_to_json(desc)] for name, desc in arrays.items()]
     return _digest(pairs)
 
 

@@ -225,9 +225,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             report.add_heading(f"Local view (parameterized at {local_env})")
             for data in lv.containers():
-                counts = lv.access_heatmap(data)
                 report.add_svg(
-                    lv.render_container(data, values=dict(counts)),
+                    lv.render_container(data, values=lv.access_heatmap(data)),
                     caption=f"access counts on {data}",
                 )
             moved = lv.physical_movement()

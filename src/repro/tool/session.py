@@ -29,10 +29,10 @@ from repro.analysis.parametric import (
     parameter_grid,
 )
 from repro.analysis.timing import maybe_span
-from repro.errors import ReproError, UnknownSymbolError
+from repro.errors import ReproError, UnknownContainerError, UnknownSymbolError
 from repro.obs import MetricsRegistry, Tracer
 from repro.frontend.program import Program
-from repro.locality import ElementCounts
+from repro.locality import ElementCounts, ElementMap
 from repro.locality.fold import DECLINE_GUARDS
 from repro.passes import (
     DistanceProduct,
@@ -847,9 +847,18 @@ class LocalView:
         """
         self._pipeline.store.clear()
 
+    def _require_container(self, data: str) -> None:
+        """Raise :class:`~repro.errors.UnknownContainerError` unless
+        *data* is one of the program's containers; every query that
+        names a container checks it before any pass runs.  A declared
+        container the program never accesses passes (and answers empty)."""
+        if data not in self.sdfg.arrays:
+            raise UnknownContainerError(data, self.sdfg.arrays)
+
     def _element_counts(self, data: str) -> ElementCounts:
         """The engine's dense per-element counts of *data* at the view's
         capacity."""
+        self._require_container(data)
         analytic = self._product("local.analytic")
         with maybe_span(self.timings, "classify"):
             return analytic.element_counts(data, self.cache.capacity_lines)
@@ -859,11 +868,12 @@ class LocalView:
         """The containers the program accesses, in first-access order."""
         return list(self._product("local.analytic").containers)
 
-    def access_heatmap(self, data: str) -> dict[tuple[int, ...], int]:
-        """Flattened access counts per element (Fig. 4b), from the
-        engine's per-element totals."""
+    def access_heatmap(self, data: str) -> ElementMap:
+        """Flattened access counts per element (Fig. 4b): a read-only
+        ``{indices: count}`` mapping over the engine's per-element
+        totals."""
         counts = self._element_counts(data)
-        return counts.to_dict(counts.total)
+        return ElementMap(counts, counts.total)
 
     def playback(self):
         """Iterate animation frames (lists of events per timestep)."""
@@ -907,12 +917,15 @@ class LocalView:
     # -- locality ----------------------------------------------------------------
     def cache_line_neighbors(self, data: str, indices: tuple[int, ...]):
         """Elements pulled into the cache with ``data[indices]`` (Fig. 5a)."""
+        self._require_container(data)
         return self.memory.layout(data).neighbors_in_line(
             indices, self.cache.line_size
         )
 
     def reuse_distances(self, data: str | None = None):
         """Per-element stack-distance lists (Fig. 5b)."""
+        if data is not None:
+            self._require_container(data)
         return element_distance_lists(
             self._layout().trace, self._stackdist().array, data=data
         )
@@ -934,14 +947,16 @@ class LocalView:
         """Per-container (or one container's per-element) miss counts."""
         if data is None:
             return self._product("local.classify")
+        self._require_container(data)
         analytic = self._product("local.analytic")
         with maybe_span(self.timings, "classify"):
             return analytic.per_element_misses(data, self.cache.capacity_lines)
 
-    def miss_heatmap(self, data: str) -> dict[tuple[int, ...], int]:
-        """Per-element total misses of one container (Fig. 5c)."""
+    def miss_heatmap(self, data: str) -> ElementMap:
+        """Per-element total misses of one container (Fig. 5c): a
+        read-only ``{indices: count}`` mapping over the engine's counts."""
         counts = self._element_counts(data)
-        return counts.to_dict(counts.misses)
+        return ElementMap(counts, counts.misses)
 
     def miss_counts_set_associative(self, num_sets: int, ways: int):
         """Per-container misses under a *set-associative* backend.
@@ -974,6 +989,7 @@ class LocalView:
         """Concrete shape of *data* at the view's sizes; unlike
         ``self.result.shape`` it needs no simulation, which the analytic
         engine may have made unnecessary."""
+        self._require_container(data)
         return tuple(int(s.evaluate(self.symbols)) for s in self.sdfg.arrays[data].shape)
 
     def render_container(

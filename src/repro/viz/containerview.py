@@ -18,6 +18,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from repro.errors import VisualizationError
+from repro.locality.engine import ElementMap
 from repro.viz.color import GREEN_YELLOW_RED, ColorScale
 from repro.viz.scaling import ScalingMethod, make_scaling
 from repro.viz.svg import SVGDocument, number_attrs, rect_style
@@ -142,7 +143,8 @@ def render_container(
     values:
         Optional per-element metric (missing elements stay neutral);
         colored via the chosen scaling method and color scale, with the
-        exact number in each cell's tooltip.
+        exact number in each cell's tooltip.  Entries outside the grid
+        are not drawn but still fit the scale.
     highlights:
         Elements to fill green — accessed elements for the current slider
         values (Fig. 3) or cache-line neighbors (Fig. 5a).
@@ -164,12 +166,7 @@ def render_container(
 
     values = values or {}
     scaling = make_scaling(method, list(values.values())) if values else None
-    cells = list(map(
-        values.get,
-        itertools.product(*map(range, grid.shape)),
-        itertools.repeat(_NO_VALUE),
-    ))
-    codes, groups = _value_groups(cells)
+    codes, groups = _value_groups(_cell_values(grid, values))
     # XML escaping works character by character, so escaped parts join
     # into the escaped title.
     title_open = "><title>" + escape(name) + "["
@@ -214,6 +211,37 @@ def render_container(
     doc.extend_columns(columns)
     doc.end_group()
     return doc.to_string()
+
+
+def _cell_values(grid: ContainerGrid, values: Mapping) -> list:
+    """Every cell's value, row-major; ``_NO_VALUE`` where *values* has none.
+
+    An :class:`~repro.locality.engine.ElementMap` is scattered by its
+    positions, re-raveled from its index span onto the grid; positions
+    outside the grid are dropped, as no cell's lookup would reach them.
+    Any other mapping is looked up cell by cell.
+    """
+    if not isinstance(values, ElementMap):
+        return list(map(
+            values.get,
+            itertools.product(*map(range, grid.shape)),
+            itertools.repeat(_NO_VALUE),
+        ))
+    positions, counts = values.positions, values.counts
+    if len(values.shape) != len(grid.shape):
+        positions = counts = positions[:0]
+    elif values.shape != grid.shape:
+        index = np.unravel_index(positions, values.shape)
+        inside = np.logical_and.reduce(
+            [column < extent for column, extent in zip(index, grid.shape)]
+        )
+        positions = np.ravel_multi_index(
+            [column[inside] for column in index], grid.shape
+        )
+        counts = counts[inside]
+    cells = np.full(len(grid), _NO_VALUE, dtype=object)
+    cells[positions] = counts
+    return cells.tolist()
 
 
 def _value_groups(cells: list) -> tuple[np.ndarray, list]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps import bert, cloudsc, conv, hdiff, linalg
-from repro.locality import analyze_locality
+from repro.locality import ElementMap, analyze_locality
 from repro.sdfg import dtypes
 from repro.sdfg.memlet import Memlet
 from repro.sdfg.sdfg import SDFG
@@ -91,10 +91,10 @@ def assert_engine_exact(sdfg, env, per_element=True, include_transients=False):
                 oracle = per_element_misses_array(trace, distances, model, name)
                 assert analytic.per_element_misses(name, capacity) == oracle, name
                 counts = analytic.element_counts(name, capacity)
-                assert counts.to_dict(counts.misses) == {
+                assert ElementMap(counts, counts.misses) == {
                     idx: c.misses for idx, c in oracle.items()
                 }, name
-                assert counts.to_dict(counts.total) == {
+                assert ElementMap(counts, counts.total) == {
                     idx: c.total for idx, c in oracle.items()
                 }, name
     return analytic

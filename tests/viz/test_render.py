@@ -5,12 +5,14 @@ import itertools
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VisualizationError
 from repro.frontend import pmap, program
+from repro.locality import ElementCounts, ElementMap
 from repro.sdfg.dtypes import float64
 from repro.viz.color import COLORBLIND_SCALE, GREEN_YELLOW_RED, Color, ColorScale
 from repro.viz.containerview import (
@@ -412,6 +414,50 @@ class TestRenderMatchesPerCellReference:
                 render_container(name, shape, **case)
             return
         assert render_container(name, shape, **case) == expected
+
+
+@st.composite
+def _element_map_inputs(draw):
+    """:func:`_render_inputs` with the values as an ``ElementMap`` over an
+    index span smaller or larger than the grid (or of another rank)."""
+    case = draw(_render_inputs())
+    rank = len(case["shape"]) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    span = tuple(draw(st.lists(st.integers(1, 6), min_size=max(rank, 0), max_size=max(rank, 0))))
+    size = math.prod(span)
+    present = sorted(draw(st.sets(st.integers(0, size - 1), max_size=min(size, 16))))
+    counts = np.array(
+        draw(st.lists(_VALUES, min_size=len(present), max_size=len(present))),
+        dtype=None if present else np.int64,
+    )
+    elements = ElementCounts(span, np.array(present, dtype=np.int64), counts, counts, counts)
+    case["values"] = ElementMap(elements, counts)
+    return case
+
+
+class TestRenderElementMap:
+    """An ``ElementMap`` is scattered onto the grid by its positions; the
+    SVG is the one its dict would give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_element_map_inputs())
+    def test_mapping_renders_like_its_dict(self, case):
+        case = dict(case)
+        name, shape, mapping = case.pop("name"), case.pop("shape"), case.pop("values")
+        try:
+            expected = render_container(name, shape, values=dict(mapping), **case)
+        except VisualizationError:
+            with pytest.raises(VisualizationError):
+                render_container(name, shape, values=mapping, **case)
+            return
+        assert render_container(name, shape, values=mapping, **case) == expected
+
+    def test_aggregated(self):
+        counts = np.arange(1, 36, dtype=np.int32)
+        elements = ElementCounts((5, 7), np.arange(35), counts, counts, counts)
+        mapping = ElementMap(elements, counts)
+        assert render_container_aggregated("T", (5, 7), mapping, (2, 3)) == (
+            render_container_aggregated("T", (5, 7), dict(mapping), (2, 3))
+        )
 
 
 class TestHistogram:
