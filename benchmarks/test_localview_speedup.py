@@ -15,8 +15,8 @@ A fourth row records the analytic locality engine: closed-form reuse
 distances must beat trace enumeration by >= 50x on the largest common
 hdiff size, with exactly equal miss counts, and must complete a
 production-size local view (>= 10^6 heatmap elements) that enumeration
-cannot touch.  A fifth records chunked sweep dispatch over a 100-point
-grid.  Sweeps run ``Session.sweep`` on a fresh session per repeat — the
+cannot touch.  A fifth records a serial and a pooled sweep over a
+100-point grid, which must agree.  Sweeps run ``Session.sweep`` on a fresh session per repeat — the
 production path, whose pool workers ship each point's analytic product
 home — so no repeat is a store hit.
 
@@ -342,8 +342,8 @@ def test_analytic_locality_speedup():
         assert speedup >= 50.0, speedup
 
 
-def test_sweep_batched_100pt():
-    """Chunked pool dispatch vs. per-point dispatch on a 100-point grid."""
+def test_sweep_100pt():
+    """A pooled 100-point grid equals the serial one; both are timed."""
     grid = parameter_grid(
         {
             "I": [6, 8, 10, 12, 14, 16, 18, 20, 22, 24],
@@ -357,23 +357,17 @@ def test_sweep_batched_100pt():
     t_serial, serial = _best_of(
         lambda: _sweep(sdfg, grid, adaptive=False), repeats=2
     )
-    t_point, per_point = _best_of(
-        lambda: _sweep(sdfg, grid, workers=4, batch=1, adaptive=False),
-        repeats=2,
-    )
-    t_chunked, chunked = _best_of(
+    t_pool, pooled = _best_of(
         lambda: _sweep(sdfg, grid, workers=4, adaptive=False), repeats=2
     )
-    assert chunked == serial
-    assert per_point == serial
+    assert pooled == serial
     cores = os.cpu_count() or 1
     print_table(
         f"hdiff parametric sweep, {len(grid)} points ({cores} cores)",
         ["mode", "total [ms]", "per point [ms]"],
         [
             ["serial", f"{t_serial * 1e3:.1f}", f"{t_serial / len(grid) * 1e3:.2f}"],
-            ["4 workers, batch=1", f"{t_point * 1e3:.1f}", f"{t_point / len(grid) * 1e3:.2f}"],
-            ["4 workers, chunked", f"{t_chunked * 1e3:.1f}", f"{t_chunked / len(grid) * 1e3:.2f}"],
+            ["4 workers", f"{t_pool * 1e3:.1f}", f"{t_pool / len(grid) * 1e3:.2f}"],
         ],
     )
     _record(
@@ -382,12 +376,7 @@ def test_sweep_batched_100pt():
                 "points": len(grid),
                 "cores": cores,
                 "serial_ms": round(t_serial * 1e3, 3),
-                "per_point_pool_ms": round(t_point * 1e3, 3),
-                "chunked_pool_ms": round(t_chunked * 1e3, 3),
-                "chunked_vs_per_point": round(t_point / t_chunked, 2),
+                "pool_ms": round(t_pool * 1e3, 3),
             }
         }
     )
-    # Chunked dispatch amortizes task overhead: it must not lose to
-    # per-point dispatch (15% slack absorbs pool startup noise).
-    assert t_chunked <= t_point * 1.15, (t_chunked, t_point)

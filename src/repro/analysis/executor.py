@@ -7,11 +7,11 @@ point whose capacity-independent ``local.analytic`` product is stored,
 and hands the rest to a :class:`SweepExecutor`.
 
 The executor evaluates a point in process only through its caller's
-callable.  On worker processes it ships each point's own program to one
-worker entry, :func:`_worker_evaluate_shipping`, which runs the pass
-pipeline's ``local.point`` and returns a :class:`PooledPoint`.  Either
-way it keeps the error-handling contract a long-running analysis service
-needs:
+callable.  On worker processes each task is one point: it ships the
+point's own program to one worker entry, :func:`_worker_evaluate_shipping`,
+which runs the pass pipeline's ``local.point`` and returns a
+:class:`PooledPoint`.  Either way it keeps the error-handling contract a
+long-running analysis service needs:
 
 - **per-point outcomes** — a failing point yields a structured
   :class:`SweepPointError` record instead of poisoning the whole grid;
@@ -29,11 +29,18 @@ needs:
   (completed results are never recomputed);
 - **cooperative cancellation** — a :class:`CancelToken` stops the sweep
   at the next point boundary, marking unfinished points as cancelled;
-- **narrow serial fallback** — only when the pool *cannot be spawned at
-  all* (no fork/spawn support, pickling of the payload impossible, or
-  the pool breaks before any point ever completed and respawning does
-  not help) does the executor fall back to in-process serial
-  evaluation.  Library errors never trigger the fallback.
+- **one crash rule** — a break of the pool is charged only to a point
+  that was alone in flight: that attempt died with its worker, and is
+  retried like a transient failure.  A break with several points in
+  flight is charged to none of them; each reruns with no other point in
+  flight.  A worker death is the pool's fault until the pool has
+  returned a point in this run.  Once it has, a point that broke the
+  pool alone and has no outcome is a ``crash`` and never runs in
+  process.  If the pool is given up (it cannot spawn, a payload does not
+  pickle, or it broke more than ``max_respawns`` times), or the run ends
+  with points that have no outcome, the breaker records a failure, and
+  one serial fallback evaluates every point still without an outcome in
+  process.  Library errors never trigger the fallback.
 
 Every decision is observable: an attached
 :class:`~repro.obs.trace.Tracer` receives one span per evaluated point
@@ -139,32 +146,31 @@ def _worker_evaluate_shipping(
     return PooledPoint(point, pipeline.run("local.analytic", ctx))
 
 
-def _worker_evaluate_batch(fn: Callable, items: Sequence[tuple]) -> list[tuple]:
-    """Evaluate a chunk of grid points in one worker task.
+class _LibraryError(NamedTuple):
+    """A worker's :class:`~repro.errors.ReproError`, returned as data."""
 
-    Each item is ``fn``'s argument tuple ``(sdfg_text, params, line_size,
-    capacity_lines, include_transients)``; a chunk carries only its own
-    points' program texts.  Returns one tuple per item: ``("ok", point)``
-    or ``("error", type_name, message)`` for deterministic library
-    errors.  Any other exception propagates and fails the whole chunk
-    (the scheduler then splits it into singletons, so one bad point
-    cannot take down its chunk-mates).
+    error_type: str
+    message: str
+
+
+def _worker_evaluate_point(fn: Callable, item: tuple) -> Any:
+    """One pool task: *fn* on one point's arguments ``(sdfg_text, params,
+    line_size, capacity_lines, include_transients)``.
+
+    A deterministic library error comes back as a :class:`_LibraryError`
+    record; any other exception propagates to the parent, which retries
+    it.
     """
-    out: list[tuple] = []
-    for item in items:
-        # Chaos sites run worker-side (the spec rides in on REPRO_CHAOS,
-        # which worker processes inherit): a "worker.kill" fault SIGKILLs
-        # this process — the coordinating side sees BrokenProcessPool.
-        _chaos("worker.kill")
-        _chaos("eval.slow")
-        try:
-            _chaos("eval.error")
-            point = fn(*item)
-        except ReproError as exc:
-            out.append(("error", type(exc).__name__, str(exc)))
-        else:
-            out.append(("ok", point))
-    return out
+    # Chaos sites run worker-side (the spec rides in on REPRO_CHAOS,
+    # which worker processes inherit): a "worker.kill" fault SIGKILLs
+    # this process — the coordinating side sees BrokenProcessPool.
+    _chaos("worker.kill")
+    _chaos("eval.slow")
+    try:
+        _chaos("eval.error")
+        return fn(*item)
+    except ReproError as exc:
+        return _LibraryError(type(exc).__name__, str(exc))
 
 
 def _usable_cores() -> int:
@@ -176,13 +182,7 @@ def _usable_cores() -> int:
 
 
 class _PoolUnavailable(Exception):
-    """Internal: the process pool cannot be used at all; go serial."""
-
-    def __init__(self, message: str, outcomes: list | None = None):
-        super().__init__(message)
-        #: Partial outcomes gathered before the pool became unusable;
-        #: the serial fallback fills only the still-``None`` slots.
-        self.outcomes = outcomes
+    """Internal: the pool is given up for this run."""
 
 
 class CancelToken:
@@ -348,8 +348,9 @@ class SweepExecutor:
     ----------
     workers:
         ``None`` or ``0`` evaluates serially in-process; ``n >= 1`` fans
-        out over a process pool of *n* workers (at most one in-flight
-        task per worker, so per-point timeouts track execution time).
+        out over a process pool of *n* workers, one point per task and at
+        most one in-flight task per worker, so per-point timeouts track
+        execution time.
     retries:
         Extra attempts for transient (non-library) failures per point.
     backoff:
@@ -378,18 +379,6 @@ class SweepExecutor:
         startup + pickling (the ``sweep_8pt`` regression: pooled sweeps
         *losing* 0.91x to serial).  Off by default so direct executor
         users keep deterministic pool behaviour.
-    batch:
-        Points per worker task on the pool path.  ``None`` (default)
-        auto-chunks: roughly four tasks per worker, capped at 32 points
-        per chunk — large grids amortize submission, pickling and
-        result-shipping over whole chunks instead of paying them per
-        point, while grids smaller than ``4 × workers`` keep chunk size
-        1 and behave exactly as before.  ``1`` forces per-point tasks.
-        Per-point failure isolation is preserved: a deterministic
-        library error inside a chunk is recorded for that point only,
-        and a chunk that fails wholesale is split into singletons and
-        re-run.  The per-point ``timeout`` budget scales with chunk
-        length.
     """
 
     def __init__(
@@ -403,7 +392,6 @@ class SweepExecutor:
         metrics=None,
         point_fn: Callable | None = None,
         adaptive: bool = False,
-        batch: int | None = None,
         breaker=None,
     ):
         self.workers = workers
@@ -415,9 +403,6 @@ class SweepExecutor:
         self.metrics = metrics
         self.point_fn = point_fn
         self.adaptive = bool(adaptive)
-        if batch is not None and int(batch) < 1:
-            raise ValueError("batch must be >= 1")
-        self.batch = None if batch is None else int(batch)
         #: Optional :class:`~repro.resilience.breaker.CircuitBreaker`
         #: guarding the pool path.  Shared across runs (a session passes
         #: its long-lived breaker), so a pool that keeps dying stops
@@ -471,9 +456,9 @@ class SweepExecutor:
         ``capacity_lines`` and ``include_transients``): ``env`` is the
         grid point, and its program and cache model are what a worker
         evaluates.  *evaluate* evaluates one point in process — on the
-        serial path, for the adaptive probe and in the pool-unavailable
-        fallback.  *on_result* is called as ``on_result(index, outcome)``
-        for every finished point (it may call ``cancel.cancel()``).
+        serial path, for the adaptive probe and in the serial fallback.
+        *on_result* is called as ``on_result(index, outcome)`` for every
+        finished point (it may call ``cancel.cancel()``).
         """
         grid = [dict(point.env) for point in points]
 
@@ -492,11 +477,6 @@ class SweepExecutor:
             use_pool = (
                 self.workers is not None and self.workers >= 1 and len(grid) > 1
             )
-            if use_pool and self.breaker is not None and not self.breaker.allow():
-                # The pool breaker is open: degrade to serial without
-                # paying the spawn-and-die cycle again this run.
-                self._count("sweep.breaker.skipped_pool")
-                use_pool = False
             outcomes: list | None = None
             if use_pool and self.adaptive and not (
                 cancel is not None and cancel.cancelled
@@ -515,27 +495,28 @@ class SweepExecutor:
                     if use_pool
                     else "sweep.adaptive.serial_chosen"
                 )
+            # Asked only for a run that will use the pool: a half-open
+            # breaker's one probe must end in a verdict.
+            if use_pool and self.breaker is not None and not self.breaker.allow():
+                # The pool breaker is open: degrade to serial without
+                # paying the spawn-and-die cycle again this run.
+                self._count("sweep.breaker.skipped_pool")
+                use_pool = False
+            fallback = False
             if use_pool:
-                try:
-                    outcomes = self._run_pool(
-                        points, grid, cancel, on_result, outcomes=outcomes
-                    )
-                except _PoolUnavailable as exc:
-                    # The narrow "pool cannot spawn" case — and only it.
-                    if self.breaker is not None:
+                outcomes, failed = self._run_pool(
+                    points, grid, cancel, on_result, outcomes=outcomes
+                )
+                if self.breaker is not None:
+                    if failed:
                         self.breaker.record_failure()
+                    else:
+                        self.breaker.record_success()
+                fallback = any(outcome is None for outcome in outcomes)
+                if fallback:
+                    # The one serial fallback (module docstring).
                     self._count("sweep.serial_fallbacks")
-                    outcomes = self._run_serial(
-                        evaluate_at, grid, cancel, on_result,
-                        outcomes=exc.outcomes,
-                    )
-                else:
-                    if self.breaker is not None:
-                        if self._pool_gave_up:
-                            self.breaker.record_failure()
-                        else:
-                            self.breaker.record_success()
-            else:
+            if not use_pool or fallback:
                 outcomes = self._run_serial(
                     evaluate_at, grid, cancel, on_result, outcomes=outcomes
                 )
@@ -637,13 +618,13 @@ class SweepExecutor:
             return error
 
     # -- pool path ---------------------------------------------------------
-    def _spawn_pool(self, nworkers: int, outcomes: list | None) -> ProcessPoolExecutor:
+    def _spawn_pool(self, nworkers: int) -> ProcessPoolExecutor:
         try:
             _chaos("pool.spawn")
             pool = ProcessPoolExecutor(max_workers=nworkers)
         except (ImportError, NotImplementedError, OSError, PermissionError,
                 RuntimeError, ValueError) as exc:
-            raise _PoolUnavailable(f"cannot spawn worker pool: {exc}", outcomes) from exc
+            raise _PoolUnavailable(f"cannot spawn worker pool: {exc}") from exc
         self._count("sweep.pool_spawns")
         return pool
 
@@ -654,13 +635,19 @@ class SweepExecutor:
         cancel: CancelToken | None,
         on_result,
         outcomes: list | None = None,
-    ) -> list:
+    ) -> tuple[list, bool]:
+        """Evaluate the points without an outcome on the pool, one point
+        per task, under the module's crash rule.
+
+        Returns the outcomes (``None`` where a point has none) and whether
+        the pool failed the run: it was given up, or points are left
+        without an outcome for the serial fallback.
+        """
         # Workers run the pass pipeline.  Import it before the pool forks
         # so every worker inherits it instead of importing it itself.
         import repro.passes  # noqa: F401
         from repro.sdfg.serialize import dumps
 
-        self._pool_gave_up = False
         fn = self.point_fn or _worker_evaluate_shipping
         #: Each distinct program's text, serialized once per run.
         texts: dict[int, str] = {}
@@ -670,28 +657,20 @@ class SweepExecutor:
         if outcomes is None:
             outcomes = [None] * n
         attempts = [0] * n
-        done_count = sum(1 for o in outcomes if o is not None)
-        todo: deque[int] = deque(
-            i for i in range(n) if outcomes[i] is None
-        )
-        # Points per worker task: explicit `batch`, else ~4 tasks per
-        # worker capped at 32 — small grids get chunk 1 (per-point
-        # semantics), large grids amortize per-task overhead.
-        if self.batch is not None:
-            chunk_size = self.batch
-        else:
-            chunk_size = max(
-                1, min(32, math.ceil(len(todo) / (int(self.workers) * 4)))
-            )
-        #: Indices that must run alone: members of a chunk that failed
-        #: wholesale, re-run as singletons to isolate the bad point.
-        solo: set[int] = set()
+        #: Attempts of each point that broke the pool as the only point
+        #: in flight.
+        deaths = [0] * n
+        todo: deque[int] = deque(i for i in range(n) if outcomes[i] is None)
         nworkers = min(int(self.workers), max(1, len(todo)))
-        pending: dict[Future, tuple[list[int], float]] = {}
+        #: In-flight tasks: future -> (point index, submission time).
+        pending: dict[Future, tuple[int, float]] = {}
         retry_at: list[tuple[float, int]] = []
+        #: Points lost in a break: each runs with no other point in flight.
+        suspects: set[int] = set()
         respawns = 0
-        ever_completed = False
-        pool = self._spawn_pool(nworkers, None)
+        returned = False
+        gave_up = False
+        pool: ProcessPoolExecutor | None = None
 
         def task_item(index: int) -> tuple:
             """*fn*'s arguments for point *index*: its own program's text,
@@ -706,9 +685,7 @@ class SweepExecutor:
             )
 
         def finish(index: int, outcome, seconds: float = 0.0) -> None:
-            nonlocal done_count
             outcomes[index] = outcome
-            done_count += 1
             if isinstance(outcome, SweepPointError):
                 self._count("sweep.failed")
                 self._record_point(
@@ -721,93 +698,83 @@ class SweepExecutor:
             if on_result is not None:
                 on_result(index, outcome)
 
-        def deliver(chunk: list[int], results: list[tuple], submitted: float) -> None:
-            """Finish every point of a chunk whose task returned."""
-            nonlocal ever_completed
-            seconds = (time.monotonic() - submitted) / len(chunk)
-            for index, result in zip(chunk, results):
-                if result[0] == "ok":
-                    ever_completed = True
-                    finish(index, result[1], seconds)
-                    continue
-                _, error_type, message = result
-                finish(
-                    index,
-                    SweepPointError(
-                        grid[index], "error", error_type, message,
-                        attempts[index],
-                    ),
-                    seconds,
-                )
+        def fail(index: int, kind: str, error_type: str | None, message: str,
+                 seconds: float = 0.0) -> None:
+            finish(
+                index,
+                SweepPointError(
+                    grid[index], kind, error_type, message, attempts[index]
+                ),
+                seconds,
+            )
 
-        def retry_or_fail(
-            index: int, kind: str, error_type: str, message: str,
-            seconds: float = 0.0,
-        ) -> None:
-            """Schedule a transient failure's retry, or record it once the
-            point's retries are spent."""
-            if attempts[index] <= self.retries:
-                self._count("sweep.retries")
-                # Crash retries back off like any other transient
-                # failure: a point that keeps killing its worker should
-                # not hammer the freshly respawned pool.
-                retry_at.append((
-                    time.monotonic() + self.backoff * (2 ** (attempts[index] - 1)),
-                    index,
-                ))
+        def deliver(index: int, result, submitted: float) -> None:
+            """Finish a point whose task came back from a worker."""
+            nonlocal returned
+            returned = True
+            seconds = time.monotonic() - submitted
+            if isinstance(result, _LibraryError):
+                fail(index, "error", result.error_type, result.message, seconds)
             else:
-                finish(
-                    index,
-                    SweepPointError(
-                        grid[index], kind, error_type, message, attempts[index]
-                    ),
-                    seconds,
-                )
+                finish(index, result, seconds)
 
-        def unfinished_pending() -> list[int]:
-            indices = [
-                index for chunk, _ in pending.values() for index in chunk
-            ]
-            pending.clear()
-            return indices
+        def retry(index: int) -> bool:
+            """Schedule another attempt of a point after its backoff, if
+            it has one left."""
+            if attempts[index] > self.retries:
+                return False
+            self._count("sweep.retries")
+            # Crash retries back off like any other transient failure: a
+            # point that keeps killing its worker should not hammer the
+            # freshly respawned pool.
+            retry_at.append((
+                time.monotonic() + self.backoff * (2 ** (attempts[index] - 1)),
+                index,
+            ))
+            return True
 
-        def take_chunk() -> list[int]:
-            """Pop the next worker task's indices off ``todo``: a single
-            solo index, or up to ``chunk_size`` non-solo indices."""
-            indices = [todo.popleft()]
-            if indices[0] in solo:
-                return indices
-            while (
-                todo and len(indices) < chunk_size and todo[0] not in solo
-            ):
-                indices.append(todo.popleft())
-            return indices
+        def lost_in_break(lost: list[int]) -> None:
+            """Charge a break to the points that were in flight."""
+            if len(lost) == 1:
+                # Alone in flight: the attempt died with its worker.
+                deaths[lost[0]] += 1
+                retry(lost[0])
+            else:
+                # Charged to none of them: each reruns alone, first.
+                for index in sorted(lost, reverse=True):
+                    attempts[index] -= 1
+                    todo.appendleft(index)
+            suspects.update(lost)
+
+        def may_submit() -> bool:
+            """Whether ``todo[0]`` may go in flight: a worker is free, and
+            no suspect would be in flight with another point."""
+            if not todo or len(pending) >= nworkers:
+                return False
+            if not pending or not suspects:
+                return True
+            return todo[0] not in suspects and not any(
+                index in suspects for index, _ in pending.values()
+            )
 
         try:
-            while done_count < n:
-                now = time.monotonic()
+            while todo or retry_at or pending:
                 # Cooperative cancellation at the next wave boundary.
                 if cancel is not None and cancel.cancelled:
                     for future in pending:
                         future.cancel()
                     remaining = (
-                        unfinished_pending()
+                        [index for index, _ in pending.values()]
                         + list(todo)
                         + [index for _, index in retry_at]
                     )
-                    todo.clear()
-                    retry_at.clear()
+                    pending.clear()
                     for index in remaining:
-                        finish(
-                            index,
-                            SweepPointError(
-                                grid[index], "cancelled", None, cancel.message(),
-                                attempts[index],
-                            ),
-                        )
+                        fail(index, "cancelled", None, cancel.message())
                     self._count("sweep.cancelled", len(remaining))
                     break
                 # Backoff delays that have elapsed become submittable again.
+                now = time.monotonic()
                 due = [index for when, index in retry_at if when <= now]
                 if due:
                     retry_at = [(w, i) for w, i in retry_at if w > now]
@@ -815,78 +782,62 @@ class SweepExecutor:
                 # Keep at most one in-flight task per worker so a timeout
                 # measures execution, not queueing.
                 broken = False
-                while todo and len(pending) < nworkers:
-                    indices = take_chunk()
-                    for index in indices:
-                        attempts[index] += 1
+                lost: list[int] = []
+                while may_submit():
+                    if pool is None:
+                        pool = self._spawn_pool(nworkers)
+                    index = todo.popleft()
+                    attempts[index] += 1
                     try:
                         future = pool.submit(
-                            _worker_evaluate_batch, fn,
-                            [task_item(index) for index in indices],
+                            _worker_evaluate_point, fn, task_item(index)
                         )
                     except (BrokenProcessPool, RuntimeError):
-                        for index in reversed(indices):
-                            attempts[index] -= 1
-                            todo.appendleft(index)
+                        attempts[index] -= 1
+                        todo.appendleft(index)
                         broken = True
                         break
-                    self._count("sweep.batch.chunks")
-                    self._count("sweep.batch.points", len(indices))
-                    pending[future] = (indices, time.monotonic())
+                    pending[future] = (index, time.monotonic())
                 if not broken:
                     if not pending:
-                        if retry_at:
-                            time.sleep(
-                                max(0.0, min(w for w, _ in retry_at) - time.monotonic())
-                            )
-                            continue
-                        break  # nothing in flight and nothing to submit
+                        # Only backoffs are left: wait out the first.
+                        time.sleep(max(
+                            0.0, min(w for w, _ in retry_at) - time.monotonic()
+                        ))
+                        continue
                     done, _ = wait(
                         set(pending), timeout=0.05, return_when=FIRST_COMPLETED
                     )
                     for future in done:
-                        chunk, submitted = pending.pop(future)
+                        index, submitted = pending.pop(future)
                         try:
-                            results = future.result()
-                        except BrokenProcessPool as exc:
+                            result = future.result()
+                        except BrokenProcessPool:
                             broken = True
-                            for index in chunk:
-                                retry_or_fail(
-                                    index, "crash", type(exc).__name__,
-                                    str(exc) or "worker process died",
-                                )
+                            lost.append(index)
                         except pickle.PicklingError as exc:
                             raise _PoolUnavailable(
-                                f"sweep payload does not pickle: {exc}", outcomes
+                                f"sweep payload does not pickle: {exc}"
                             ) from exc
                         except Exception as exc:  # noqa: BLE001 — fault barrier: unknown errors become records/retries
-                            # Library errors are captured per point inside
-                            # the chunk; an exception here failed the whole
-                            # task.  A multi-point chunk is split into
-                            # singletons (the chunk attempt does not count
-                            # against its members) so the bad point is
-                            # isolated; a singleton follows retry/backoff.
-                            if len(chunk) > 1:
-                                self._count("sweep.batch.splits")
-                                solo.update(chunk)
-                                for index in chunk:
-                                    attempts[index] -= 1
-                                    todo.append(index)
-                            else:
-                                retry_or_fail(
-                                    chunk[0], "error", type(exc).__name__,
-                                    str(exc), time.monotonic() - submitted,
+                            # The worker survived the point: a transient
+                            # failure follows retry/backoff.
+                            returned = True
+                            if not retry(index):
+                                fail(
+                                    index, "error", type(exc).__name__, str(exc),
+                                    time.monotonic() - submitted,
                                 )
                         else:
-                            deliver(chunk, results, submitted)
+                            deliver(index, result, submitted)
                 # A broken pool poisons every in-flight future: drain them,
-                # respawn, and resubmit only the unfinished points.
+                # and resubmit only the unfinished points to a new pool.
                 if broken:
                     self._count("sweep.pool_respawns")
                     respawns += 1
                     pool.shutdown(wait=False, cancel_futures=True)
-                    for future, (chunk, submitted) in list(pending.items()):
-                        del pending[future]
+                    pool = None
+                    for future, (index, submitted) in pending.items():
                         # Salvage results that completed before the break so
                         # finished points are never recomputed.
                         if (
@@ -894,57 +845,38 @@ class SweepExecutor:
                             and not future.cancelled()
                             and future.exception() is None
                         ):
-                            deliver(chunk, future.result(), submitted)
-                            continue
-                        for index in chunk:
-                            retry_or_fail(
-                                index, "crash", "BrokenProcessPool",
-                                "worker process died",
-                            )
+                            deliver(index, future.result(), submitted)
+                        else:
+                            lost.append(index)
+                    pending.clear()
+                    lost_in_break(lost)
                     if respawns > self.max_respawns:
-                        if not ever_completed:
-                            # The pool never produced a single result:
-                            # indistinguishable from "cannot spawn".
-                            raise _PoolUnavailable(
-                                "worker pool never became operational", outcomes
-                            )
-                        self._pool_gave_up = True
-                        remaining = list(todo) + [i for _, i in retry_at]
-                        todo.clear()
-                        retry_at.clear()
-                        for index in remaining:
-                            finish(
-                                index,
-                                SweepPointError(
-                                    grid[index], "crash", "BrokenProcessPool",
-                                    "worker pool kept dying", attempts[index],
-                                ),
-                            )
-                        continue
-                    pool = self._spawn_pool(nworkers, outcomes)
+                        raise _PoolUnavailable("worker pool kept dying")
                 # Per-point timeout: abandon futures past their budget.
                 if self.timeout is not None:
                     now = time.monotonic()
-                    for future, (chunk, submitted) in list(pending.items()):
-                        # The wall-clock budget scales with chunk length:
-                        # a chunk is len(chunk) points of sequential work.
-                        if now - submitted > self.timeout * len(chunk):
+                    for future, (index, submitted) in list(pending.items()):
+                        if now - submitted > self.timeout:
                             future.cancel()
                             del pending[future]
-                            self._count("sweep.timeouts", len(chunk))
-                            for index in chunk:
-                                finish(
-                                    index,
-                                    SweepPointError(
-                                        grid[index], "timeout", "TimeoutError",
-                                        f"point exceeded {self.timeout:g}s",
-                                        attempts[index],
-                                    ),
-                                    (now - submitted) / len(chunk),
-                                )
+                            self._count("sweep.timeouts")
+                            fail(
+                                index, "timeout", "TimeoutError",
+                                f"point exceeded {self.timeout:g}s",
+                                now - submitted,
+                            )
+        except _PoolUnavailable:
+            gave_up = True
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return outcomes
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+        if returned:
+            # The pool works, so a point that broke it alone killed its
+            # worker.
+            for index in range(n):
+                if outcomes[index] is None and deaths[index]:
+                    fail(index, "crash", "BrokenProcessPool", "worker process died")
+        return outcomes, gave_up or any(o is None for o in outcomes)
 
 
 #: ``store.get`` default marking a miss (a stored point is never this).

@@ -14,18 +14,13 @@ from a *constant* number of enumerated loop blocks:
   rest per region, stitching both into one exact product;
 - :class:`~repro.locality.engine.AnalyticLocality` answers the same
   queries as the enumeration pipeline (``miss_counts``,
-  ``per_element_misses``, ``histogram``) with exactly equal results;
-- folded regions additionally emit :mod:`repro.symbolic` count
-  expressions over the outer extent
-  (:class:`~repro.locality.engine.SymbolicLocality`), evaluable on whole
-  parameter grids through :func:`repro.symbolic.compiled.compile_expr`.
+  ``per_element_misses``, ``histogram``) with exactly equal results.
 """
 
 from repro.locality.engine import (
     AnalyticLocality,
     ElementCounts,
     ElementMap,
-    SymbolicLocality,
     analyze_locality,
 )
 from repro.locality.regions import FoldCandidate, Region, extract_regions
@@ -34,7 +29,6 @@ __all__ = [
     "AnalyticLocality",
     "ElementCounts",
     "ElementMap",
-    "SymbolicLocality",
     "analyze_locality",
     "FoldCandidate",
     "Region",

@@ -15,11 +15,7 @@ The :class:`AnalyticLocality` product answers the enumeration pipeline's
 queries (``miss_counts``, ``per_element_misses``, ``histogram``) with
 exactly equal results; per-element queries read dense, read-only
 :class:`ElementCounts` arrays, which an :class:`ElementMap` presents as
-an ``{indices: count}`` mapping without building a dict.  When the
-region folded, its ``symbolic`` attribute builds a
-:class:`SymbolicLocality` on first read —
-per-container count expressions over the outer extent, evaluable on
-whole grids via :func:`repro.symbolic.compiled.compile_expr`.
+an ``{indices: count}`` mapping without building a dict.
 """
 
 from __future__ import annotations
@@ -45,14 +41,12 @@ from repro.simulation.cache import MissCounts
 from repro.simulation.layout import MemoryModel
 from repro.simulation.simulator import simulate_region
 from repro.simulation.stackdist import stack_distances_array
-from repro.symbolic.expr import Expr, Integer, add, floor_div, mul, smax, sub
 
 __all__ = [
     "AnalyticLocality",
     "ElementCounts",
     "ElementMap",
     "EnumeratedSummary",
-    "SymbolicLocality",
     "analyze_locality",
 ]
 
@@ -206,107 +200,6 @@ def _compose(summaries: list[EnumeratedSummary], lines: list[np.ndarray]) -> Non
         offset += r.size
 
 
-class SymbolicLocality:
-    """Per-container count expressions over the folded outer extent.
-
-    ``total``/``cold`` map containers to :class:`~repro.symbolic.expr.Expr`
-    trees in the program parameters; ``hist`` maps containers to
-    ``{distance: count-Expr}``.  They describe the analyzed program
-    family: the same inner sizes and every container at the same offset
-    within its cache line, with the outer extent varying.
-    :attr:`valid_from` is a sufficient bound, not where exactness starts:
-    the expressions are exact at every extent ≥ ``valid_from`` of the
-    family, and may be below it too (matmul at ``{I: 14, J: 8, K: 8}``
-    folds with ``valid_from`` 17, and its expressions hold at every even
-    ``I`` from 6; an odd ``I`` moves ``B`` half a line, out of the
-    family).  Evaluable point-wise or batched over grids with
-    :func:`repro.symbolic.compiled.compile_expr`.
-    """
-
-    __slots__ = ("outer_param", "n_expr", "valid_from", "total", "cold", "hist")
-
-    def __init__(
-        self,
-        outer_param: str,
-        n_expr: Expr,
-        valid_from: int,
-        total: dict[str, Expr],
-        cold: dict[str, Expr],
-        hist: dict[str, dict[int, Expr]],
-    ):
-        self.outer_param = outer_param
-        self.n_expr = n_expr
-        self.valid_from = valid_from
-        self.total = total
-        self.cold = cold
-        self.hist = hist
-
-    def capacity_misses(self, capacity_lines: int) -> dict[str, Expr]:
-        """Capacity-miss count expressions under a modeled capacity."""
-        out: dict[str, Expr] = {}
-        for name, bucket in self.hist.items():
-            terms = [
-                expr for distance, expr in bucket.items()
-                if distance >= capacity_lines
-            ]
-            out[name] = add(*terms) if terms else Integer(0)
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"SymbolicLocality(outer={self.outer_param!r}, "
-            f"valid_from={self.valid_from}, containers={sorted(self.total)})"
-        )
-
-
-def _build_symbolic(fold: FoldedSummary) -> SymbolicLocality:
-    """Lift a folded summary's counts to expressions over the extent."""
-    n_expr = fold.n_expr
-    # Blocks of phase r: m_r(n) = max(0, (n - 1 - t_r) // P + 1).
-    phase_counts = [
-        smax(0, add(floor_div(sub(n_expr, 1 + phase.t), fold.p_joint), 1))
-        for phase in fold.phases
-    ]
-    total: dict[str, Expr] = {}
-    cold: dict[str, Expr] = {}
-    hist: dict[str, dict[int, Expr]] = {}
-    steady = sub(n_expr, fold.delta_max)
-    for name in fold.block.containers:
-        per_block = int(fold.block.positions[name].size)
-        prefix_pos = fold.prefix.positions.get(name)
-        prefix_d = (
-            fold.prefix_distances[prefix_pos]
-            if prefix_pos is not None
-            else np.empty(0)
-        )
-        total[name] = add(
-            int(prefix_d.size), mul(per_block, steady)
-        )
-        cold_terms: list[Expr] = [Integer(int(np.isinf(prefix_d).sum()))]
-        bucket: dict[int, Expr] = {}
-        finite = np.isfinite(prefix_d)
-        values, counts = np.unique(prefix_d[finite], return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            bucket[int(v)] = Integer(int(c))
-        block_pos = fold.block.positions[name]
-        for phase, m_expr in zip(fold.phases, phase_counts):
-            d = phase.distances[block_pos]
-            new = int(np.isinf(d).sum())
-            if new:
-                cold_terms.append(mul(new, m_expr))
-            values, counts = np.unique(d[np.isfinite(d)], return_counts=True)
-            for v, c in zip(values.tolist(), counts.tolist()):
-                term = mul(int(c), m_expr)
-                key = int(v)
-                bucket[key] = add(bucket[key], term) if key in bucket else term
-        cold[name] = add(*cold_terms)
-        hist[name] = bucket
-    valid_from = fold.delta_max + fold.p_joint * (fold.delta_max + 1)
-    return SymbolicLocality(
-        fold.outer_param, n_expr, valid_from, total, cold, hist
-    )
-
-
 def _miss_counts(total: int, cold: int, capacity: int) -> MissCounts:
     return MissCounts(hits=total - cold - capacity, cold=cold, capacity=capacity)
 
@@ -458,7 +351,7 @@ class AnalyticLocality:
     __slots__ = (
         "containers", "events_per_container", "total_events",
         "analytic_regions", "fallback_regions", "declined", "line_size",
-        "_summaries", "_symbolic", "_hist", "_cold", "_element_cache",
+        "_summaries", "_hist", "_cold", "_element_cache",
     )
 
     def __init__(
@@ -473,7 +366,6 @@ class AnalyticLocality:
         self.analytic_regions = analytic_regions
         self.fallback_regions = fallback_regions
         self.declined = declined
-        self._symbolic: SymbolicLocality | None = None
         self.line_size = line_size
         self.containers: list[str] = []
         self.events_per_container: dict[str, int] = {}
@@ -487,16 +379,6 @@ class AnalyticLocality:
         self._hist: dict[str, dict[int, int]] | None = None
         self._cold: dict[str, int] | None = None
         self._element_cache: dict = {}
-
-    @property
-    def symbolic(self) -> SymbolicLocality | None:
-        """Count expressions of the folded region (``None`` unless one
-        folded), built on first read."""
-        if self._symbolic is None:
-            for summary in self._summaries:
-                if isinstance(summary, FoldedSummary):
-                    self._symbolic = _build_symbolic(summary)
-        return self._symbolic
 
     # -- aggregates --------------------------------------------------------
     def _aggregates(self) -> tuple[dict[str, dict[int, int]], dict[str, int]]:

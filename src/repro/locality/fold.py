@@ -121,7 +121,6 @@ class FoldedSummary:
     __slots__ = (
         "block", "shifts", "prefix", "prefix_distances", "phases",
         "n", "block_events", "delta_max", "p_joint",
-        "outer_param", "n_expr",
     )
 
     def __init__(
@@ -134,7 +133,6 @@ class FoldedSummary:
         n: int,
         delta_max: int,
         p_joint: int,
-        candidate: FoldCandidate,
     ):
         self.block = block
         self.shifts = shifts
@@ -145,8 +143,6 @@ class FoldedSummary:
         self.block_events = block.num_events
         self.delta_max = delta_max
         self.p_joint = p_joint
-        self.outer_param = candidate.outer_param
-        self.n_expr = candidate.n_expr
 
     # -- aggregate interface (shared with EnumeratedSummary) ---------------
     @property
@@ -479,5 +475,5 @@ def try_build_fold(
         return "window"
     return FoldedSummary(
         block, dict(candidate.container_shifts), prefix, prefix_distances,
-        phases, n, delta_max, p_joint, candidate,
+        phases, n, delta_max, p_joint,
     )

@@ -35,7 +35,6 @@ from repro.simulation.affine import AffineSubset
 from repro.simulation.arrays import build_array_trace
 from repro.simulation.layout import MemoryModel
 from repro.simulation.simulator import SimulationResult
-from repro.symbolic.expr import Expr
 
 __all__ = [
     "Region",
@@ -193,33 +192,27 @@ class FoldCandidate:
 
     ``container_shifts[c]`` is the per-dimension element-index delta of
     every access to container *c* per outer-loop iteration (uniform by
-    the statics guard); ``n`` is the concrete outer extent and
-    ``n_expr`` the same extent as a symbolic expression over the program
-    parameters.  ``boxes`` holds the :class:`AccessBox` of every memlet
-    that records events, and ``block_events`` is the number of events
-    of one outer block.
+    the statics guard); ``n`` is the concrete outer extent.  ``boxes``
+    holds the :class:`AccessBox` of every memlet that records events,
+    and ``block_events`` is the number of events of one outer block.
     """
 
-    __slots__ = ("entry", "n", "step0", "outer_param", "container_shifts",
-                 "n_expr", "boxes", "block_events")
+    __slots__ = ("entry", "n", "step0", "container_shifts", "boxes",
+                 "block_events")
 
     def __init__(
         self,
         entry: MapEntry,
         n: int,
         step0: int,
-        outer_param: str,
         container_shifts: dict[str, tuple[int, ...]],
-        n_expr: Expr,
         boxes: list[AccessBox],
         block_events: int,
     ):
         self.entry = entry
         self.n = n
         self.step0 = step0
-        self.outer_param = outer_param
         self.container_shifts = container_shifts
-        self.n_expr = n_expr
         self.boxes = boxes
         self.block_events = block_events
 
@@ -326,7 +319,4 @@ def fold_statics(
     if not block_events:
         return None
     boxes = [AccessBox(data, points, terms) for (data, terms), points in bases.items()]
-    return FoldCandidate(
-        entry, n, step0, params[0], container_shifts, ranges[0].num_elements(),
-        boxes, block_events,
-    )
+    return FoldCandidate(entry, n, step0, container_shifts, boxes, block_events)

@@ -315,7 +315,6 @@ class Session:
         timeout: float | None = None,
         cancel: CancelToken | None = None,
         adaptive: bool = True,
-        batch: int | None = None,
         on_result: Callable[[int, Any], None] | None = None,
         base: PassContext | None = None,
     ) -> list[LocalSweepPoint] | SweepRun:
@@ -362,10 +361,6 @@ class Session:
         finishing serially — cheap grids never pay pool startup.  Pass
         ``adaptive=False`` to restore the unconditional pool behaviour.
 
-        *batch* sets how many points one worker task evaluates
-        (``None`` auto-chunks large grids, ``1`` forces per-point
-        tasks); see :class:`~repro.analysis.executor.SweepExecutor`.
-
         *on_result* is called as ``on_result(index, outcome)`` — with
         *index* in grid order — as each point finishes, including points
         served from the store.  The analysis service streams sweep
@@ -411,7 +406,6 @@ class Session:
             tracer=self.tracer,
             metrics=self.metrics,
             adaptive=adaptive,
-            batch=batch,
             breaker=self.pool_breaker,
         )
         run = SweepRun(grid, sweep_points(
@@ -539,6 +533,7 @@ class Session:
             scope=self._cache_scope() + ("tune",),
             tracer=self.tracer,
             metrics=self.metrics,
+            breaker=self.pool_breaker,
         )
         return search.run(cancel=cancel, on_event=on_event, deadline=deadline)
 

@@ -15,9 +15,9 @@ The search explores sequences of content-keyed transform matches
   :func:`~repro.analysis.executor.sweep_points`, the path
   ``Session.sweep`` takes: a child stored in the shared session store is
   answered from it, the rest run through the shared pipeline or, when
-  *workers* is set, on a process pool whose tasks carry only their own
-  children's programs and ship each child's analytic product home to
-  the store.  The objective is modeled physical movement at the given
+  *workers* is set, on a process pool whose tasks each carry one
+  child's program and ship its analytic product home to the store,
+  under the session's pool breaker.  The objective is modeled physical movement at the given
   parameter point, so layout-only children re-score almost free (the
   logical-keyed simulation trace is a pipeline cache hit).  Ops are
   counted once per search, on the baseline: every transform preserves
@@ -190,6 +190,9 @@ class TuningSearch:
     pipeline:
         The session's incremental pipeline; a private one is built when
         absent (standalone use).
+    breaker:
+        The pool's :class:`~repro.resilience.breaker.CircuitBreaker`; a
+        session passes its own, so its sweeps and tunes share one.
     """
 
     def __init__(
@@ -209,6 +212,7 @@ class TuningSearch:
         scope: tuple = (),
         tracer=None,
         metrics=None,
+        breaker=None,
     ):
         if beam < 1:
             raise TuningError("beam width must be >= 1")
@@ -231,6 +235,7 @@ class TuningSearch:
         self.budget = int(budget)
         self.timeout = timeout
         self.workers = workers
+        self.breaker = breaker
         if pipeline is None:
             # Standalone use: a private pipeline with its own observability,
             # so pass-cache hits across candidates are still measurable.
@@ -484,6 +489,7 @@ class TuningSearch:
             retries=1,
             tracer=self.tracer,
             metrics=self.metrics,
+            breaker=self.breaker,
         )
         outcomes = sweep_points(self.pipeline, points, executor, cancel=cancel)
         scored: list[Candidate] = []

@@ -65,6 +65,13 @@ def _logged_kill_once_point(sdfg_text, params, *cfg):
     return dict(params)
 
 
+def _brittle_point(sdfg_text, params, *cfg):
+    """Raise a non-library error for marked points."""
+    if params.get("brittle"):
+        raise ValueError(f"brittle point {params['idx']}")
+    return dict(params)
+
+
 def _flaky_point(sdfg_text, params, *cfg):
     """Raise a transient OSError on the first attempt of each point."""
     marker = params["marker"]
@@ -183,11 +190,42 @@ class TestPoolExecution:
 
     def test_poisoned_point_yields_partial_results(self, sdfg):
         grid = [dict(p, poison=(p["idx"] == 2)) for p in GRID]
-        executor = SweepExecutor(workers=2, point_fn=_poison_point)
+        metrics = MetricsRegistry()
+        executor = SweepExecutor(
+            workers=2, point_fn=_poison_point, metrics=metrics
+        )
         run = executor.run(grid_points(sdfg, grid), in_process(_poison_point))
         assert run.completed == 3
         [error] = run.errors
-        assert error.params["idx"] == 2 and error.kind == "error"
+        assert error.params["idx"] == 2
+        # A worker's library error comes home as its own point's record.
+        assert (error.kind, error.error_type, error.attempts) == (
+            "error", "AnalysisError", 1
+        )
+        assert metrics.counter("sweep.retries").value == 0
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_worker_exception_is_retried_then_recorded(self, sdfg, retries):
+        """A non-library exception raised in a worker is transient: it is
+        retried, then recorded with its type, and its neighbours are
+        unaffected."""
+        grid = [{"idx": i, "brittle": i == 3} for i in range(8)]
+        metrics = MetricsRegistry()
+        run = SweepExecutor(
+            workers=2, retries=retries, backoff=0.001,
+            point_fn=_brittle_point, metrics=metrics,
+        ).run(grid_points(sdfg, grid), in_process(_brittle_point))
+        [error] = run.errors
+        assert error.params["idx"] == 3
+        assert (error.kind, error.error_type, error.attempts) == (
+            "error", "ValueError", retries + 1
+        )
+        assert "brittle point 3" in error.message
+        assert [p["idx"] for p in run.points if p is not None] == [
+            0, 1, 2, 4, 5, 6, 7
+        ]
+        assert metrics.counter("sweep.retries").value == retries
+        assert metrics.counter("sweep.serial_fallbacks").value == 0
 
     def test_worker_kill_recovers_and_retries_only_unfinished(self, sdfg, tmp_path):
         log = tmp_path / "attempts.log"
@@ -420,7 +458,7 @@ class TestSweepLocalViewsContract:
         # Every point ran once, on the pool: the grid was not re-run serially.
         assert sorted(log.read_text().split()) == ["3", "4", "5"]
         counters = session.metrics.to_dict()["counters"]
-        assert counters["sweep.batch.points"] == 3
+        assert counters["sweep.points"] == 3
         assert counters.get("sweep.serial_fallbacks", 0) == 0
         assert counters.get("pass.local.point.runs", 0) == 0
         self.assert_good_points_stored(session, [self.GRID[0], self.GRID[2]])
@@ -483,77 +521,6 @@ class TestCrashRetryBackoff:
         assert second - first >= backoff * 0.6
         assert metrics.counter("sweep.pool_respawns").value == 1
         assert metrics.counter("sweep.retries").value == 1
-
-
-def _brittle_point(sdfg_text, params, *cfg):
-    """Raise a non-library error for marked points (fails its whole chunk)."""
-    if params.get("brittle"):
-        raise ValueError(f"chunk-killer {params['idx']}")
-    return dict(params)
-
-
-class TestBatchedExecution:
-    """Chunked worker tasks: identical outcomes, fewer pool round-trips."""
-
-    def test_auto_batching_matches_per_point_results(self, sdfg):
-        grid = [{"idx": i} for i in range(24)]
-        batched_metrics = MetricsRegistry()
-        batched = SweepExecutor(
-            workers=2, point_fn=_echo_point, metrics=batched_metrics
-        ).run(grid_points(sdfg, grid), in_process(_echo_point))
-        per_point_metrics = MetricsRegistry()
-        per_point = SweepExecutor(
-            workers=2, batch=1, point_fn=_echo_point, metrics=per_point_metrics
-        ).run(grid_points(sdfg, grid), in_process(_echo_point))
-        assert batched.ok and per_point.ok
-        assert batched.points == per_point.points
-        # 24 points / (2 workers * 4) = chunks of 3.
-        assert batched_metrics.counter("sweep.batch.chunks").value == 8
-        assert batched_metrics.counter("sweep.batch.points").value == 24
-        assert per_point_metrics.counter("sweep.batch.chunks").value == 24
-
-    def test_explicit_batch_size(self, sdfg):
-        grid = [{"idx": i} for i in range(32)]
-        metrics = MetricsRegistry()
-        run = SweepExecutor(
-            workers=2, batch=8, point_fn=_echo_point, metrics=metrics
-        ).run(grid_points(sdfg, grid), in_process(_echo_point))
-        assert run.ok
-        assert metrics.counter("sweep.batch.chunks").value == 4
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(batch=0)
-
-    def test_library_error_isolated_inside_chunk(self, sdfg):
-        """A ReproError poisons only its own point, not its chunk-mates."""
-        grid = [{"idx": i, "poison": i == 5} for i in range(12)]
-        metrics = MetricsRegistry()
-        run = SweepExecutor(
-            workers=2, batch=6, point_fn=_poison_point, metrics=metrics
-        ).run(grid_points(sdfg, grid), in_process(_poison_point))
-        assert len(run.errors) == 1
-        assert run.errors[0].params["idx"] == 5
-        assert run.errors[0].error_type == "AnalysisError"
-        assert sum(p is not None for p in run.points) == 11
-        # No chunk was torn down: the error was captured point-locally.
-        assert metrics.counter("sweep.batch.splits").value == 0
-
-    def test_wholesale_chunk_failure_splits_into_singletons(self, sdfg):
-        """A non-library chunk failure re-runs members alone, isolating
-        the bad point without losing its chunk-mates."""
-        grid = [{"idx": i, "brittle": i == 3} for i in range(8)]
-        metrics = MetricsRegistry()
-        run = SweepExecutor(
-            workers=2, batch=4, retries=0,
-            point_fn=_brittle_point, metrics=metrics,
-        ).run(grid_points(sdfg, grid), in_process(_brittle_point))
-        assert metrics.counter("sweep.batch.splits").value >= 1
-        assert len(run.errors) == 1
-        assert run.errors[0].params["idx"] == 3
-        assert run.errors[0].error_type == "ValueError"
-        good = [p for p in run.points if p is not None]
-        assert sorted(p["idx"] for p in good) == [0, 1, 2, 4, 5, 6, 7]
 
 
 class TestShippingWorkerEntry:

@@ -177,15 +177,6 @@ class TestFoldEngagement:
         analytic = assert_engine_exact(hdiff.build_sdfg(), dict(self.HDIFF_FOLD))
         assert analytic.analytic_regions == 1
         assert analytic.fallback_regions == 0
-        assert analytic.symbolic is not None
-
-    def test_hdiff_symbolic_metadata(self):
-        analytic = analyze_locality(hdiff.build_sdfg(), dict(self.HDIFF_FOLD))
-        symbolic = analytic.symbolic
-        assert symbolic.outer_param == "i"
-        assert symbolic.valid_from <= self.HDIFF_FOLD["I"]
-        assert set(symbolic.total) == set(analytic.containers)
-        assert set(symbolic.cold) == set(analytic.containers)
 
     def test_synthetic_stencil_folds(self):
         sdfg = stencil_1d(600)

@@ -5,6 +5,10 @@ executor's *reaction* — serial fallback, breaker transitions, crash
 records — all deterministic because the triggers are counter-based.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.analysis.executor import SweepExecutor
@@ -32,6 +36,26 @@ class FakeClock:
 
 def _echo_point(sdfg_text, params, *cfg):
     return dict(params)
+
+
+def _killer_point(sdfg_text, params, *cfg):
+    """SIGKILL the worker on every attempt at a marked point; sleep
+    ``params["sleep"]`` seconds at the others."""
+    if params.get("kill"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(params.get("sleep", 0))
+    return dict(params)
+
+
+def _logged(evaluated):
+    """The in-process evaluator, appending each point's ``idx`` to
+    *evaluated*."""
+
+    def evaluate(point):
+        evaluated.append(point.env["idx"])
+        return dict(point.env)
+
+    return evaluate
 
 
 class TestEvalChaos:
@@ -102,6 +126,34 @@ class TestPoolBreaker:
         assert metrics.counter("sweep.pool_spawns").value == 1
         assert breaker.state == "closed"
 
+    def test_a_serial_adaptive_choice_leaves_the_probe_to_a_pooled_run(
+        self, sdfg
+    ):
+        # A cheap grid's adaptive probe picks serial: the half-open
+        # breaker's one probe is not spent, so the next pooled run makes
+        # it and closes the breaker instead of skipping the pool forever.
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            "pool", failure_threshold=1, reset_timeout=30.0, clock=clock
+        )
+        breaker.record_failure()
+        clock.now += 31.0
+        metrics = MetricsRegistry()
+        run = SweepExecutor(
+            workers=2, adaptive=True, point_fn=_echo_point, metrics=metrics,
+            breaker=breaker,
+        ).run(grid_points(sdfg, GRID), in_process(_echo_point))
+        assert run.ok
+        assert metrics.counter("sweep.adaptive.serial_chosen").value == 1
+        assert breaker.state == "half_open"
+        run = SweepExecutor(
+            workers=2, point_fn=_echo_point, metrics=metrics, breaker=breaker
+        ).run(grid_points(sdfg, GRID), in_process(_echo_point))
+        assert run.ok
+        assert metrics.counter("sweep.breaker.skipped_pool").value == 0
+        assert metrics.counter("sweep.pool_spawns").value == 1
+        assert breaker.state == "closed"
+
 
 class TestWorkerKillChaos:
     def test_persistent_worker_death_degrades_to_serial(self, sdfg, monkeypatch):
@@ -153,3 +205,105 @@ class TestWorkerKillChaos:
         assert counters["sweep.pool_respawns"] >= 1
         assert counters.get("tuning.candidates.failed", 0) == 0
         assert pooled.trajectory == serial.trajectory
+
+    @pytest.mark.parametrize("points", [2, 3])
+    @pytest.mark.parametrize("max_respawns", [0, 2])
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_pool_that_never_returns_a_point_loses_none(
+        self, sdfg, monkeypatch, workers, retries, max_respawns, points
+    ):
+        # Every worker dies on its first point, so every death is the
+        # pool's fault: whether retries or respawns run out first, the
+        # one serial fallback evaluates every point, crashed ones too.
+        monkeypatch.setenv("REPRO_CHAOS", "worker.kill:kind=kill")
+        chaos_mod.uninstall()
+        metrics = MetricsRegistry()
+        breaker = CircuitBreaker(
+            "pool", failure_threshold=1, reset_timeout=30.0, clock=FakeClock()
+        )
+        evaluated: list[int] = []
+        run = SweepExecutor(
+            workers=workers, retries=retries, backoff=0.001,
+            max_respawns=max_respawns, point_fn=_echo_point,
+            metrics=metrics, breaker=breaker,
+        ).run(grid_points(sdfg, GRID[:points]), _logged(evaluated))
+        assert run.ok, run.errors
+        assert [p["idx"] for p in run.points] == list(range(points))
+        assert evaluated == list(range(points))
+        assert metrics.counter("sweep.serial_fallbacks").value == 1
+        assert breaker.state == "open"
+
+    @pytest.mark.parametrize(
+        "killers, retries, max_respawns, attempts",
+        [
+            ((1,), 0, 2, (1,)),
+            ((1,), 1, 2, (2,)),
+            # The killer's last death also gives the pool up.
+            ((1,), 2, 2, (3,)),
+            # The respawns run out before the killers' retries do.
+            ((1, 2), 2, 2, (2, 1)),
+            ((1,), 3, 1, (2,)),
+        ],
+    )
+    def test_a_point_that_kills_its_worker_is_a_crash(
+        self, sdfg, killers, retries, max_respawns, attempts
+    ):
+        # The pool returned point 0 first, so a killer's deaths are its
+        # own: it is a crash, retries left or not, and never runs in
+        # process.  Every point has an outcome, so nothing falls back.
+        grid = [{"idx": i, "kill": i in killers} for i in range(3)]
+        evaluated: list[int] = []
+        metrics = MetricsRegistry()
+        run = SweepExecutor(
+            workers=1, retries=retries, backoff=0.001,
+            max_respawns=max_respawns, point_fn=_killer_point, metrics=metrics,
+        ).run(grid_points(sdfg, grid), _logged(evaluated))
+        assert [
+            (e.params["idx"], e.kind, e.attempts) for e in run.errors
+        ] == [(index, "crash", n) for index, n in zip(killers, attempts)]
+        assert evaluated == []
+        assert [p["idx"] for p in run.points if p is not None] == [
+            i for i in range(3) if i not in killers
+        ]
+        assert metrics.counter("sweep.serial_fallbacks").value == 0
+
+    def test_a_killers_neighbour_in_flight_is_not_charged(self, sdfg):
+        # With two workers the killer breaks the pool while its slower
+        # neighbour is still in flight.  That break is charged to neither
+        # point: each reruns alone, so only the killer is a crash, and the
+        # neighbours complete on the pool.
+        grid = [{"idx": i, "kill": i == 0, "sleep": 0.2} for i in range(4)]
+        evaluated: list[int] = []
+        run = SweepExecutor(
+            workers=2, retries=1, backoff=0.001, point_fn=_killer_point,
+        ).run(grid_points(sdfg, grid), _logged(evaluated))
+        [error] = run.errors
+        assert (error.params["idx"], error.kind, error.attempts) == (
+            0, "crash", 2
+        )
+        assert [p["idx"] for p in run.points[1:]] == [1, 2, 3]
+        assert evaluated == []
+
+    def test_a_pooled_tune_feeds_the_sessions_pool_breaker(self, monkeypatch):
+        # The tuner's rounds share the session's breaker: two rounds whose
+        # pool dies open it, and the session's next sweep skips the pool.
+        from repro.apps import cloudsc
+        from repro.tool.session import Session
+
+        monkeypatch.setenv("REPRO_CHAOS", "worker.kill:kind=kill")
+        chaos_mod.uninstall()
+        session = Session(cloudsc.build_sdfg())
+        session.tune(
+            cloudsc.LOCAL_VIEW_SIZES, beam=4, depth=2, budget=20, workers=2,
+            line_size=cloudsc.CACHE["line_size"],
+            capacity_lines=cloudsc.CACHE["capacity_lines"],
+        )
+        counters = session.metrics.to_dict()["counters"]
+        assert counters["sweep.serial_fallbacks"] >= 2
+        assert session.pool_breaker.state == "open"
+        session.sweep(
+            {"NBLOCKS": [8, 12], "KLEV": [4]}, workers=2, adaptive=False
+        )
+        counters = session.metrics.to_dict()["counters"]
+        assert counters["sweep.breaker.skipped_pool"] == 1

@@ -235,7 +235,7 @@ class TestControls:
 
 class TestPooledTune:
     """A pooled tune takes ``Session.sweep``'s path: it reads and fills
-    the session store, and each pool task carries its own programs."""
+    the session store, and each pool task carries its own program."""
 
     SETTINGS = dict(
         beam=4, depth=2, budget=20, workers=2,
@@ -249,10 +249,10 @@ class TestPooledTune:
         session = Session(cloudsc.build_sdfg())
         first = session.tune(cloudsc.LOCAL_VIEW_SIZES, **self.SETTINGS)
         counters = session.metrics.to_dict()["counters"]
-        assert counters["sweep.batch.points"] == first.evaluated - 1
+        assert counters["sweep.points"] == first.evaluated - 1
         again = session.tune(cloudsc.LOCAL_VIEW_SIZES, **self.SETTINGS)
         repeat = session.metrics.to_dict()["counters"]
-        assert repeat["sweep.batch.points"] == counters["sweep.batch.points"]
+        assert repeat["sweep.points"] == counters["sweep.points"]
         assert repeat.get("pass.local.analytic.runs", 0) == counters.get(
             "pass.local.analytic.runs", 0
         )
@@ -270,7 +270,7 @@ class TestPooledTune:
 
         class SpyPool(ProcessPoolExecutor):
             def submit(self, fn, *args, **kwargs):
-                if fn is executor_module._worker_evaluate_batch:
+                if fn is executor_module._worker_evaluate_point:
                     tasks.append(args)
                 return super().submit(fn, *args, **kwargs)
 
@@ -279,13 +279,11 @@ class TestPooledTune:
             cloudsc.LOCAL_VIEW_SIZES, **self.SETTINGS
         )
         shipped = []
-        for fn, items in tasks:
-            texts = {item[0] for item in items}
-            # The task pickles its points' distinct programs and little
-            # else: no other round's variant, no baseline.
-            overhead = 256 * (len(items) + 1)
-            assert len(pickle.dumps((fn, items))) < sum(map(len, texts)) + overhead
-            shipped.extend(sdfg_fingerprint(loads(item[0])) for item in items)
+        for fn, item in tasks:
+            # The task pickles its point's program and little else: no
+            # other round's variant, no baseline.
+            assert len(pickle.dumps((fn, item))) < len(item[0]) + 512
+            shipped.append(sdfg_fingerprint(loads(item[0])))
         # Each child went to the pool once, with its own program.
         children = [entry["fingerprint"] for entry in result.trajectory[1:]]
         assert sorted(shipped) == sorted(children)
