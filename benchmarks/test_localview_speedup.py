@@ -29,6 +29,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.parametric import parameter_grid
 from repro.apps import hdiff
 from repro.simulation import (
@@ -253,11 +255,19 @@ def test_grid_eval_speedup():
         assert speedup >= 1.5, speedup
 
 
-def test_analytic_locality_speedup():
-    """Closed-form reuse distances vs. trace enumeration on hdiff."""
+@pytest.mark.parametrize(
+    "steps", [0, 1, 3], ids=["original", "reshaped", "reshaped-reordered-padded"]
+)
+def test_analytic_locality_speedup(steps):
+    """Closed-form reuse distances vs. trace enumeration on hdiff, and
+    after the first *steps* of its tuning (reshape, reorder, pad).  Only
+    the original program carries the speedup bar and is recorded; on
+    the transformed ones the engine must equal enumeration and fold."""
     from repro.locality import analyze_locality
 
     sdfg = hdiff.build_sdfg()
+    for step in (hdiff.apply_reshape, hdiff.apply_reorder, hdiff.apply_padding)[:steps]:
+        step(sdfg)
     model = CacheModel(line_size=64, capacity_lines=512)
     relaxed = os.environ.get("REPRO_BENCH_RELAXED", "0") == "1"
     # The largest size both sides can evaluate: enumeration needs the
@@ -300,7 +310,8 @@ def test_analytic_locality_speedup():
         assert len(heatmap) >= 10**6, "production heatmap must be full-size"
 
     print_table(
-        "hdiff local view: trace enumeration vs. analytic engine",
+        f"hdiff local view ({steps} tuning steps): trace enumeration vs. "
+        "analytic engine",
         ["size", "events", "enum [ms]", "analytic [ms]", "speedup"],
         [
             [
@@ -319,6 +330,8 @@ def test_analytic_locality_speedup():
             ],
         ],
     )
+    if steps:
+        return
     _record(
         {
             "localview_analytic": {

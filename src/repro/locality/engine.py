@@ -27,7 +27,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.locality.fold import FoldedSummary, _hist_add, _scatter, try_build_fold
+from repro.locality.fold import (
+    FoldedSummary,
+    _compose,
+    _hist_add,
+    _scatter,
+    try_build_fold,
+)
 from repro.locality.regions import (
     RegionColumns,
     extract_regions,
@@ -39,7 +45,7 @@ from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.simulation.cache import MissCounts
 from repro.simulation.layout import MemoryModel
-from repro.simulation.simulator import simulate_region
+from repro.simulation.simulator import AccessPatternSimulator, simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
 __all__ = [
@@ -58,6 +64,14 @@ def _narrow(array: np.ndarray) -> np.ndarray:
     return array.astype(np.int32)
 
 
+def _narrow_distances(distances: np.ndarray) -> np.ndarray:
+    """Stack distances as float32 when every finite one is exact in it:
+    a distance counts distinct lines, so it is below the event count."""
+    if distances.size <= 1 << 24:
+        return distances.astype(np.float32)
+    return distances
+
+
 class EnumeratedSummary:
     """One region enumerated exactly, with composition hooks.
 
@@ -68,11 +82,12 @@ class EnumeratedSummary:
     single-region programs and for the first region of any program.
 
     Of the region's per-event columns only the positions and element
-    indices per container are kept, as int32 where they fit: the line
-    ids are read by the composition alone (the engine passes them
-    separately), and the container ids only at the region-first
-    positions.  The product crosses the sweep pool's pipe and lives in
-    the session store, so its size matters.
+    indices per container are kept, as int32 where they fit, and the
+    distances, as float32 where every one is exact: the line ids are
+    read by the composition alone (the engine passes them separately),
+    and the container ids only at the region-first positions.  The
+    product crosses the sweep pool's pipe and lives in the session
+    store, so its size matters.
     """
 
     kind = "enumerated"
@@ -89,7 +104,7 @@ class EnumeratedSummary:
         self.index_matrices = {
             name: _narrow(matrix) for name, matrix in cols.index_matrices.items()
         }
-        self.distances = stack_distances_array(cols.lines)
+        self.distances = _narrow_distances(stack_distances_array(cols.lines))
         # An access is inf exactly when it is its line's first in the region.
         self.first_positions = np.flatnonzero(np.isinf(self.distances))
         self.first_cids = cols.container_ids[self.first_positions]
@@ -173,31 +188,17 @@ class EnumeratedSummary:
             _scatter(dense_cap, first_keys[late])
 
 
-def _compose(summaries: list[EnumeratedSummary], lines: list[np.ndarray]) -> None:
-    """Resolve region-first accesses across regions via the reduced trace.
-
-    Per region (``lines[i]`` is region *i*'s line trace), each line's
-    first and last occurrence (in order) stand in for all its
-    occurrences; one stack-distance pass over the concatenation yields,
-    at every first entry, the exact number of distinct lines since that
-    line's previous (cross-region) occurrence: any line with a true
-    access inside the reuse window also has a retained first-or-last
-    entry inside it, and retained entries are true accesses — so the
-    reduced count equals the true count.
-    """
-    reduced_positions = []
-    for s, region_lines in zip(summaries, lines):
-        _, reversed_idx = np.unique(region_lines[::-1], return_index=True)
-        last_idx = region_lines.size - 1 - reversed_idx
-        reduced_positions.append(np.union1d(s.first_positions, last_idx))
-    distances = stack_distances_array(np.concatenate(
-        [region_lines[r] for region_lines, r in zip(lines, reduced_positions)]
-    ))
-    offset = 0
-    for s, r in zip(summaries, reduced_positions):
-        is_first = np.isin(r, s.first_positions)
-        s.resolved = distances[offset:offset + r.size][is_first]
-        offset += r.size
+def _reduced(summary: EnumeratedSummary, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An enumerated region's reduced trace for :func:`_compose`: each
+    line's first and last occurrence (``lines`` is the region's line
+    trace), in order, and which of them are firsts.  A line touched in a
+    reuse window that ends in a later region has its last occurrence in
+    the window when its region is the window's first, its first
+    occurrence when its region is the window's last, and both when its
+    region lies in between."""
+    _, reversed_idx = np.unique(lines[::-1], return_index=True)
+    kept = np.union1d(summary.first_positions, lines.size - 1 - reversed_idx)
+    return lines[kept], np.isin(kept, summary.first_positions)
 
 
 def _miss_counts(total: int, cold: int, capacity: int) -> MissCounts:
@@ -508,6 +509,11 @@ def analyze_locality(
     The returned product equals the enumeration pipeline on every query.
     """
     env = {k: int(v) for k, v in symbols.items()}
+    # One simulator serves every region: a missing symbol raises here,
+    # before any event is recorded.
+    simulator = AccessPatternSimulator(
+        sdfg, env, include_transients=include_transients, timings=timings
+    )
     memory = MemoryModel(sdfg, env, line_size=line_size)
     regions = extract_regions(sdfg, state)
     single = len(regions) == 1
@@ -525,25 +531,23 @@ def analyze_locality(
                 include_transients=include_transients,
             )
             if candidate is not None:
-                outcome = try_build_fold(
-                    sdfg, env, region.state, candidate, memory,
-                    include_transients=include_transients, timings=timings,
-                )
+                outcome = try_build_fold(simulator, region.state, candidate, memory)
         if isinstance(outcome, FoldedSummary):
             folded += 1
             summaries.append(outcome)
             continue
-        # A declined region is simulated once, here.
+        # A declined region is simulated once, here; its trace is dropped
+        # before its stack distances are taken, and its columns before the
+        # next region is simulated.
         declined[outcome] = declined.get(outcome, 0) + 1
         enumerated += 1
-        result = simulate_region(
-            sdfg, env, region.state, region.node,
-            include_transients=include_transients, timings=timings,
-        )
-        cols = region_columns(result, memory)
+        cols = region_columns(simulate_region(simulator, region.state, region.node), memory)
         if cols.num_events:
             summaries.append(EnumeratedSummary(cols))
             lines.append(cols.lines)
+        del cols
     if len(summaries) > 1:
-        _compose(summaries, lines)
+        resolved = _compose([_reduced(s, l) for s, l in zip(summaries, lines)])
+        for summary, distances in zip(summaries, resolved):
+            summary.resolved = distances
     return AnalyticLocality(summaries, folded, enumerated, line_size, declined)

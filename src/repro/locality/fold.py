@@ -1,25 +1,43 @@
 """Window-folding of uniform-shift map regions (the closed-form core).
 
 For a foldable region (:func:`~repro.locality.regions.fold_statics`)
-every access moves by a constant byte delta per outer-loop iteration.
-Cache-line ids therefore repeat with period ``P = L / gcd(|Δ|, L)``
-outer blocks (shifted by a whole number of lines per period), and a line
-touched in two blocks more than ``Δmax ≈ diameter/|Δ|`` apart would
-require the block's address window to overlap itself after drifting past
-its own span — impossible.  Two consequences carry the whole analysis:
+every access to a container moves by a constant byte delta ``Δ`` per
+outer-loop iteration.  :func:`fold_geometry` splits each container's
+block-0 addresses into *clusters* whose byte hulls over the ``n``
+blocks stay apart (a K-major plane, one allocation).  A cluster
+translates rigidly: its cache lines repeat with period
+``P = L / gcd(|Δ|, L)`` outer blocks (shifted by a whole number of
+lines per period), and a line it touches in two blocks more than
+``Δmax ≈ diameter/|Δ|`` apart would require its address window to
+overlap itself after drifting past its own span — impossible.
 
-- an access whose line was not referenced in the previous ``Δmax``
-  blocks is the region's *first* touch of that line (a cold miss in a
-  single-region program), and
-- the reuse-distance multiset of block ``t`` depends only on
+The window is folded over *virtual* lines: each line id tagged with the
+cluster that touches it, so every cluster translates on its own.  Two
+consequences carry the whole analysis:
+
+- an access whose virtual line was not referenced in the previous
+  ``Δmax`` blocks is that virtual line's first touch, and
+- the virtual reuse-distance multiset of block ``t`` depends only on
   ``t mod P`` once ``t ≥ Δmax``, because the window of the last ``Δmax``
-  blocks is the same line pattern up to a per-group constant relabeling.
+  blocks is the same line pattern up to a per-cluster constant
+  relabeling.
 
-Every guard that precedes the window — in-bounds indices, line-sharing
-groups and their ``Δ``, ``P``, ``Δmax``, the caps and the economic test
-— is decided by :func:`fold_geometry` from the candidate's access boxes
-and the memory layout, before anything is simulated.  A region that
-passes simulates one window of ``Δmax + P`` blocks — a **constant**
+Virtual and real distances differ only where two clusters touch one
+real line (two planes or two allocations meeting mid-line).  The
+``shared_line`` guard admits that only when the blocks in which the two
+clusters touch the line are more than ``Δmax`` apart: then no reuse
+window holds both copies, and the one access whose real distance
+differs — the first touch of a later copy — is resolved exactly by the
+reduced-trace composition (:func:`_compose`), fed with the first and
+last occurrence of every moving virtual line, read from the window
+alone; the lines of stationary containers, touched in every block, lie
+in every such reuse window and are counted directly.
+
+Every guard that precedes the window — in-bounds indices, clusters and
+the shared-line separation, ``P``, ``Δmax``, the caps and the economic
+test — is decided by :func:`fold_geometry` from the candidate's access
+boxes and the memory layout, before anything is simulated.  A region
+that passes simulates one window of ``Δmax + P`` blocks — a **constant**
 number — in one :func:`simulate_region` call and computes its stack
 distances once: the first ``Δmax`` blocks are the exact prefix, and
 each of the last ``P`` blocks represents one phase (every reuse lies
@@ -33,13 +51,18 @@ is always exact; :data:`DECLINE_GUARDS` names every reason.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
-from repro.locality.regions import FoldCandidate, RegionColumns, region_columns
+from repro.locality.regions import (
+    AccessBox,
+    FoldCandidate,
+    RegionColumns,
+    merge_runs,
+    region_columns,
+)
 from repro.simulation.layout import MemoryModel
-from repro.simulation.simulator import simulate_region
+from repro.simulation.simulator import AccessPatternSimulator, simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
 __all__ = [
@@ -64,18 +87,20 @@ DELTA_MAX_CAP = 64
 DECLINE_GUARDS = (
     "multi_region", "statics", "bounds", "shared_line", "caps", "economic", "window",
 )
+#: The cluster gap of a stationary container: it stays one cluster, since
+#: its lines are reused every block whatever its diameter.
+_UNBOUNDED = int(np.iinfo(np.int64).max)
 
 
 class _Phase:
     """One steady-state phase: its first block, block count, and the
-    representative block's per-event lines and exact reuse distances."""
+    representative block's exact virtual reuse distances."""
 
-    __slots__ = ("t", "m", "lines", "distances")
+    __slots__ = ("t", "m", "distances")
 
-    def __init__(self, t: int, m: int, lines: np.ndarray, distances: np.ndarray):
+    def __init__(self, t: int, m: int, distances: np.ndarray):
         self.t = t
         self.m = m
-        self.lines = lines
         self.distances = distances
 
 
@@ -113,14 +138,18 @@ class FoldedSummary:
     representative block per phase, the block-0 element structure, and
     the per-container outer shifts — enough to answer every aggregate
     the enumeration pipeline answers, for any outer extent, without
-    touching the remaining ``n − Δmax`` blocks.
+    touching the remaining ``n − Δmax`` blocks.  The prefix and phase
+    distances are virtual; ``late[c]`` lists the element indices and
+    real distances of container *c*'s accesses that are a virtual first
+    touch but a real reuse (the first touch of a later copy of a shared
+    line), which the aggregates move from cold to reuse.
     """
 
     kind = "folded"
 
     __slots__ = (
         "block", "shifts", "prefix", "prefix_distances", "phases",
-        "n", "block_events", "delta_max", "p_joint",
+        "n", "block_events", "delta_max", "p_joint", "late",
     )
 
     def __init__(
@@ -133,6 +162,7 @@ class FoldedSummary:
         n: int,
         delta_max: int,
         p_joint: int,
+        late: dict[str, tuple[np.ndarray, np.ndarray]],
     ):
         self.block = block
         self.shifts = shifts
@@ -143,6 +173,7 @@ class FoldedSummary:
         self.block_events = block.num_events
         self.delta_max = delta_max
         self.p_joint = p_joint
+        self.late = late
 
     # -- aggregate interface (shared with EnumeratedSummary) ---------------
     @property
@@ -159,6 +190,10 @@ class FoldedSummary:
         _hist_add(acc, self.prefix, self.prefix_distances)
         for phase in self.phases:
             _hist_add(acc, self.block, phase.distances, weight=phase.m)
+        for name, (_, distances) in self.late.items():
+            bucket = acc.setdefault(name, {})
+            for v in distances.tolist():
+                bucket[int(v)] = bucket.get(int(v), 0) + 1
 
     def cold_into(self, acc: dict[str, int]) -> None:
         for name in self.block.containers:
@@ -166,6 +201,8 @@ class FoldedSummary:
             pos = self.block.positions[name]
             for phase in self.phases:
                 count += int(np.isinf(phase.distances[pos]).sum()) * phase.m
+            if name in self.late:
+                count -= self.late[name][1].size
             if count:
                 acc[name] = acc.get(name, 0) + count
 
@@ -228,6 +265,11 @@ class FoldedSummary:
                     _scatter(dense_cold, (base_cold[None, :] + offsets).ravel())
                 if base_cap.size:
                     _scatter(dense_cap, (base_cap[None, :] + offsets).ravel())
+        if container in self.late:
+            indices, distances = self.late[container]
+            keys = indices @ mult
+            np.subtract.at(dense_cold, keys, 1)
+            np.add.at(dense_cap, keys[distances >= capacity], 1)
 
 
 def _leading(cols: RegionColumns, num_events: int) -> RegionColumns:
@@ -255,65 +297,76 @@ class FoldGeometry:
 
     Derived from a :class:`FoldCandidate`'s access boxes and the memory
     layout: ``index_bounds[c]`` holds container *c*'s per-dimension
-    ``(min, max)`` element index over outer block 0 and
-    ``line_bounds[c]`` its ``(min, max)`` cache line; ``groups`` lists
-    the containers whose allocations share cache lines (in address
-    order) and ``deltas`` each group's set of byte deltas per block.
-    ``p_joint`` and ``delta_max`` are ``None`` when a group's delta is
-    not uniform.  ``guard`` names the first guard that declines the
-    fold (in :data:`DECLINE_GUARDS` order), or is ``None``.
+    ``(min, max)`` element index over outer block 0 and ``deltas[c]``
+    its byte delta per block.  ``clusters`` lists ``(container, lo,
+    hi)``: the first and last element start byte of each cluster in
+    block 0, in address order; ``tags[i]`` is cluster *i*'s virtual-line
+    tag (clusters with one ``Δ`` that share a line within ``Δmax``
+    blocks carry one tag), and ``shared`` lists ``(line, i, j)`` for
+    clusters with different tags that both touch real line *line*.
+    ``tags``, ``p_joint`` and ``delta_max`` are ``None`` when a guard
+    before ``caps`` declines.  ``guard`` names the first guard that
+    declines the fold (in :data:`DECLINE_GUARDS` order), or is ``None``.
     """
 
-    __slots__ = ("index_bounds", "line_bounds", "groups", "deltas",
+    __slots__ = ("index_bounds", "deltas", "clusters", "tags", "shared",
                  "p_joint", "delta_max", "guard")
 
     def __init__(self) -> None:
         self.index_bounds: dict[str, list[tuple[int, int]]] = {}
-        self.line_bounds: dict[str, tuple[int, int]] = {}
-        self.groups: list[list[str]] = []
-        self.deltas: list[set[int]] = []
+        self.deltas: dict[str, int] = {}
+        self.clusters: list[tuple[str, int, int]] = []
+        self.tags: list[int] | None = None
+        self.shared: list[tuple[int, int, int]] = []
         self.p_joint: int | None = None
         self.delta_max: int | None = None
         self.guard: str | None = None
 
 
-def _line_groups(containers, memory: MemoryModel) -> list[list[str]]:
-    """Containers whose allocations share cache lines, in address order."""
-    line_size = memory.line_size
-    intervals = []
-    for name in containers:
-        layout = memory.layout(name)
-        intervals.append((
-            layout.base_address // line_size,
-            (layout.end_address() - 1) // line_size,
-            name,
-        ))
-    intervals.sort()
-    groups: list[list[str]] = [[intervals[0][2]]]
-    reach = intervals[0][1]
-    for start, end, name in intervals[1:]:
-        if start <= reach:
-            groups[-1].append(name)
-            reach = max(reach, end)
-        else:
-            groups.append([name])
-            reach = end
-    return groups
+def _touch_blocks(
+    lo: int, hi: int, delta: int, line: int, line_size: int, n: int
+) -> tuple[int, int]:
+    """The first and last of blocks ``[0, n)`` in which start bytes
+    ``[lo, hi]`` moved by *delta* per block can meet cache line *line*
+    (first > last when they never do)."""
+    first = line * line_size
+    last = first + line_size - 1
+    if delta > 0:
+        t0, t1 = -((hi - first) // delta), (last - lo) // delta
+    elif delta < 0:
+        t0, t1 = -((last - lo) // -delta), (hi - first) // -delta
+    elif lo <= last and hi >= first:
+        t0, t1 = 0, n - 1
+    else:
+        return 1, 0
+    return max(t0, 0), min(t1, n - 1)
+
+
+def _span(delta: int, lo_line: int, hi_line: int, line_size: int) -> int:
+    """Block span bound of a cluster moving *delta* bytes per block whose
+    block-0 lines are ``[lo_line, hi_line]``: a line it touches in blocks
+    ``t < t'`` has ``t' − t`` below it."""
+    if delta == 0:
+        return 1  # stationary: period 1, span 1
+    return ((hi_line - lo_line + 2) * line_size) // abs(delta) + 1
 
 
 def fold_geometry(candidate: FoldCandidate, memory: MemoryModel) -> FoldGeometry:
     """Decide the fold's guards from the statics, in order:
 
     - ``bounds``: every element index stays inside its container over
-      all ``n`` blocks (so lines stay inside their allocation and groups
-      never alias);
-    - ``shared_line``: containers whose allocations share cache lines
-      move by one byte delta ``Δ`` per block, so the group's line
-      pattern translates rigidly and relabeling stays bijective;
-    - ``caps``: the joint period ``P`` (lcm over groups of
-      ``L / gcd(|Δ|, L)``) and the block span ``Δmax`` (from block 0's
-      line diameter per group) stay within :data:`P_JOINT_MAX` and
-      :data:`DELTA_MAX_CAP`;
+      all ``n`` blocks (so lines stay inside their allocation);
+    - ``shared_line``: a container's block-0 offsets split into clusters
+      wherever the gap exceeds the drift over ``n`` blocks, so the
+      clusters' ``n``-block byte hulls are disjoint (a stationary
+      container stays one cluster).  Two clusters that touch one real
+      line must do so in blocks more than ``Δmax`` apart; otherwise
+      clusters with one ``Δ`` merge (one tag, a rigid union) and
+      clusters with different ``Δ`` decline;
+    - ``caps``: the joint period ``P`` (lcm over containers of
+      ``L / gcd(|Δ|, L)``) and the block span ``Δmax`` (the largest
+      over tags, from each tag's block-0 line diameter) stay within
+      :data:`P_JOINT_MAX` and :data:`DELTA_MAX_CAP`;
     - ``economic``: ``n ≥ 2·(Δmax + P)``, so the one window of
       ``Δmax + P`` blocks the fold enumerates is at most half the
       region.
@@ -322,81 +375,120 @@ def fold_geometry(candidate: FoldCandidate, memory: MemoryModel) -> FoldGeometry
     n = candidate.n
     line_size = memory.line_size
     shifts = candidate.container_shifts
-    byte_bounds: dict[str, tuple[int, int]] = {}
+    boxes: dict[str, list[AccessBox]] = {}
     for box in candidate.boxes:
-        layout = memory.layout(box.data)
-        if len(box.bases[0]) != len(layout.shape):
+        if len(box.bases[0]) != len(memory.layout(box.data).shape):
             geometry.guard = "bounds"
             return geometry
         dims = box.index_bounds()
-        lo, hi = box.bounds(layout.strides)
-        lo = layout.base_address + (layout.start_offset + lo) * layout.itemsize
-        hi = layout.base_address + (layout.start_offset + hi) * layout.itemsize
         known = geometry.index_bounds.get(box.data)
         if known is not None:
             dims = [
                 (min(a, c), max(b, e)) for (a, b), (c, e) in zip(known, dims)
             ]
-            lo = min(lo, byte_bounds[box.data][0])
-            hi = max(hi, byte_bounds[box.data][1])
         geometry.index_bounds[box.data] = dims
-        byte_bounds[box.data] = (lo, hi)
+        boxes.setdefault(box.data, []).append(box)
     for name, dims in geometry.index_bounds.items():
-        geometry.line_bounds[name] = (
-            byte_bounds[name][0] // line_size, byte_bounds[name][1] // line_size
-        )
-        layout = memory.layout(name)
-        for (lo, hi), shift, extent in zip(dims, shifts[name], layout.shape):
+        for (lo, hi), shift, extent in zip(dims, shifts[name], memory.layout(name).shape):
             if (
                 lo + min(0, shift * (n - 1)) < 0
                 or hi + max(0, shift * (n - 1)) >= extent
             ):
-                geometry.guard = geometry.guard or "bounds"
+                geometry.guard = "bounds"
+                return geometry
 
-    def delta_bytes(name: str) -> int:
+    clusters = []
+    for name, container_boxes in boxes.items():
         layout = memory.layout(name)
-        return layout.itemsize * sum(
-            stride * s for stride, s in zip(layout.strides, shifts[name])
+        step = sum(stride * s for stride, s in zip(layout.strides, shifts[name]))
+        gap = abs(step) * (n - 1) if step else _UNBOUNDED
+        runs = [box.runs(layout.strides, gap) for box in container_boxes]
+        lo, hi = runs[0] if len(runs) == 1 else merge_runs(
+            np.concatenate([r[0] for r in runs]), np.concatenate([r[1] for r in runs]), gap
         )
+        origin = layout.base_address + layout.start_offset * layout.itemsize
+        lo = (origin + lo * layout.itemsize).tolist()
+        hi = (origin + hi * layout.itemsize).tolist()
+        delta = step * layout.itemsize
+        geometry.deltas[name] = delta
+        drift = delta * (n - 1)
+        clusters += [(a + min(0, drift), name, a, b) for a, b in zip(lo, hi)]
+    clusters.sort()
+    geometry.clusters = [(name, lo, hi) for _, name, lo, hi in clusters]
+    deltas = [geometry.deltas[name] for name, _, _ in geometry.clusters]
 
-    geometry.groups = _line_groups(geometry.index_bounds, memory)
-    geometry.deltas = [
-        {delta_bytes(name) for name in group} for group in geometry.groups
+    # The n-block hulls are disjoint and sorted, so a line is shared only
+    # by a run of hulls: the one ending in it and those starting in it.
+    hull_lines = [
+        (start // line_size, (hi + max(0, delta * (n - 1))) // line_size)
+        for (start, _, _, hi), delta in zip(clusters, deltas)
     ]
-    if any(len(deltas) != 1 for deltas in geometry.deltas):
-        geometry.guard = geometry.guard or "shared_line"
-        return geometry
-    delta_max = 1
+    pairs = []
+    for i, (_, end) in enumerate(hull_lines):
+        j = i + 1
+        while j < len(hull_lines) and hull_lines[j][0] == end:
+            touches = [
+                _touch_blocks(*geometry.clusters[k][1:], deltas[k], end, line_size, n)
+                for k in (i, j)
+            ]
+            if all(t0 <= t1 for t0, t1 in touches):
+                pairs.append((end, i, j, *touches))
+            j += 1
+
+    # Union-find over clusters; each root keeps its tag's block-0 lines.
+    parent = list(range(len(clusters)))
+    lines = [[lo // line_size, hi // line_size] for _, lo, hi in geometry.clusters]
+    delta_max = max(
+        _span(delta, lo, hi, line_size) for delta, (lo, hi) in zip(deltas, lines)
+    )
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    merged = True
+    while merged:
+        merged = False
+        for _, i, j, (a0, a1), (b0, b1) in pairs:
+            ri, rj = root(i), root(j)
+            if ri == rj or b0 - a1 > delta_max or a0 - b1 > delta_max:
+                continue
+            if deltas[i] != deltas[j]:
+                geometry.guard = "shared_line"
+                return geometry
+            parent[rj] = ri
+            lines[ri] = [min(lines[ri][0], lines[rj][0]), max(lines[ri][1], lines[rj][1])]
+            delta_max = max(delta_max, _span(deltas[ri], *lines[ri], line_size))
+            merged = True
+    tag_of: dict[int, int] = {}
+    geometry.tags = [tag_of.setdefault(root(i), len(tag_of)) for i in range(len(clusters))]
+    geometry.shared = [
+        (line, i, j) for line, i, j, _, _ in pairs if root(i) != root(j)
+    ]
     p_joint = 1
-    for group, (delta,) in zip(geometry.groups, geometry.deltas):
-        if delta == 0:
-            continue  # stationary group: period 1, span 1
-        period = line_size // math.gcd(abs(delta), line_size)
-        diam_lines = (
-            max(geometry.line_bounds[name][1] for name in group)
-            - min(geometry.line_bounds[name][0] for name in group)
-        )
-        span = ((diam_lines + 2) * line_size) // abs(delta) + 1
-        p_joint = math.lcm(p_joint, period)
-        delta_max = max(delta_max, span)
+    for delta in geometry.deltas.values():
+        if delta:
+            p_joint = math.lcm(p_joint, line_size // math.gcd(abs(delta), line_size))
     geometry.p_joint = p_joint
     geometry.delta_max = delta_max
     if p_joint > P_JOINT_MAX or delta_max > DELTA_MAX_CAP:
-        geometry.guard = geometry.guard or "caps"
+        geometry.guard = "caps"
     elif n < 2 * (delta_max + p_joint):
-        geometry.guard = geometry.guard or "economic"
+        geometry.guard = "economic"
     return geometry
 
 
 def _window_agrees(
     geometry: FoldGeometry, cols: RegionColumns, blocks: int, block_events: int
 ) -> bool:
-    """Whether the simulated window is the one the statics describe.
+    """Whether the simulated window has the block structure the statics
+    describe.
 
     Its event count is ``blocks`` blocks of ``block_events``, every
     block repeats block 0's container sequence (so each block's events
     line up with block 0's positions), and block 0 touches exactly the
-    containers, index bounds and line bounds of the geometry.
+    containers and index bounds of the geometry.
     """
     if cols.num_events != blocks * block_events:
         return False
@@ -411,29 +503,175 @@ def _window_agrees(
         matrix = cols.index_matrices[name][:cut]
         if dims != list(zip(matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist())):
             return False
-        lines = cols.lines[pos[:cut]]
-        if geometry.line_bounds[name] != (int(lines.min()), int(lines.max())):
-            return False
     return True
 
 
+def _virtual_lines(
+    geometry: FoldGeometry, cols: RegionColumns, memory: MemoryModel, block_events: int
+) -> np.ndarray | None:
+    """The window's line ids tagged with their cluster's tag, or
+    ``None`` when the window leaves the clusters of the statics.
+
+    Every access, moved back to block 0 by its container's delta, must
+    fall inside one of its container's clusters, and block 0 must reach
+    each cluster's first and last byte: so each cluster's span bound
+    and the shared-line separation hold in the window.
+    """
+    ntags = max(geometry.tags) + 1
+    virtual = cols.lines * ntags
+    for name, pos in cols.positions.items():
+        members = [
+            (lo, hi, tag)
+            for (cluster, lo, hi), tag in zip(geometry.clusters, geometry.tags)
+            if cluster == name
+        ]
+        los, his, tags = (np.array(column, dtype=np.int64) for column in zip(*members))
+        at = memory.layout(name).element_addresses(cols.index_matrices[name])
+        at -= geometry.deltas[name] * (pos // block_events)
+        k = np.searchsorted(los, at, side="right") - 1
+        if k.min() < 0 or (at > his[k]).any():
+            return None
+        first_block = at[: int(np.searchsorted(pos, block_events))]
+        if not (np.isin(los, first_block).all() and np.isin(his, first_block).all()):
+            return None
+        if ntags > 1:
+            virtual[pos] += tags[k]
+    return virtual
+
+
+def _compose(traces: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """The reduced-trace composition: exact distances for first touches.
+
+    Each trace is one part of a longer trace reduced to the first and
+    last occurrence of each of its lines (a region's lines, or a fold's
+    virtual lines), in trace order: ``(labels, first)`` holds their real
+    line ids and marks the first occurrences.  One stack-distance pass
+    over the concatenation returns, per trace, the exact distance of each
+    first occurrence in the whole trace (``inf`` for a real first
+    touch).  That holds whenever every line touched inside the reuse
+    window of a first occurrence has a retained occurrence inside it —
+    true for consecutive regions, and for virtual lines that never span
+    that window — because retained entries are true accesses.
+    """
+    distances = stack_distances_array(np.concatenate([labels for labels, _ in traces]))
+    out = []
+    offset = 0
+    for labels, first in traces:
+        out.append(distances[offset:offset + labels.size][first])
+        offset += labels.size
+    return out
+
+
+def _resolve_copies(
+    geometry: FoldGeometry,
+    block: RegionColumns,
+    virtual: np.ndarray,
+    distances: np.ndarray,
+    n: int,
+    shifts: dict[str, tuple[int, ...]],
+    line_size: int,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The real distances of the virtual first touches that reuse a
+    shared line, per container: ``(element indices, distances)``.
+
+    Builds, from the window alone, the first and last occurrence of
+    every moving virtual line over all ``n`` blocks, labelled by its
+    real line, and composes them (:func:`_compose`).  A first occurrence
+    in block ``t ≥ Δmax`` is its phase representative's, and whether an
+    access is its virtual line's last depends on the ``Δmax − 1`` blocks
+    after it, which window block ``t mod P`` has in full: so block
+    ``t = s + kP`` repeats block ``s``'s entries ``k`` periods on, each
+    container's lines ``Δ·P/L`` further per period.  Costs the number of
+    distinct virtual lines, not events.
+
+    A stationary container's lines (``Δ = 0``) span every reuse window,
+    so their first and last occurrences lie outside it; they stay out of
+    the composition and are counted directly.  They are touched in every
+    block and never shared, and a copy's reuse window, more than
+    ``Δmax ≥ 1`` blocks long, holds a whole block: each resolved
+    distance misses exactly all of them.
+    """
+    delta_max, p_joint = geometry.delta_max, geometry.p_joint
+    width = block.num_events
+    ntags = max(geometry.tags) + 1
+    blocks = delta_max + p_joint
+    real = (virtual // ntags).reshape(blocks, width)
+    first = np.isinf(distances).reshape(blocks, width)
+    # Blocks to the next touch of each access's virtual line; n = none.
+    order = np.argsort(virtual, kind="stable")
+    again = virtual[order[1:]] == virtual[order[:-1]]
+    ahead = np.full(virtual.size, n, dtype=np.int64)
+    ahead[order[:-1][again]] = order[1:][again] // width - order[:-1][again] // width
+    ahead = ahead.reshape(blocks, width)
+    lines_per_period = np.empty(width, dtype=np.int64)
+    for name, pos in block.positions.items():
+        lines_per_period[pos] = geometry.deltas[name] * p_joint // line_size
+    moving = lines_per_period != 0
+    stationary = np.unique(real[0, ~moving]).size
+
+    positions, labels, firsts = [], [], []
+
+    def add(rep: int, targets: np.ndarray, entries: np.ndarray, is_first: bool) -> None:
+        offsets = np.flatnonzero(entries & moving)
+        periods = (targets - rep) // p_joint
+        positions.append((targets[:, None] * width + offsets).ravel())
+        labels.append(
+            (real[rep, offsets] + periods[:, None] * lines_per_period[offsets]).ravel()
+        )
+        firsts.append(np.full(targets.size * offsets.size, is_first))
+
+    for t in range(delta_max):
+        add(t, np.array([t]), first[t], True)
+    for r in range(p_joint):
+        t_r = delta_max + ((r - delta_max) % p_joint)
+        add(t_r, np.arange(t_r, n, p_joint), first[t_r], True)
+        add(r, np.arange(r, n - delta_max + 1, p_joint), ahead[r] == n, False)
+    for t in range(n - delta_max + 1, n):
+        add(t % p_joint, np.array([t]), ahead[t % p_joint] > n - 1 - t, False)
+    positions = np.concatenate(positions)
+    labels = np.concatenate(labels)
+    firsts = np.concatenate(firsts)
+    # An access that is both its line's first and last enters once.
+    order = np.lexsort((~firsts, positions))
+    positions = positions[order]
+    keep = np.concatenate(([True], positions[1:] != positions[:-1]))
+    positions = positions[keep]
+    firsts = firsts[order][keep]
+    (resolved,) = _compose([(labels[order][keep], firsts)])
+    late = np.isfinite(resolved)
+    at = positions[firsts][late]
+    resolved = resolved[late] + stationary
+    out = {}
+    t, offset = np.divmod(at, width)
+    cids = block.container_ids[offset]
+    for cid, name in enumerate(block.containers):
+        member = cids == cid
+        if not member.any():
+            continue
+        rows = np.searchsorted(block.positions[name], offset[member])
+        indices = block.index_matrices[name][rows] + np.outer(
+            t[member], np.asarray(shifts[name], dtype=np.int64)
+        )
+        out[name] = (indices, resolved[member])
+    return out
+
+
 def try_build_fold(
-    sdfg,
-    symbols: Mapping[str, int],
+    simulator: AccessPatternSimulator,
     state,
     candidate: FoldCandidate,
     memory: MemoryModel,
-    include_transients: bool = False,
-    timings=None,
 ) -> FoldedSummary | str:
     """Build a :class:`FoldedSummary`, or name the guard that declines
     it (one of :data:`DECLINE_GUARDS`) so the caller enumerates.
 
     The guards of :func:`fold_geometry` are decided before anything is
     simulated.  A region that passes them simulates its window of
-    blocks ``[0, Δmax+P)`` in one :func:`simulate_region` call, and the
-    window declines (``window``) unless :func:`_window_agrees`: a wrong
-    static value costs time, never exactness.
+    blocks ``[0, Δmax+P)`` in one :func:`simulate_region` call through
+    *simulator*, and the window declines (``window``) unless
+    its block structure (:func:`_window_agrees`) and its clusters
+    (:func:`_virtual_lines`) are the statics': a wrong static value
+    costs time, never exactness.
     """
     geometry = fold_geometry(candidate, memory)
     if geometry.guard is not None:
@@ -448,15 +686,14 @@ def try_build_fold(
     # within Δmax blocks, so a block's distances over this window equal
     # those over its own (Δmax+1)-block window.
     blocks = delta_max + p_joint
-    result = simulate_region(
-        sdfg, symbols, state, candidate.entry,
-        include_transients=include_transients, timings=timings,
-        outer_slice=(0, blocks),
-    )
+    result = simulate_region(simulator, state, candidate.entry, outer_slice=(0, blocks))
     cols = region_columns(result, memory)
     if not _window_agrees(geometry, cols, blocks, block_events):
         return "window"
-    distances = stack_distances_array(cols.lines)
+    virtual = _virtual_lines(geometry, cols, memory, block_events)
+    if virtual is None:
+        return "window"
+    distances = stack_distances_array(virtual)
     block = _leading(cols, block_events)
     prefix = _leading(cols, delta_max * block_events)
     prefix_distances = distances[:prefix.num_events].copy()
@@ -465,15 +702,20 @@ def try_build_fold(
     covered = 0
     for r in range(p_joint):
         t_r = delta_max + ((r - delta_max) % p_joint)
-        tail = slice(t_r * block_events, (t_r + 1) * block_events)
         m_r = (n - 1 - t_r) // p_joint + 1
         phases.append(
-            _Phase(t_r, m_r, cols.lines[tail].copy(), distances[tail].copy())
+            _Phase(t_r, m_r, distances[t_r * block_events:(t_r + 1) * block_events].copy())
         )
         covered += m_r
     if covered != n - delta_max:
         return "window"
+    late = {}
+    if geometry.shared:
+        late = _resolve_copies(
+            geometry, block, virtual, distances, n,
+            candidate.container_shifts, memory.line_size,
+        )
     return FoldedSummary(
         block, dict(candidate.container_shifts), prefix, prefix_distances,
-        phases, n, delta_max, p_joint,
+        phases, n, delta_max, p_joint, late,
     )

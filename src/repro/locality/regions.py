@@ -142,13 +142,14 @@ class AccessBox:
 
     For each point ``b`` of ``bases`` (one per memlet), index dimension
     ``d`` is ``b[d] + Σ_j column_j[d]·v_j`` over the box's ``terms``
-    ``(column_j, lo_j, hi_j)``: one term per inner map parameter (its
-    coefficients; it takes its concrete values) and one per range
+    ``(column_j, lo_j, hi_j, step_j)``: one term per inner map parameter
+    (its coefficients; it takes its concrete values) and one per range
     dimension of the subsets (a unit column; it takes the local
-    offsets).  Every combination of values occurs and each variable
-    attains its ``lo`` and ``hi``, so a weighted index sum is smallest
-    and largest at the box's corners (:meth:`bounds`).  A stencil's
-    memlets differ only in their base points, so they share one box.
+    offsets).  Variable ``v_j`` takes every value ``lo_j, lo_j + step_j,
+    …, hi_j``, in every combination, so a weighted index sum is smallest
+    and largest at the box's corners, and :meth:`runs` finds its gaps
+    without listing it.  A stencil's memlets differ only in their base
+    points, so they share one box.
     """
 
     __slots__ = ("data", "bases", "terms")
@@ -157,34 +158,74 @@ class AccessBox:
         self,
         data: str,
         bases: list[tuple[int, ...]],
-        terms: tuple[tuple[tuple[int, ...], int, int], ...],
+        terms: tuple[tuple[tuple[int, ...], int, int, int], ...],
     ):
         self.data = data
         self.bases = bases
         self.terms = terms
 
-    def bounds(self, weights: tuple[int, ...]) -> tuple[int, int]:
-        """Minimum and maximum of ``Σ_d weights[d]·index[d]`` over block 0."""
-        sums = [sum(w * b for w, b in zip(weights, base)) for base in self.bases]
-        lo = min(sums)
-        hi = max(sums)
-        for column, v_lo, v_hi in self.terms:
-            a = sum(w * c for w, c in zip(weights, column))
-            lo += min(a * v_lo, a * v_hi)
-            hi += max(a * v_lo, a * v_hi)
+    def runs(self, weights: tuple[int, ...], gap: int) -> tuple[np.ndarray, np.ndarray]:
+        """The values of ``Σ_d weights[d]·index[d]`` over block 0 as
+        sorted runs ``(lo, hi)``: within a run consecutive values are at
+        most *gap* apart, and runs are more than *gap* apart.
+
+        Exact without listing the values: if every pair of neighbours of
+        two sets is within *gap*, so is every pair of neighbours of their
+        sum, so each term adds either one interval (its values are
+        within *gap* of each other) or one shifted copy of the runs per
+        value.
+        """
+        sums = np.array(
+            [sum(w * b for w, b in zip(weights, base)) for base in self.bases],
+            dtype=np.int64,
+        )
+        lo, hi = merge_runs(sums, sums, gap)
+        scaled = sorted(
+            (
+                (sum(w * c for w, c in zip(weights, column)), v_lo, v_hi, step)
+                for column, v_lo, v_hi, step in self.terms
+            ),
+            key=lambda term: abs(term[0]) * term[3],
+        )
+        for a, v_lo, v_hi, step in scaled:
+            if a == 0:
+                continue
+            if abs(a) * step <= gap or v_lo == v_hi:
+                lo = lo + min(a * v_lo, a * v_hi)
+                hi = hi + max(a * v_lo, a * v_hi)
+                if lo.size > 1 and v_lo != v_hi:
+                    lo, hi = merge_runs(lo, hi, gap)
+            else:
+                values = a * np.arange(v_lo, v_hi + 1, step, dtype=np.int64)
+                lo, hi = merge_runs(
+                    (lo[:, None] + values).ravel(), (hi[:, None] + values).ravel(), gap
+                )
         return lo, hi
 
     def index_bounds(self) -> list[tuple[int, int]]:
-        """Per-dimension ``(min, max)`` element index over block 0: the
-        :meth:`bounds` of each unit weight, in one pass over the terms."""
+        """Per-dimension ``(min, max)`` element index over block 0, in
+        one pass over the terms."""
         lo = [min(values) for values in zip(*self.bases)]
         hi = [max(values) for values in zip(*self.bases)]
-        for column, v_lo, v_hi in self.terms:
+        for column, v_lo, v_hi, _ in self.terms:
             for d, c in enumerate(column):
                 if c:
                     lo[d] += min(c * v_lo, c * v_hi)
                     hi[d] += max(c * v_lo, c * v_hi)
         return list(zip(lo, hi))
+
+
+def merge_runs(lo: np.ndarray, hi: np.ndarray, gap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge intervals ``[lo, hi]`` whose distance is at most *gap* into
+    sorted, pairwise more-than-*gap*-apart runs."""
+    if lo.size == 1:
+        return lo, hi
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = hi[order]
+    reach = np.maximum.accumulate(hi)
+    starts = np.flatnonzero(np.concatenate(([True], lo[1:] - reach[:-1] > gap)))
+    return lo[starts], np.maximum.reduceat(hi, starts)
 
 
 class FoldCandidate:
@@ -224,9 +265,10 @@ def _tracked(sdfg: SDFG, data: str, include_transients: bool) -> bool:
     return desc is None or isinstance(desc, Array)
 
 
-def _value_range(values) -> tuple[int, int]:
-    """``(min, max)`` of a non-empty arithmetic progression."""
-    return min(values[0], values[-1]), max(values[0], values[-1])
+def _progression(values) -> tuple[int, int, int]:
+    """``(min, max, step)`` of a non-empty arithmetic progression."""
+    step = abs(values[1] - values[0]) if len(values) > 1 else 1
+    return min(values[0], values[-1]), max(values[0], values[-1]), step
 
 
 def fold_statics(
@@ -266,7 +308,7 @@ def fold_statics(
         return None
     step0 = outer[1] - outer[0]
     inner = [
-        (name, _value_range(values))
+        (name, _progression(values))
         for name, values in zip(params[1:], concrete[1:])
     ]
     inner_points = math.prod(len(values) for values in concrete[1:])
@@ -304,7 +346,7 @@ def fold_statics(
                 width *= len(local)
                 if local:
                     unit = tuple(int(k == d) for k in range(ndim))
-                    terms.append((unit, *_value_range(local)))
+                    terms.append((unit, *_progression(local)))
             shift = tuple(shifts)
             previous = container_shifts.setdefault(memlet.data, shift)
             if previous != shift:

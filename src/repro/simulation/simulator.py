@@ -329,6 +329,12 @@ class AccessPatternSimulator:
             raise SimulationError(
                 f"simulation requires concrete values for symbols {missing}"
             )
+        #: Per state: its scope children and topological node order; per
+        #: map entry: its tasklets, nested maps and nested SDFGs in that
+        #: order.  Computed once per simulator, which serves one run or
+        #: one analysis of an unchanging graph.
+        self._states: dict[SDFGState, tuple[dict, list]] = {}
+        self._scopes: dict[MapEntry, tuple[list, list, list]] = {}
 
     # -- public API ---------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -346,13 +352,21 @@ class AccessPatternSimulator:
         desc = self.sdfg.arrays.get(data)
         return desc is None or isinstance(desc, Array)
 
+    def _state_order(self, state: SDFGState) -> tuple[dict, list]:
+        """*state*'s ``scope_children()`` and topological node order."""
+        order = self._states.get(state)
+        if order is None:
+            order = self._states[state] = (
+                state.scope_children(), state.topological_nodes()
+            )
+        return order
+
     def _simulate_state(self, state: SDFGState, result: SimulationResult) -> None:
-        children = state.scope_children()
-        sdict = state.scope_dict()
+        children, _ = self._state_order(state)
         env: dict[str, int] = dict(self.symbols)
-        for node in state.topological_nodes():
-            if sdict[node] is not None:
-                continue  # handled by its scope
+        # The top-level nodes, in topological order; scoped nodes are
+        # handled by their scope.
+        for node in children[None]:
             if isinstance(node, MapEntry):
                 self._simulate_scope(state, node, children, env, result, outer_point=())
             elif isinstance(node, Tasklet):
@@ -372,11 +386,16 @@ class AccessPatternSimulator:
         result: SimulationResult,
         outer_point: tuple[int, ...],
     ) -> None:
-        scope_nodes = children.get(entry, [])
-        order = [n for n in state.topological_nodes() if n in scope_nodes]
-        tasklets = [n for n in order if isinstance(n, Tasklet)]
-        nested = [n for n in order if isinstance(n, MapEntry)]
-        nested_sdfgs = [n for n in order if isinstance(n, NestedSDFG)]
+        scope = self._scopes.get(entry)
+        if scope is None:
+            scope_nodes = set(children.get(entry, []))
+            order = [n for n in self._state_order(state)[1] if n in scope_nodes]
+            scope = self._scopes[entry] = (
+                [n for n in order if isinstance(n, Tasklet)],
+                [n for n in order if isinstance(n, MapEntry)],
+                [n for n in order if isinstance(n, NestedSDFG)],
+            )
+        tasklets, nested, nested_sdfgs = scope
         params = entry.map.params
 
         if self.fast and not nested and not nested_sdfgs:
@@ -619,12 +638,9 @@ class _ConcreteIndices:
 
 
 def simulate_region(
-    sdfg: SDFG,
-    symbols: Mapping[str, int],
+    simulator: AccessPatternSimulator,
     state: SDFGState,
     node: Node,
-    include_transients: bool = False,
-    timings=None,
     outer_slice: tuple[int, int] | None = None,
 ) -> SimulationResult:
     """Simulate a single top-level region (one node's scope) of a state.
@@ -639,13 +655,13 @@ def simulate_region(
     map region to the half-open window ``[lo, hi)`` of its iteration
     list — the window-fold path simulates a few representative blocks of
     the outer loop instead of its whole extent.
+
+    *simulator* carries the program, its symbols and the options: the
+    engine builds one per analysis, so the free-symbol check and each
+    state's scope structure are computed once, not once per region.
     """
-    sim = AccessPatternSimulator(
-        sdfg, symbols=symbols, state=state,
-        include_transients=include_transients, timings=timings,
-    )
-    result = SimulationResult(sdfg, sim.symbols)
-    env: dict[str, int] = dict(sim.symbols)
+    result = SimulationResult(simulator.sdfg, simulator.symbols)
+    env: dict[str, int] = dict(simulator.symbols)
     if isinstance(node, MapEntry):
         old_ranges = node.map.ranges
         try:
@@ -653,18 +669,19 @@ def simulate_region(
                 lo, hi = outer_slice
                 indices = list(old_ranges[0].concretize(env))[lo:hi]
                 node.map.ranges = [_ConcreteIndices(indices)] + list(old_ranges[1:])
-            sim._simulate_scope(
-                state, node, state.scope_children(), env, result, outer_point=()
+            simulator._simulate_scope(
+                state, node, simulator._state_order(state)[0], env, result,
+                outer_point=(),
             )
         finally:
             node.map.ranges = old_ranges
     elif isinstance(node, Tasklet):
-        step = sim._next_step(result)
-        sim._execute_tasklet(state, node, env, result, point=(), step=step)
+        step = simulator._next_step(result)
+        simulator._execute_tasklet(state, node, env, result, point=(), step=step)
     elif isinstance(node, NestedSDFG):
-        sim._simulate_nested(state, node, env, result, outer_point=())
+        simulator._simulate_nested(state, node, env, result, outer_point=())
     elif isinstance(node, AccessNode):
-        sim._simulate_copies(state, node, env, result)
+        simulator._simulate_copies(state, node, env, result)
     else:
         raise SimulationError(
             f"cannot simulate a region rooted at {type(node).__name__}"

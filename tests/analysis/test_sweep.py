@@ -308,8 +308,8 @@ class TestSessionSweepObservability:
         pooled_spawns, pooled_lines, pooled = locality(2)
         assert serial_spawns == 0 and pooled_spawns >= 1
         assert serial["locality.analytic.fallbacks"] == 4
-        assert serial["locality.fold.declined.economic"] == 1
-        assert serial["locality.fold.declined.shared_line"] == 3
+        assert serial["locality.fold.declined.economic"] == 3
+        assert serial["locality.fold.declined.shared_line"] == 1
         assert pooled == serial
         assert pooled_lines == serial_lines
         assert serial_lines[0].startswith("analytic locality: ")

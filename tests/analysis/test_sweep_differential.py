@@ -17,6 +17,7 @@ from repro.analysis.movement import total_movement_bytes
 from repro.analysis.opcount import program_ops
 from repro.analysis.parametric import LocalSweepPoint
 from repro.apps import bert, cloudsc, conv, hdiff, linalg
+from repro.locality import analyze_locality
 from repro.simulation import CacheModel, MemoryModel, simulate_state
 from repro.simulation.arrays import build_array_trace, per_container_misses_array
 from repro.simulation.stackdist import stack_distances_array
@@ -105,3 +106,34 @@ def test_capacity_resweep_of_a_pooled_grid_only_classifies(build):
         assert all(type(p) is LocalSweepPoint for p in points)
         assert list(map(_pickled_size, points)) == list(map(_pickled_size, serial))
     assert list(map(_pickled_size, resweep)) == list(map(_pickled_size, fresh))
+
+
+#: Reshaped hdiff (``apply_reshape``) at slider points whose window
+#: folds; at the second, neighbouring K-planes share boundary lines.
+FOLDED_RESHAPED = [{"I": 28, "J": 18, "K": 8}, {"I": 31, "J": 20, "K": 8}]
+
+
+def test_pooled_folded_products_equal_serial():
+    """Folded products with resolved shared lines cross the pool's pipe
+    and answer every query as the in-process engine's do."""
+    sdfg = hdiff.build_sdfg()
+    hdiff.apply_reshape(sdfg)
+    serial = Session(sdfg).sweep(FOLDED_RESHAPED, capacity_lines=16)
+    session = Session(sdfg)
+    pooled = session.sweep(
+        FOLDED_RESHAPED, workers=2, adaptive=False, capacity_lines=16
+    )
+    assert session.metrics.counter("sweep.pool_spawns").value == 1
+    assert session.metrics.counter("locality.analytic.hits").value == len(FOLDED_RESHAPED)
+    _assert_same(pooled, serial, FOLDED_RESHAPED)
+    resweep = session.sweep(FOLDED_RESHAPED, capacity_lines=4)
+    assert session.metrics.counter("pass.local.analytic.runs").value == 0
+    for point in resweep:
+        assert point.misses == _enumerated_misses(sdfg, point.params, 4)
+        shipped = session.store.get(session.product_key(
+            "local.analytic", session.point_context(point.params, capacity_lines=4)
+        ))
+        local = analyze_locality(sdfg, point.params)
+        assert shipped.analytic_regions == 1
+        for name in local.containers:
+            assert shipped.per_element_misses(name, 4) == local.per_element_misses(name, 4)

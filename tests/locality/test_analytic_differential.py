@@ -12,6 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.apps import bert, cloudsc, conv, hdiff, linalg
 from repro.locality import ElementMap, analyze_locality
@@ -29,6 +30,7 @@ from repro.simulation.movement import per_container_misses, per_element_misses
 from repro.simulation.simulator import simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
+from tests.locality.test_analytic_property import cluster_layout, cluster_layouts
 from tests.sdfg.test_nested import build_outer
 from tests.simulation.test_array_pipeline import copy_program, nested_rows_program
 from tests.simulation.test_vectorized_differential import single_map_sdfg
@@ -200,28 +202,40 @@ class TestFoldEngagement:
         return calls
 
     @pytest.mark.parametrize(
-        "build, env, phases",
+        "build, env, phases, late",
         [
-            (hdiff.build_sdfg, HDIFF_FOLD, 1),
-            (lambda: stencil_1d(600), {}, 8),
+            (hdiff.build_sdfg, HDIFF_FOLD, 1, 0),
+            (lambda: stencil_1d(600), {}, 8, 0),
+            (lambda: hdiff_variant(1), {"I": 28, "J": 18, "K": 8}, 4, 0),
+            (lambda: hdiff_variant(1), {"I": 31, "J": 20, "K": 8}, 2, 8),
+            (lambda: hdiff_variant(3), {"I": 28, "J": 18, "K": 8}, 1, 1),
+            (lambda: cluster_layout("walk", 0, 36, 3, 2, [(0, 0)], stationary=True),
+             {}, 8, 2),
         ],
-        ids=["hdiff-P1", "stencil-P8"],
+        ids=["hdiff-P1", "stencil-P8", "hdiff-v1-28", "hdiff-v1-31", "hdiff-v3-28",
+             "walk-stationary"],
     )
-    def test_fold_simulates_one_window(self, simulated, build, env, phases):
+    def test_fold_simulates_one_window(self, simulated, build, env, phases, late):
         """The guards are decided before simulating; the fold then
-        simulates one window holding the prefix and every phase."""
+        simulates one window holding the prefix and every phase.  On
+        the reshaped (v1) and padded (v3) hdiff, the later copies of the
+        lines two clusters share are resolved from that window too; in
+        ``walk-stationary`` (planes of ``A`` and ``B`` meeting at byte
+        864, touched in blocks 0–1 and 34–35, ``Δmax`` 6) each copy's
+        reuse window also holds every line of the stationary ``W``."""
         analytic = assert_engine_exact(build(), dict(env))
         assert analytic.analytic_regions == 1
         summary = analytic._summaries[0]
         assert summary.p_joint == phases
+        assert sum(d.size for _, d in summary.late.values()) == late
         assert simulated == [(0, summary.delta_max + summary.p_joint)]
 
     @pytest.mark.parametrize(
         "build, env, guard",
         [
             (hdiff.build_sdfg, hdiff.LOCAL_VIEW_SIZES, "economic"),
-            (lambda: hdiff_variant(1), {"I": 28, "J": 18, "K": 8}, "caps"),
-            (lambda: hdiff_variant(3), {"I": 28, "J": 18, "K": 8}, "shared_line"),
+            (lambda: sliding_window(200, 64), {}, "caps"),
+            (lambda: hdiff_variant(3), {"I": 28, "J": 18, "K": 3}, "shared_line"),
             (bert.build_sdfg, {"B": 1, "H": 2, "SM": 4, "EMB": 8, "FF": 8, "P": 4},
              "multi_region"),
         ],
@@ -265,6 +279,22 @@ class TestFoldEngagement:
         )
 
 
+class TestClusterLayouts:
+    """Multi-cluster and shared-line layouts at sizes where the fold
+    engages more often than at the brute-force sizes."""
+
+    def test_cluster_layouts_are_exact(self):
+        folded = []
+
+        @given(cluster_layouts(max_extent=8))
+        @settings(max_examples=30, deadline=None)
+        def check(sdfg):
+            folded.append(assert_engine_exact(sdfg, {}).analytic_regions)
+
+        check()
+        assert any(folded)
+
+
 def hdiff_variant(level):
     """hdiff after the first *level* of the paper's three tuning steps:
     reshape (K-major), reorder (outer ``k``), pad rows to a line."""
@@ -293,6 +323,15 @@ def stencil_1d(n):
         outputs={"out": Memlet("B", "i")},
     )
     return sdfg
+
+
+def sliding_window(n, width):
+    """``B[i] = Σ_j A[i + j]`` for ``j < width``: one block reads
+    ``width`` consecutive elements and moves one, so a wide window spans
+    more blocks than :data:`~repro.locality.fold.DELTA_MAX_CAP`."""
+    return single_map_sdfg(
+        ["i + j"], {"i": f"0:{n}", "j": f"0:{width}"}, shape=(n + width,)
+    )
 
 
 def nonaffine_sdfg():

@@ -412,6 +412,13 @@ def hdiff_reordered():
     return sdfg
 
 
+def hdiff_padded():
+    """hdiff after all three of the paper's tuning steps."""
+    sdfg = hdiff_reordered()
+    hdiff.apply_padding(sdfg)
+    return sdfg
+
+
 #: The five apps (hdiff variants at sizes the engine folds and ones it
 #: enumerates), a nested SDFG, an access-node copy and transients:
 #: ``(build, sizes, include_transients, folds)``.
@@ -420,8 +427,10 @@ ENGINE_VIEW_CASES = [
                  id="hdiff-enumerated"),
     pytest.param(hdiff.build_sdfg, {"I": 28, "J": 18, "K": 8}, False, True,
                  id="hdiff-folded"),
-    pytest.param(hdiff_reshaped, {"I": 28, "J": 18, "K": 8}, False, False,
-                 id="hdiff-reshaped"),
+    pytest.param(hdiff_reshaped, {"I": 31, "J": 20, "K": 8}, False, True,
+                 id="hdiff-reshaped-folded"),
+    pytest.param(hdiff_padded, {"I": 28, "J": 18, "K": 8}, False, True,
+                 id="hdiff-padded-folded"),
     pytest.param(hdiff_reordered, {"I": 28, "J": 18, "K": 8}, False, True,
                  id="hdiff-reordered-folded"),
     pytest.param(hdiff.build_sdfg, {"I": 4, "J": 4, "K": 3}, True, False,
