@@ -9,9 +9,10 @@ one wall-time span per stage:
 - ``enumerate`` — concretizing iteration spaces / building index grids,
 - ``evaluate``  — materializing the access trace (vectorized or
   interpreted),
-- ``layout``    — physical layout construction and element→line mapping,
-- ``stackdist`` — reuse-distance computation,
+- ``locality:analytic`` — the locality engine (layout, stack distances
+  and the window fold),
 - ``classify``  — miss classification and movement estimation,
+- ``render``    — drawing a container grid,
 - ``fanout``    — dispatching parametric-sweep points to workers,
 - ``merge``     — folding worker results back into the session store.
 

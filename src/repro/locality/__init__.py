@@ -14,12 +14,14 @@ from a *constant* number of enumerated loop blocks:
   rest per region, stitching both into one exact product;
 - :class:`~repro.locality.engine.AnalyticLocality` answers the same
   queries as the enumeration pipeline (``miss_counts``,
-  ``per_element_misses``, ``histogram``) with exactly equal results.
+  ``per_element_misses``, ``histogram``, ``element_distances``) with
+  exactly equal results.
 """
 
 from repro.locality.engine import (
     AnalyticLocality,
     ElementCounts,
+    ElementDistances,
     ElementMap,
     analyze_locality,
 )
@@ -28,6 +30,7 @@ from repro.locality.regions import FoldCandidate, Region, extract_regions
 __all__ = [
     "AnalyticLocality",
     "ElementCounts",
+    "ElementDistances",
     "ElementMap",
     "analyze_locality",
     "FoldCandidate",

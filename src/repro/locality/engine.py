@@ -12,10 +12,11 @@ whole concatenated trace, at the cost of the distinct-line count instead
 of the event count.
 
 The :class:`AnalyticLocality` product answers the enumeration pipeline's
-queries (``miss_counts``, ``per_element_misses``, ``histogram``) with
-exactly equal results; per-element queries read dense, read-only
-:class:`ElementCounts` arrays, which an :class:`ElementMap` presents as
-an ``{indices: count}`` mapping without building a dict.
+queries (``miss_counts``, ``per_element_misses``, ``histogram``, the
+per-element distance lists) with exactly equal results; per-element
+queries read dense, read-only :class:`ElementCounts` and
+:class:`ElementDistances` arrays, which an :class:`ElementMap` presents
+as an ``{indices: count}`` mapping without building a dict.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.locality.fold import (
     FoldedSummary,
     _compose,
     _hist_add,
+    _narrow,
+    _narrow_distances,
     _scatter,
     try_build_fold,
 )
@@ -51,25 +54,11 @@ from repro.simulation.stackdist import stack_distances_array
 __all__ = [
     "AnalyticLocality",
     "ElementCounts",
+    "ElementDistances",
     "ElementMap",
     "EnumeratedSummary",
     "analyze_locality",
 ]
-
-
-def _narrow(array: np.ndarray) -> np.ndarray:
-    """A non-negative int64 *array* as int32 when its values fit."""
-    if array.size and array.max() > np.iinfo(np.int32).max:
-        return array
-    return array.astype(np.int32)
-
-
-def _narrow_distances(distances: np.ndarray) -> np.ndarray:
-    """Stack distances as float32 when every finite one is exact in it:
-    a distance counts distinct lines, so it is below the event count."""
-    if distances.size <= 1 << 24:
-        return distances.astype(np.float32)
-    return distances
 
 
 class EnumeratedSummary:
@@ -124,7 +113,7 @@ class EnumeratedSummary:
         }
 
     def hist_into(self, acc: dict[str, dict[int, int]]) -> None:
-        _hist_add(acc, self, self.distances)
+        _hist_add(acc, self.positions, self.distances)
         finite = np.isfinite(self.resolved)
         if not finite.any():
             return
@@ -164,28 +153,21 @@ class EnumeratedSummary:
         dense_cold: np.ndarray,
         dense_cap: np.ndarray,
     ) -> None:
-        pos = self.positions.get(container)
-        if pos is None or not pos.size:
-            return
-        keys = self.index_matrices[container] @ mult
+        keys, d = self.distances_of(container, mult)
         _scatter(dense_total, keys)
-        d = self.distances[pos]
-        cap = np.isfinite(d) & (d >= capacity)
-        if cap.any():
-            _scatter(dense_cap, keys[cap])
-        first = np.isinf(d)
-        if not first.any():
-            return
-        # Each in-region inf is a region-first; look up its resolution.
-        j = np.searchsorted(self.first_positions, pos[first])
-        resolved = self.resolved[j]
-        first_keys = keys[first]
-        cold = np.isinf(resolved)
-        if cold.any():
-            _scatter(dense_cold, first_keys[cold])
-        late = np.isfinite(resolved) & (resolved >= capacity)
-        if late.any():
-            _scatter(dense_cap, first_keys[late])
+        _scatter(dense_cold, keys[np.isinf(d)])
+        _scatter(dense_cap, keys[np.isfinite(d) & (d >= capacity)])
+
+    def distances_of(self, container: str, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """*container*'s keys (row-major under *mult*) and distances
+        (float64, ``inf`` = cold), in trace order, each region-first
+        replaced by its resolution."""
+        pos = self.positions[container]
+        distances = self.distances[pos].astype(np.float64)
+        first = np.isinf(distances)
+        if first.any():
+            distances[first] = self.resolved[np.searchsorted(self.first_positions, pos[first])]
+        return self.index_matrices[container] @ mult, distances
 
 
 def _reduced(summary: EnumeratedSummary, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,19 +187,32 @@ def _miss_counts(total: int, cold: int, capacity: int) -> MissCounts:
     return MissCounts(hits=total - cold - capacity, cold=cold, capacity=capacity)
 
 
-class ElementCounts:
+class _Elements:
+    """The elements of one container the program accesses: ``present``
+    lists their row-major positions over ``shape`` (the accessed index
+    span), ascending."""
+
+    __slots__ = ("shape", "present")
+
+    def indices(self) -> Iterator[tuple[int, ...]]:
+        """Each present element's index tuple, in ``present`` order."""
+        if not self.shape:
+            return itertools.repeat((), self.present.size)
+        columns = np.unravel_index(self.present, self.shape)
+        return zip(*(column.tolist() for column in columns))
+
+
+class ElementCounts(_Elements):
     """Dense per-element counts of one container at one capacity.
 
-    ``present`` lists the row-major positions (over ``shape``, the
-    accessed index span) of every element the program accesses, in
-    ascending order; ``total``, ``cold`` and ``capacity`` hold each
-    one's access, cold-miss and capacity-miss counts, aligned with it.
-    Plain arrays, read-only once the engine built them (they are its
-    memo): a per-element view reads them through an :class:`ElementMap`,
-    with no object per element.
+    ``total``, ``cold`` and ``capacity`` hold each present element's
+    access, cold-miss and capacity-miss counts, aligned with
+    ``present``.  Plain arrays, read-only once the engine built them
+    (they are its memo): a per-element view reads them through an
+    :class:`ElementMap`, with no object per element.
     """
 
-    __slots__ = ("shape", "present", "total", "cold", "capacity")
+    __slots__ = ("total", "cold", "capacity")
 
     def __init__(
         self,
@@ -237,12 +232,52 @@ class ElementCounts:
     def misses(self) -> np.ndarray:
         return self.cold + self.capacity
 
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        """Each present element's index tuple, aligned with the counts."""
-        if not self.shape:
-            return itertools.repeat((), self.present.size)
-        columns = np.unravel_index(self.present, self.shape)
-        return zip(*(column.tolist() for column in columns))
+
+class ElementDistances(_Elements):
+    """Per-element stack distances of one container.
+
+    Present element ``i``'s distances, in trace order (``inf`` = cold),
+    are ``distances[bounds[i]:bounds[i + 1]]``.  Read-only once the
+    engine built them (they are its memo).
+    """
+
+    __slots__ = ("bounds", "distances")
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        present: np.ndarray,
+        bounds: np.ndarray,
+        distances: np.ndarray,
+    ):
+        self.shape = shape
+        self.present = present
+        self.bounds = bounds
+        self.distances = distances
+
+    def lists(self) -> list[list[float]]:
+        """Each present element's distances as a list, in ``present``
+        order."""
+        flat = self.distances.tolist()
+        bounds = self.bounds.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def statistic(self, stat: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each element's ``"min"``, ``"median"`` or ``"max"`` finite
+        distance: a mask over ``present`` of the elements with one, and
+        their values — a median of two middle values is their mean, as
+        :func:`statistics.median` takes it."""
+        finite = np.isfinite(self.distances)
+        owner = np.repeat(np.arange(self.present.size), np.diff(self.bounds))[finite]
+        values = self.distances[finite]
+        values = values[np.lexsort((values, owner))]
+        count = np.bincount(owner, minlength=self.present.size)
+        has = count > 0
+        start = (np.cumsum(count) - count)[has]
+        count = count[has]
+        low = {"min": 0, "median": (count - 1) // 2, "max": count - 1}[stat]
+        high = {"min": 0, "median": count // 2, "max": count - 1}[stat]
+        return has, (values[start + low] + values[start + high]) / 2
 
 
 class ElementMap(Mapping):
@@ -336,6 +371,14 @@ class _ElementItems(ItemsView):
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _row_major(shape: tuple[int, ...]) -> np.ndarray:
+    """The multipliers that flatten an index over *shape* row-major."""
+    mult = np.ones(len(shape), dtype=np.int64)
+    for d in range(len(shape) - 2, -1, -1):
+        mult[d] = mult[d + 1] * shape[d + 1]
+    return mult
 
 
 class AnalyticLocality:
@@ -445,9 +488,7 @@ class AnalyticLocality:
         if shape is None:
             empty = _read_only(np.zeros(0, dtype=np.int32))
             return ElementCounts((), empty, empty, empty, empty)
-        mult = np.ones(len(shape), dtype=np.int64)
-        for d in range(len(shape) - 2, -1, -1):
-            mult[d] = mult[d + 1] * shape[d + 1]
+        mult = _row_major(shape)
         size = math.prod(shape)
         dense_total = np.zeros(size, dtype=np.int64)
         dense_cold = np.zeros(size, dtype=np.int64)
@@ -469,6 +510,40 @@ class AnalyticLocality:
             _read_only(total),
             _read_only(dense_cold[present].astype(total.dtype)),
             _read_only(dense_cap[present].astype(total.dtype)),
+        )
+
+    def element_distances(self, container: str) -> ElementDistances:
+        """Per-element stack-distance lists of one container, memoized
+        (they do not depend on the capacity); equal to
+        :func:`~repro.simulation.arrays.element_distance_lists`, and
+        empty for a container the program never accesses."""
+        key = (container, None)
+        elements = self._element_cache.get(key)
+        if elements is None:
+            elements = self._element_cache[key] = self._group_distances(container)
+        return elements
+
+    def _group_distances(self, container: str) -> ElementDistances:
+        shape = self._element_shape(container)
+        if shape is None:
+            empty = _read_only(np.zeros(0, dtype=np.int32))
+            return ElementDistances((), empty, _read_only(np.zeros(1, dtype=np.int64)), empty)
+        mult = _row_major(shape)
+        keys, distances = zip(*(
+            summary.distances_of(container, mult)
+            for summary in self._summaries
+            if summary.has_container(container)
+        ))
+        keys = np.concatenate(keys)
+        # Stable: each element's distances stay in trace order.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        return ElementDistances(
+            shape,
+            _read_only(_narrow(keys[starts])),
+            _read_only(np.append(starts, keys.size)),
+            _read_only(np.concatenate(distances)[order]),
         )
 
     def per_element_misses(

@@ -92,16 +92,19 @@ DECLINE_GUARDS = (
 _UNBOUNDED = int(np.iinfo(np.int64).max)
 
 
-class _Phase:
-    """One steady-state phase: its first block, block count, and the
-    representative block's exact virtual reuse distances."""
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """A copy of a non-negative int64 *array*, as int32 when its values fit."""
+    if array.size and array.max() > np.iinfo(np.int32).max:
+        return array.copy()
+    return array.astype(np.int32)
 
-    __slots__ = ("t", "m", "distances")
 
-    def __init__(self, t: int, m: int, distances: np.ndarray):
-        self.t = t
-        self.m = m
-        self.distances = distances
+def _narrow_distances(distances: np.ndarray) -> np.ndarray:
+    """Stack distances as float32 when every finite one is exact in it:
+    a distance counts distinct lines, so it is below the event count."""
+    if distances.size <= 1 << 24:
+        return distances.astype(np.float32)
+    return distances
 
 
 def _scatter(dense: np.ndarray, keys: np.ndarray) -> None:
@@ -111,15 +114,11 @@ def _scatter(dense: np.ndarray, keys: np.ndarray) -> None:
         dense += np.bincount(keys, minlength=dense.size)
 
 
-def _hist_add(acc, cols, distances: np.ndarray, weight: int = 1,
-              positions=None) -> None:
-    """Accumulate finite distances into per-container histograms.
-
-    *cols* lists ``containers`` and their event ``positions``: a
-    :class:`RegionColumns` or an enumerated region's summary.
-    """
-    for name in cols.containers:
-        pos = cols.positions[name] if positions is None else positions[name]
+def _hist_add(acc, positions: dict[str, np.ndarray], distances: np.ndarray,
+              weight: int = 1) -> None:
+    """Accumulate the finite *distances* at each container's *positions*,
+    each counted *weight* times, into per-container histograms."""
+    for name, pos in positions.items():
         d = distances[pos]
         finite = np.isfinite(d)
         if not finite.any():
@@ -127,38 +126,38 @@ def _hist_add(acc, cols, distances: np.ndarray, weight: int = 1,
         values, counts = np.unique(d[finite], return_counts=True)
         bucket = acc.setdefault(name, {})
         for v, c in zip(values.tolist(), counts.tolist()):
-            key = int(v)
-            bucket[key] = bucket.get(key, 0) + int(c) * weight
+            bucket[int(v)] = bucket.get(int(v), 0) + int(c) * weight
 
 
 class FoldedSummary:
     """Closed-form region summary built from ``Δmax + P`` enumerated blocks.
 
-    Holds the exact prefix trace (blocks ``[0, Δmax)``), one
-    representative block per phase, the block-0 element structure, and
-    the per-container outer shifts — enough to answer every aggregate
-    the enumeration pipeline answers, for any outer extent, without
-    touching the remaining ``n − Δmax`` blocks.  The prefix and phase
-    distances are virtual; ``late[c]`` lists the element indices and
-    real distances of container *c*'s accesses that are a virtual first
-    touch but a real reuse (the first touch of a later copy of a shared
-    line), which the aggregates move from cold to reuse.
+    ``window[t]`` holds the virtual reuse distances of window block
+    ``t``: the exact prefix (blocks ``t < Δmax``), then one
+    representative per phase, which stands for every block ``t' ≥ Δmax``
+    with ``t' ≡ t (mod P)``.  Block ``t`` repeats block 0 shifted ``t``
+    times, so block 0's positions and index matrices per container
+    (int32 where they fit; the distances float32 where exact) and the
+    per-container outer shifts answer every aggregate the enumeration
+    pipeline answers, for any outer extent, without touching the
+    remaining blocks.  ``late[c]`` lists the region positions and real
+    distances of container *c*'s accesses that are a virtual first touch
+    but a real reuse (the first touch of a later copy of a shared line),
+    which the aggregates move from cold to reuse.
     """
 
     kind = "folded"
 
     __slots__ = (
-        "block", "shifts", "prefix", "prefix_distances", "phases",
-        "n", "block_events", "delta_max", "p_joint", "late",
+        "block", "shifts", "window", "n", "block_events", "delta_max",
+        "p_joint", "late",
     )
 
     def __init__(
         self,
         block: RegionColumns,
         shifts: dict[str, tuple[int, ...]],
-        prefix: RegionColumns,
-        prefix_distances: np.ndarray,
-        phases: list[_Phase],
+        window: np.ndarray,
         n: int,
         delta_max: int,
         p_joint: int,
@@ -166,14 +165,19 @@ class FoldedSummary:
     ):
         self.block = block
         self.shifts = shifts
-        self.prefix = prefix
-        self.prefix_distances = prefix_distances
-        self.phases = phases
+        self.window = window
         self.n = n
         self.block_events = block.num_events
         self.delta_max = delta_max
         self.p_joint = p_joint
         self.late = late
+
+    def _weights(self) -> list[int]:
+        """How many of the ``n`` blocks each window row stands for."""
+        return [1] * self.delta_max + [
+            (self.n - 1 - t) // self.p_joint + 1
+            for t in range(self.delta_max, self.delta_max + self.p_joint)
+        ]
 
     # -- aggregate interface (shared with EnumeratedSummary) ---------------
     @property
@@ -187,20 +191,24 @@ class FoldedSummary:
         }
 
     def hist_into(self, acc: dict[str, dict[int, int]]) -> None:
-        _hist_add(acc, self.prefix, self.prefix_distances)
-        for phase in self.phases:
-            _hist_add(acc, self.block, phase.distances, weight=phase.m)
+        weights = np.array(self._weights())
+        flat = self.window.ravel()
+        # The rows of one weight (the prefix, or a phase) count together.
+        for weight in np.unique(weights).tolist():
+            starts = np.flatnonzero(weights == weight)[:, None] * self.block_events
+            _hist_add(acc, {
+                name: (starts + pos).ravel() for name, pos in self.block.positions.items()
+            }, flat, weight)
         for name, (_, distances) in self.late.items():
             bucket = acc.setdefault(name, {})
             for v in distances.tolist():
                 bucket[int(v)] = bucket.get(int(v), 0) + 1
 
     def cold_into(self, acc: dict[str, int]) -> None:
-        for name in self.block.containers:
-            count = int(np.isinf(self.prefix_distances[self.prefix.positions[name]]).sum())
-            pos = self.block.positions[name]
-            for phase in self.phases:
-                count += int(np.isinf(phase.distances[pos]).sum()) * phase.m
+        # Weighted cold count per block-0 offset, over every row.
+        cold = np.array(self._weights()) @ np.isinf(self.window)
+        for name, pos in self.block.positions.items():
+            count = int(cold[pos].sum())
             if name in self.late:
                 count -= self.late[name][1].size
             if count:
@@ -226,39 +234,23 @@ class FoldedSummary:
         dense_cold: np.ndarray,
         dense_cap: np.ndarray,
     ) -> None:
-        prefix_pos = self.prefix.positions.get(container)
-        if prefix_pos is not None and prefix_pos.size:
-            keys = self.prefix.index_matrices[container] @ mult
-            _scatter(dense_total, keys)
-            d = self.prefix_distances[prefix_pos]
-            cold = np.isinf(d)
-            if cold.any():
-                _scatter(dense_cold, keys[cold])
-            cap = np.isfinite(d) & (d >= capacity)
-            if cap.any():
-                _scatter(dense_cap, keys[cap])
-        block_pos = self.block.positions.get(container)
-        if block_pos is None or not block_pos.size:
-            return
+        block_pos = self.block.positions[container]
         base0 = self.block.index_matrices[container] @ mult
-        delta = int(
-            np.asarray(self.shifts[container], dtype=np.int64) @ mult
-        ) if mult.size else 0
+        delta = int(np.asarray(self.shifts[container], dtype=np.int64) @ mult)
         stride = delta * self.p_joint
-        for phase in self.phases:
-            d = phase.distances[block_pos]
+        for t, m in enumerate(self._weights()):
+            d = self.window[t, block_pos]
             cold = np.isinf(d)
             cap = np.isfinite(d) & (d >= capacity)
-            base = base0 + delta * phase.t
+            base = base0 + delta * t
             base_cold = base[cold]
             base_cap = base[cap]
-            # All m block copies of the phase touch `base + k·stride`;
+            # All m blocks row t stands for touch `base + k·stride`;
             # scatter them in bounded-memory chunks of outer iterations.
             chunk = max(1, 4_000_000 // max(1, base.size))
-            for k0 in range(0, phase.m, chunk):
+            for k0 in range(0, m, chunk):
                 offsets = (
-                    np.arange(k0, min(k0 + chunk, phase.m), dtype=np.int64)
-                    * stride
+                    np.arange(k0, min(k0 + chunk, m), dtype=np.int64) * stride
                 )[:, None]
                 _scatter(dense_total, (base[None, :] + offsets).ravel())
                 if base_cold.size:
@@ -266,18 +258,39 @@ class FoldedSummary:
                 if base_cap.size:
                     _scatter(dense_cap, (base_cap[None, :] + offsets).ravel())
         if container in self.late:
-            indices, distances = self.late[container]
-            keys = indices @ mult
+            at, distances = self.late[container]
+            t, offset = np.divmod(at, self.block_events)
+            keys = base0[np.searchsorted(block_pos, offset)] + delta * t
             np.subtract.at(dense_cold, keys, 1)
             np.add.at(dense_cap, keys[distances >= capacity], 1)
 
+    def distances_of(self, container: str, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """*container*'s keys (row-major under *mult*) and real distances
+        (float64, ``inf`` = cold), in trace order: block ``t`` takes
+        window row ``t`` below ``Δmax`` and its phase's row
+        ``Δmax + (t − Δmax) mod P`` after, and each late copy its real
+        distance at its position."""
+        block_pos = self.block.positions[container]
+        t = np.arange(self.n)
+        row = np.where(
+            t < self.delta_max, t, self.delta_max + (t - self.delta_max) % self.p_joint
+        )
+        base0 = self.block.index_matrices[container] @ mult
+        delta = int(np.asarray(self.shifts[container], dtype=np.int64) @ mult)
+        keys = (base0[None, :] + delta * t[:, None]).ravel()
+        distances = self.window[:, block_pos][row].ravel().astype(np.float64)
+        if container in self.late:
+            at, real = self.late[container]
+            t, offset = np.divmod(at, self.block_events)
+            distances[t * block_pos.size + np.searchsorted(block_pos, offset)] = real
+        return keys, distances
+
 
 def _leading(cols: RegionColumns, num_events: int) -> RegionColumns:
-    """Copies of the first *num_events* events of *cols*.
-
+    """Narrowed copies of the positions and index matrices of the first
+    *num_events* events of *cols*, all a built fold reads of a block.
     Positions are sorted, so each container's cut is one
-    :func:`np.searchsorted`; copies keep the long window collectable.
-    """
+    :func:`np.searchsorted`."""
     cuts = {
         name: int(np.searchsorted(pos, num_events))
         for name, pos in cols.positions.items()
@@ -285,10 +298,10 @@ def _leading(cols: RegionColumns, num_events: int) -> RegionColumns:
     return RegionColumns(
         num_events,
         cols.containers,
-        cols.container_ids[:num_events].copy(),
-        cols.lines[:num_events].copy(),
-        {name: cols.positions[name][:cut].copy() for name, cut in cuts.items()},
-        {name: cols.index_matrices[name][:cut].copy() for name, cut in cuts.items()},
+        None,
+        None,
+        {name: _narrow(cols.positions[name][:cut]) for name, cut in cuts.items()},
+        {name: _narrow(cols.index_matrices[name][:cut]) for name, cut in cuts.items()},
     )
 
 
@@ -564,15 +577,14 @@ def _compose(traces: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
 
 def _resolve_copies(
     geometry: FoldGeometry,
-    block: RegionColumns,
+    cols: RegionColumns,
     virtual: np.ndarray,
     distances: np.ndarray,
     n: int,
-    shifts: dict[str, tuple[int, ...]],
     line_size: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The real distances of the virtual first touches that reuse a
-    shared line, per container: ``(element indices, distances)``.
+    shared line, per container: ``(region positions, distances)``.
 
     Builds, from the window alone, the first and last occurrence of
     every moving virtual line over all ``n`` blocks, labelled by its
@@ -592,9 +604,9 @@ def _resolve_copies(
     distance misses exactly all of them.
     """
     delta_max, p_joint = geometry.delta_max, geometry.p_joint
-    width = block.num_events
     ntags = max(geometry.tags) + 1
     blocks = delta_max + p_joint
+    width = cols.num_events // blocks
     real = (virtual // ntags).reshape(blocks, width)
     first = np.isinf(distances).reshape(blocks, width)
     # Blocks to the next touch of each access's virtual line; n = none.
@@ -604,8 +616,8 @@ def _resolve_copies(
     ahead[order[:-1][again]] = order[1:][again] // width - order[:-1][again] // width
     ahead = ahead.reshape(blocks, width)
     lines_per_period = np.empty(width, dtype=np.int64)
-    for name, pos in block.positions.items():
-        lines_per_period[pos] = geometry.deltas[name] * p_joint // line_size
+    for name, pos in cols.positions.items():
+        lines_per_period[pos[pos < width]] = geometry.deltas[name] * p_joint // line_size
     moving = lines_per_period != 0
     stationary = np.unique(real[0, ~moving]).size
 
@@ -641,19 +653,12 @@ def _resolve_copies(
     late = np.isfinite(resolved)
     at = positions[firsts][late]
     resolved = resolved[late] + stationary
-    out = {}
-    t, offset = np.divmod(at, width)
-    cids = block.container_ids[offset]
-    for cid, name in enumerate(block.containers):
-        member = cids == cid
-        if not member.any():
-            continue
-        rows = np.searchsorted(block.positions[name], offset[member])
-        indices = block.index_matrices[name][rows] + np.outer(
-            t[member], np.asarray(shifts[name], dtype=np.int64)
-        )
-        out[name] = (indices, resolved[member])
-    return out
+    cids = cols.container_ids[at % width]
+    return {
+        name: (at[cids == cid], resolved[cids == cid])
+        for cid, name in enumerate(cols.containers)
+        if (cids == cid).any()
+    }
 
 
 def try_build_fold(
@@ -693,29 +698,11 @@ def try_build_fold(
     virtual = _virtual_lines(geometry, cols, memory, block_events)
     if virtual is None:
         return "window"
-    distances = stack_distances_array(virtual)
-    block = _leading(cols, block_events)
-    prefix = _leading(cols, delta_max * block_events)
-    prefix_distances = distances[:prefix.num_events].copy()
-
-    phases: list[_Phase] = []
-    covered = 0
-    for r in range(p_joint):
-        t_r = delta_max + ((r - delta_max) % p_joint)
-        m_r = (n - 1 - t_r) // p_joint + 1
-        phases.append(
-            _Phase(t_r, m_r, distances[t_r * block_events:(t_r + 1) * block_events].copy())
-        )
-        covered += m_r
-    if covered != n - delta_max:
-        return "window"
+    distances = _narrow_distances(stack_distances_array(virtual))
     late = {}
     if geometry.shared:
-        late = _resolve_copies(
-            geometry, block, virtual, distances, n,
-            candidate.container_shifts, memory.line_size,
-        )
+        late = _resolve_copies(geometry, cols, virtual, distances, n, memory.line_size)
     return FoldedSummary(
-        block, dict(candidate.container_shifts), prefix, prefix_distances,
-        phases, n, delta_max, p_joint, late,
+        _leading(cols, block_events), dict(candidate.container_shifts),
+        distances.reshape(blocks, block_events), n, delta_max, p_joint, late,
     )

@@ -32,7 +32,6 @@ from repro.sdfg.nodes import AccessNode, MapEntry, NestedSDFG, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.simulation.affine import AffineSubset
-from repro.simulation.arrays import build_array_trace
 from repro.simulation.layout import MemoryModel
 from repro.simulation.simulator import SimulationResult
 
@@ -89,9 +88,9 @@ class RegionColumns:
     """Columnar view of one region's trace.
 
     Parallel per-event arrays (trace order): region-local container ids
-    and global cache-line ids; plus, per container, the positions of its
-    events and the matching element-index matrix.  Containers are listed
-    in first-access order.
+    and global cache-line ids (``None`` in a fold's block); plus, per
+    container, the positions of its events and the matching
+    element-index matrix.  Containers are listed in first-access order.
     """
 
     __slots__ = ("num_events", "containers", "container_ids", "lines",
@@ -115,24 +114,25 @@ class RegionColumns:
 
 
 def region_columns(result: SimulationResult, memory: MemoryModel) -> RegionColumns:
-    """Build the columnar view of a region's simulation result."""
-    trace = build_array_trace(result, memory)
+    """Build the columnar view of a region's simulation result straight
+    from its trace blocks: one stable sort of each container's positions
+    orders its index rows, which the layout maps to cache lines."""
+    grouped: dict[str, list] = {}
+    for block in result.blocks:
+        grouped.setdefault(block.data, []).append(block)
+    container_ids = np.empty(result.num_events, dtype=np.int64)
+    lines = np.empty(result.num_events, dtype=np.int64)
     positions: dict[str, np.ndarray] = {}
     index_matrices: dict[str, np.ndarray] = {}
-    for cid, name in enumerate(trace.containers):
-        pos = np.flatnonzero(trace.container_ids == cid)
-        positions[name] = pos
-        shape = trace.key_shapes[cid]
-        if shape:
-            cols = np.unravel_index(trace.element_keys[pos], shape)
-            index_matrices[name] = np.column_stack(
-                [c.astype(np.int64, copy=False) for c in cols]
-            )
-        else:
-            index_matrices[name] = np.empty((pos.size, 0), dtype=np.int64)
+    for cid, (name, blocks) in enumerate(grouped.items()):
+        pos = np.concatenate([block.position_array() for block in blocks])
+        order = np.argsort(pos, kind="stable")
+        pos = positions[name] = pos[order]
+        matrix = index_matrices[name] = np.concatenate([b.matrix for b in blocks])[order]
+        container_ids[pos] = cid
+        lines[pos] = memory.layout(name).cache_lines_of(matrix, memory.line_size)
     return RegionColumns(
-        trace.num_events, list(trace.containers), trace.container_ids,
-        trace.lines, positions, index_matrices,
+        result.num_events, list(grouped), container_ids, lines, positions, index_matrices
     )
 
 

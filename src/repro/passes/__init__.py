@@ -22,11 +22,7 @@ from __future__ import annotations
 
 from repro.passes.base import COMPONENTS, Pass, PassContext
 from repro.passes.global_passes import global_passes
-from repro.passes.local_passes import (
-    DistanceProduct,
-    LayoutProduct,
-    local_passes,
-)
+from repro.passes.local_passes import local_passes
 from repro.passes.pipeline import InvalidationRecord, Pipeline
 from repro.passes.store import ResultStore
 
@@ -37,8 +33,6 @@ __all__ = [
     "Pipeline",
     "InvalidationRecord",
     "ResultStore",
-    "LayoutProduct",
-    "DistanceProduct",
     "global_passes",
     "local_passes",
     "default_passes",

@@ -1,27 +1,19 @@
 """The local view's locality pipeline as chained passes.
 
 ``local.analytic`` runs the locality engine (:mod:`repro.locality`) and
-is the one source of miss counts: ``local.classify`` reads them from its
-product at the modeled capacity, ``local.physmove`` turns them into
-bytes, and ``local.point`` assembles a sweep outcome.  The product
+is the one locality product: ``local.classify`` reads miss counts from
+it at the modeled capacity, ``local.physmove`` turns them into bytes,
+``local.point`` assembles a sweep outcome, and the local view reads its
+per-element counts and reuse-distance lists from it.  The product
 carries full reuse-distance histograms, so ``capacity`` keys only
 classification and what follows it: a capacity re-sweep reuses the
 engine's work.  An engine error propagates like any pass error.
 
-The enumeration chain — simulation trace → physical layout → stack
-distances — feeds the per-event views only (access heatmaps, playback,
-related accesses, reuse distances, set-associative misses).  Its split
-follows the invalidation boundaries of the interactive loop:
-
-- changing *strides* (e.g. :func:`~repro.transforms.layout.pad_strides_to_multiple`)
-  re-runs layout and everything after it, but the simulation trace —
-  keyed by **logical** descriptors only — is a cache hit;
-- changing a *symbol value* re-runs the whole chain, since the trace
-  itself depends on the concrete sizes.
-
-Each pass replays the legacy stage spans (``layout``, ``stackdist``,
-``classify``) into the context's timings collector, so stage-level
-timing consumers keep working unchanged.
+``local.trace`` simulates the whole access trace for the views that
+replay events: playback, related accesses and set-associative misses.
+It is keyed by **logical** descriptors only, so a stride change
+(e.g. :func:`~repro.transforms.layout.pad_strides_to_multiple`) keeps it
+cached, while changing a symbol value re-simulates.
 """
 
 from __future__ import annotations
@@ -29,50 +21,22 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any
 
-import numpy as np
-
 from repro.analysis.parametric import LocalSweepPoint
 from repro.analysis.timing import maybe_span
 from repro.locality import AnalyticLocality, analyze_locality
 from repro.passes.base import Pass, PassContext
-from repro.simulation import MemoryModel, simulate_state
-from repro.simulation.arrays import ArrayTrace, build_array_trace
+from repro.simulation import simulate_state
 from repro.simulation.simulator import SimulationResult
-from repro.simulation.stackdist import stack_distances_array
 
 __all__ = [
-    "LayoutProduct",
-    "DistanceProduct",
     "AnalyticPass",
     "TracePass",
-    "LayoutPass",
-    "StackDistancePass",
     "ClassifyPass",
     "PhysicalMovementPass",
     "SweepPointPass",
     "count_locality",
     "local_passes",
 ]
-
-
-class LayoutProduct:
-    """Physical-layout stage output: memory model plus columnar trace."""
-
-    __slots__ = ("memory", "trace")
-
-    def __init__(self, result: SimulationResult, memory: MemoryModel):
-        self.memory = memory
-        self.trace: ArrayTrace = build_array_trace(result, memory)
-
-
-class DistanceProduct:
-    """Stack-distance stage output: :attr:`array` holds one float64
-    distance per event (``inf`` = cold)."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
 
 
 class AnalyticPass(Pass):
@@ -141,36 +105,6 @@ class TracePass(Pass):
         )
 
 
-class LayoutPass(Pass):
-    """Physical memory layout + columnar trace over the simulated events."""
-
-    name = "local.layout"
-    depends_on = ("local.trace",)
-    uses = ("arrays", "env", "line")
-
-    def run(self, ctx: PassContext, inputs: dict[str, Any]) -> LayoutProduct:
-        env = ctx.require_env(self.name)
-        with maybe_span(ctx.timings, "layout"):
-            memory = MemoryModel(ctx.sdfg, env, line_size=ctx.line_size)
-            return LayoutProduct(inputs["local.trace"], memory)
-
-
-class StackDistancePass(Pass):
-    """LRU stack distances over the columnar trace's interleaved lines.
-
-    No components of its own: the layout product's key already embeds
-    everything the distances depend on.
-    """
-
-    name = "local.stackdist"
-    depends_on = ("local.layout",)
-
-    def run(self, ctx: PassContext, inputs: dict[str, Any]) -> DistanceProduct:
-        layout: LayoutProduct = inputs["local.layout"]
-        with maybe_span(ctx.timings, "stackdist"):
-            return DistanceProduct(stack_distances_array(layout.trace.lines))
-
-
 class ClassifyPass(Pass):
     """Per-container miss classification under the modeled capacity.
 
@@ -227,8 +161,6 @@ def local_passes() -> tuple[Pass, ...]:
     return (
         AnalyticPass(),
         TracePass(),
-        LayoutPass(),
-        StackDistancePass(),
         ClassifyPass(),
         PhysicalMovementPass(),
         SweepPointPass(),

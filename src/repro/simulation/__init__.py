@@ -20,11 +20,16 @@ parameterized with small concrete sizes, it
    (:mod:`~repro.simulation.movement`).
 
 There is one trace representation: every simulated scope records
-:class:`~repro.simulation.trace.TraceBlock` columns, and stages 3–6 run
-as NumPy kernels over the :class:`~repro.simulation.arrays.ArrayTrace`
-built from them (:mod:`~repro.simulation.arrays`).  The per-event
-functions that remain — the interpreter (``simulate_state(fast=False)``),
-``line_trace``, Olken's ``stack_distances``, the brute-force distances,
+:class:`~repro.simulation.trace.TraceBlock` columns.  In production the
+locality engine (:mod:`repro.locality`) takes stages 3–5 region by
+region from those blocks, and the local view's set-associative misses
+lay a whole trace out as an :class:`~repro.simulation.arrays.ArrayTrace`
+(:mod:`~repro.simulation.arrays`).  The whole-trace array pipeline over
+it (``stack_distances_array`` of its lines, ``element_distance_lists``,
+the ``per_*_array`` aggregations) is the engine's test oracle, and the
+per-event functions that remain — the interpreter
+(``simulate_state(fast=False)``), ``line_trace``, Olken's
+``stack_distances``, the brute-force distances,
 ``element_stack_distances``, ``classify_accesses``, ``count_misses`` and
 the movement module's per-event aggregations — are the differential
 oracles of that pipeline; no production module calls them.

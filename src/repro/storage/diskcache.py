@@ -82,7 +82,7 @@ MAGIC = b"RPRC"
 FORMAT_VERSION = 1
 #: Payload schema version: bump when the pickled product types change
 #: incompatibly; older entries are then quarantined and recomputed.
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: magic, format version, schema version, payload length, payload SHA-256.
 _HEADER = struct.Struct("<4sHHQ32s")

@@ -12,9 +12,9 @@ misses, and recomputes exactly the affected passes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import statistics
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis import ParameterSweep
@@ -35,8 +35,6 @@ from repro.frontend.program import Program
 from repro.locality import ElementCounts, ElementMap
 from repro.locality.fold import DECLINE_GUARDS
 from repro.passes import (
-    DistanceProduct,
-    LayoutProduct,
     PassContext,
     Pipeline,
     ResultStore,
@@ -51,7 +49,7 @@ from repro.storage import DEFAULT_MAX_BYTES, DiskCache, TieredBacking
 from repro.sdfg.serialize import data_fingerprint, state_fingerprint
 from repro.sdfg.state import SDFGState
 from repro.simulation import CacheModel, MemoryModel, related_access_counts
-from repro.simulation.arrays import element_distance_lists, per_container_outcomes
+from repro.simulation.arrays import build_array_trace, per_container_outcomes
 from repro.simulation.movement import edge_physical_movement
 from repro.simulation.simulator import SimulationResult
 from repro.transforms.report import TransformReport
@@ -759,14 +757,14 @@ class GlobalView:
 class LocalView:
     """The local view (Section V): parameterized simulation and locality.
 
-    A thin facade: miss counts, access counts and movement resolve
-    through the analytic passes (``local.analytic`` → ``local.classify``
-    → ``local.physmove``), the per-event views (playback, related
-    accesses, reuse distances, set-associative misses) through the
-    enumeration chain (trace → layout → stack distance).  Every product
-    is memoized in the pipeline's store under *content-addressed* keys,
-    and the view keeps none of its own, so mutating the SDFG makes the
-    next query miss and recompute — no explicit invalidation needed.
+    A thin facade: miss counts, access counts, reuse distances and
+    movement resolve through the analytic passes (``local.analytic`` →
+    ``local.classify`` → ``local.physmove``), the views that replay
+    events (playback, related accesses, set-associative misses) through
+    the simulated trace (``local.trace``).  Every product is memoized in
+    the pipeline's store under *content-addressed* keys, and the view
+    keeps none of its own, so mutating the SDFG makes the next query miss
+    and recompute — no explicit invalidation needed.
     """
 
     def __init__(
@@ -825,12 +823,6 @@ class LocalView:
     def memory(self) -> MemoryModel:
         """The physical memory layout of the current program."""
         return MemoryModel(self.sdfg, self.symbols, line_size=self.cache.line_size)
-
-    def _layout(self) -> LayoutProduct:
-        return self._product("local.layout")
-
-    def _stackdist(self) -> DistanceProduct:
-        return self._product("local.stackdist")
 
     def invalidate(self) -> None:
         """Drop the pipeline's stored products.
@@ -918,25 +910,28 @@ class LocalView:
         )
 
     def reuse_distances(self, data: str | None = None):
-        """Per-element stack-distance lists (Fig. 5b)."""
+        """Per-element stack-distance lists (Fig. 5b): ``{(container,
+        indices): distances}``, from the engine's product."""
         if data is not None:
             self._require_container(data)
-        return element_distance_lists(
-            self._layout().trace, self._stackdist().array, data=data
-        )
+        analytic = self._product("local.analytic")
+        out: dict[tuple[str, tuple[int, ...]], list[float]] = {}
+        for name in analytic.containers if data is None else [data]:
+            elements = analytic.element_distances(name)
+            out.update(zip(zip(itertools.repeat(name), elements.indices()), elements.lists()))
+        return out
 
     def reuse_heatmap(self, data: str, stat: str = "median") -> dict[tuple[int, ...], float]:
         """Per-element min/median/max reuse distance (finite values only;
         elements with no finite reuse are omitted)."""
-        stats = {"min": min, "max": max, "median": statistics.median}
-        if stat not in stats:
+        if stat not in ("min", "median", "max"):
             raise ReproError(f"unknown statistic {stat!r}")
-        out: dict[tuple[int, ...], float] = {}
-        for (name, indices), distances in self.reuse_distances(data).items():
-            finite = [d for d in distances if d != float("inf")]
-            if finite:
-                out[indices] = float(stats[stat](finite))
-        return out
+        self._require_container(data)
+        elements = self._product("local.analytic").element_distances(data)
+        has, values = elements.statistic(stat)
+        return dict(zip(
+            itertools.compress(elements.indices(), has.tolist()), values.tolist()
+        ))
 
     def miss_counts(self, data: str | None = None):
         """Per-container (or one container's per-element) miss counts."""
@@ -964,7 +959,7 @@ class LocalView:
         """
         from repro.simulation.cache import classify_three_way
 
-        trace = self._layout().trace
+        trace = build_array_trace(self.result, self.memory)
         with maybe_span(self.timings, "classify"):
             kinds = classify_three_way(trace.lines.tolist(), num_sets, ways)
             return per_container_outcomes(trace, kinds)

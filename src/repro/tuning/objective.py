@@ -75,9 +75,11 @@ class MovementObjective:
     All candidates of one search score through the same
     :class:`~repro.passes.pipeline.Pipeline` and
     :class:`~repro.passes.store.ResultStore`; the content-addressed keys
-    embed each candidate's graph and descriptor fingerprints, so two
-    variants that share logical content (e.g. differing only in strides)
-    share the cached simulation trace.
+    embed each candidate's graph and descriptor fingerprints, so a
+    repeated variant is a store hit.  A candidate scores ``local.point``
+    → ``local.analytic``, which is keyed by the physical descriptors:
+    variants differing only in strides each run the locality engine,
+    and no candidate simulates the whole trace.
     """
 
     def __init__(

@@ -5,7 +5,7 @@ The engine's contract is *exact* equality with the enumeration pipeline
 enumeration is feasible — including sizes where the closed-form fold
 engages, where the result must stay indistinguishable from brute force.
 Every test computes both sides and compares miss counts, reuse-distance
-histograms, cold counts, and per-element heatmaps.
+histograms, cold counts, per-element heatmaps and distance lists.
 """
 
 import pickle
@@ -22,6 +22,7 @@ from repro.sdfg.sdfg import SDFG
 from repro.simulation import MemoryModel, simulate_state
 from repro.simulation.arrays import (
     build_array_trace,
+    element_distance_lists,
     per_container_misses_array,
     per_element_misses_array,
 )
@@ -30,7 +31,11 @@ from repro.simulation.movement import per_container_misses, per_element_misses
 from repro.simulation.simulator import simulate_region
 from repro.simulation.stackdist import stack_distances_array
 
-from tests.locality.test_analytic_property import cluster_layout, cluster_layouts
+from tests.locality.test_analytic_property import (
+    cluster_layout,
+    cluster_layouts,
+    engine_distance_lists,
+)
 from tests.sdfg.test_nested import build_outer
 from tests.simulation.test_array_pipeline import copy_program, nested_rows_program
 from tests.simulation.test_vectorized_differential import single_map_sdfg
@@ -99,6 +104,8 @@ def assert_engine_exact(sdfg, env, per_element=True, include_transients=False):
                 assert ElementMap(counts, counts.total) == {
                     idx: c.total for idx, c in oracle.items()
                 }, name
+    if per_element:
+        assert engine_distance_lists(analytic) == element_distance_lists(trace, distances)
     return analytic
 
 

@@ -8,7 +8,7 @@ lines (Hypothesis).
 
 from collections import Counter, defaultdict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.locality import analyze_locality
@@ -18,7 +18,11 @@ from repro.sdfg.sdfg import SDFG
 from repro.simulation import MemoryModel, simulate_state
 from repro.simulation.cache import CacheModel
 from repro.simulation.movement import per_container_misses
-from repro.simulation.stackdist import line_trace, stack_distances_bruteforce
+from repro.simulation.stackdist import (
+    element_stack_distances,
+    line_trace,
+    stack_distances_bruteforce,
+)
 from repro.transforms import pad_strides_to_multiple, permute_array_layout
 from tests.simulation.test_vectorized_differential import single_map_sdfg
 
@@ -27,7 +31,8 @@ CAPACITIES = (4, 512)
 
 
 def bruteforce_reference(sdfg, env):
-    """Histograms/cold per container from the O(n²) oracle."""
+    """Histograms/cold per container and per-element distance lists from
+    the O(n²) oracle."""
     result = simulate_state(sdfg, env)
     memory = MemoryModel(sdfg, env, line_size=LINE)
     distances = stack_distances_bruteforce(line_trace(result.events, memory))
@@ -38,7 +43,18 @@ def bruteforce_reference(sdfg, env):
             cold[event.data] += 1
         else:
             hist[event.data][int(distance)] += 1
-    return result, memory, hist, cold
+    lists = element_stack_distances(result.events, memory, distances=distances)
+    return result, memory, hist, cold, lists
+
+
+def engine_distance_lists(analytic):
+    """The engine's per-element distance lists, keyed like
+    :func:`element_stack_distances`."""
+    out = {}
+    for name in analytic.containers:
+        elements = analytic.element_distances(name)
+        out.update(zip(((name, idx) for idx in elements.indices()), elements.lists()))
+    return out
 
 
 index_exprs = st.one_of(
@@ -136,17 +152,18 @@ class TestAgainstBruteforce:
     @given(random_programs())
     @settings(max_examples=50, deadline=None)
     def test_histograms_match_bruteforce(self, sdfg):
-        result, _, ref_hist, ref_cold = bruteforce_reference(sdfg, {})
+        result, _, ref_hist, ref_cold, ref_lists = bruteforce_reference(sdfg, {})
         analytic = analyze_locality(sdfg, {}, line_size=LINE)
         assert analytic.total_events == result.num_events
         for name in analytic.containers:
             assert analytic.histogram(name) == dict(ref_hist[name]), name
             assert analytic.cold_misses()[name] == ref_cold[name], name
+        assert engine_distance_lists(analytic) == ref_lists
 
     @given(random_programs())
     @settings(max_examples=25, deadline=None)
     def test_miss_counts_match_object_pipeline(self, sdfg):
-        result, memory, _, _ = bruteforce_reference(sdfg, {})
+        result, memory, _, _, _ = bruteforce_reference(sdfg, {})
         analytic = analyze_locality(sdfg, {}, line_size=LINE)
         for capacity in CAPACITIES:
             assert analytic.miss_counts(capacity) == per_container_misses(
@@ -154,13 +171,18 @@ class TestAgainstBruteforce:
             )
 
     def test_cluster_layouts_match_bruteforce(self):
-        """Multi-cluster and shared-line layouts, some of which fold."""
+        """Multi-cluster and shared-line layouts, some of which fold, and
+        some of those with later copies of a shared line (always the
+        explicit example: planes of ``A`` and ``B`` meeting mid-line,
+        touched in blocks 0–1 and 34–35, beside a stationary ``W``)."""
         folded = []
+        late = []
 
         @given(cluster_layouts(max_extent=3))
+        @example(cluster_layout("walk", 0, 36, 3, 2, [(0, 0)], stationary=True))
         @settings(max_examples=40, deadline=None)
         def check(sdfg):
-            result, memory, ref_hist, ref_cold = bruteforce_reference(sdfg, {})
+            result, memory, ref_hist, ref_cold, ref_lists = bruteforce_reference(sdfg, {})
             analytic = analyze_locality(sdfg, {}, line_size=LINE)
             assert analytic.total_events == result.num_events
             for name in analytic.containers:
@@ -170,7 +192,12 @@ class TestAgainstBruteforce:
                 assert analytic.miss_counts(capacity) == per_container_misses(
                     result.events, memory, CacheModel(LINE, capacity)
                 )
+            assert engine_distance_lists(analytic) == ref_lists
             folded.append(analytic.analytic_regions)
+            late.extend(
+                summary.late for summary in analytic._summaries if summary.kind == "folded"
+            )
 
         check()
         assert any(folded)
+        assert any(late)

@@ -24,13 +24,9 @@ LOCAL_CHAIN = (
     "local.physmove",
 )
 
-#: The enumeration chain feeds only the per-event views: miss-count
-#: queries never execute it.
-ENUMERATION_CHAIN = (
-    "local.trace",
-    "local.layout",
-    "local.stackdist",
-)
+#: The simulated trace feeds only the views that replay events:
+#: miss-count queries never execute it.
+ENUMERATION_CHAIN = ("local.trace",)
 
 #: app name -> (builder, small sizes, the same sizes with one symbol rebound,
 #:              a non-transient multi-dim array to pad)
@@ -145,20 +141,27 @@ class TestIncrementalCounters:
         sdfg, sizes, _, pad_array = app_case(app)
         session = Session(sdfg)
         query_local(session, sizes)
+        assert chain_runs(session)["local.trace"] == 0
+        # The set-associative view replays the simulated trace.
+        session.local_view(sizes).miss_counts_set_associative(num_sets=4, ways=2)
         before = chain_runs(session)
+        assert before["local.trace"] == 1
 
         report = session.apply(pad_strides_to_multiple, sdfg, pad_array, 8)
         assert report.layout_only
         query_local(session, sizes)
+        padded = session.local_view(sizes).miss_counts_set_associative(num_sets=4, ways=2)
 
         after = chain_runs(session)
-        # The enumeration chain stays dormant: the analytic product is
-        # keyed by physical descriptors (strides changed → it re-runs)
-        # and keeps serving classification.
-        for product in ENUMERATION_CHAIN:
-            assert after[product] == 0, product
+        # The trace is keyed by logical descriptors, so it stays cached;
+        # the analytic product is keyed by physical ones (strides
+        # changed), so it re-runs and keeps serving classification.
+        assert after["local.trace"] == before["local.trace"]
         for product in ("local.analytic", "local.classify"):
             assert after[product] == before[product] + 1, product
+        # The cached trace is laid out anew: the padded strides count.
+        cold = Session(loads(dumps(sdfg))).local_view(sizes)
+        assert padded == cold.miss_counts_set_associative(num_sets=4, ways=2)
 
     def test_incremental_equals_cold_pipeline(self, app):
         sdfg, sizes, rebound, pad_array = app_case(app)

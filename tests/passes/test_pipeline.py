@@ -283,13 +283,16 @@ class TestDefaultPipeline:
         pipeline = build_pipeline()
         for product in (
             "global.movement", "global.movement.eval", "global.opcount",
-            "global.intensity", "global.totals", "local.trace",
-            "local.layout", "local.stackdist", "local.classify",
-            "local.physmove", "local.point",
+            "global.intensity", "global.totals", "local.analytic",
+            "local.trace", "local.classify", "local.physmove", "local.point",
         ):
             assert product in pipeline
+        # The engine answers the reuse views: no second stack-distance
+        # pass over the simulated trace.
+        for product in ("local.layout", "local.stackdist"):
+            assert product not in pipeline
         names = [p.name for p in pipeline.order()]
-        assert names.index("local.trace") < names.index("local.classify")
+        assert names.index("local.analytic") < names.index("local.classify")
 
     def test_miss_counts_come_from_the_analytic_product_alone(self):
         deps = {p.name: p.depends_on for p in build_pipeline().passes()}

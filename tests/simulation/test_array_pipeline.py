@@ -8,6 +8,7 @@ interpreted, mixed, nested-SDFG and copy programs, and on random affine
 programs.  The local view's queries must equal the same oracle.
 """
 
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.simulation.stackdist import line_trace
 from repro.storage.sizing import approx_sizeof
 from repro.symbolic import symbols
 from repro.tool.session import Session
+from repro.viz.histogramview import render_histogram
 
 from tests.sdfg.test_nested import build_outer
 from tests.simulation.test_vectorized_differential import (
@@ -448,10 +450,11 @@ ENGINE_VIEW_CASES = [
 
 
 class TestEngineViewsMatchOracle:
-    """The local view's per-element counts come from the analytic
-    engine's dense arrays; they must equal the enumeration oracle
-    (``SimulationResult.access_counts`` and ``per_element_misses_array``)
-    at two capacities, with the containers in first-access order."""
+    """The local view's per-element counts and reuse distances come from
+    the analytic engine's arrays; they must equal the enumeration oracle
+    (``SimulationResult.access_counts``, ``per_element_misses_array`` and
+    ``element_distance_lists``) at two capacities, with the containers in
+    first-access order, and no view may simulate the whole trace."""
 
     @pytest.mark.parametrize("build, sizes, transients, folds", ENGINE_VIEW_CASES)
     def test_heatmaps_equal_enumeration(self, build, sizes, transients, folds):
@@ -459,6 +462,7 @@ class TestEngineViewsMatchOracle:
         result = simulate_state(sdfg, sizes, include_transients=transients)
         trace = build_array_trace(result, MemoryModel(sdfg, sizes, line_size=64))
         distances = stack_distances_array(trace.lines)
+        lists = element_distance_lists(trace, distances)
         session = Session(sdfg)
         for capacity in (4, 512):
             lv = session.local_view(
@@ -472,6 +476,26 @@ class TestEngineViewsMatchOracle:
                 assert lv.miss_heatmap(name) == {
                     idx: counts.misses for idx, counts in oracle.items()
                 }, name
+            assert lv.reuse_distances() == lists
+            for name in result.containers():
+                own = {key: value for key, value in lists.items() if key[0] == name}
+                assert lv.reuse_distances(name) == own, name
+                finite = {
+                    idx: [d for d in values if d != float("inf")]
+                    for (_, idx), values in own.items()
+                }
+                for stat, reduce in (
+                    ("min", min), ("median", statistics.median), ("max", max)
+                ):
+                    assert lv.reuse_heatmap(name, stat) == {
+                        idx: float(reduce(values))
+                        for idx, values in finite.items() if values
+                    }, (name, stat)
+                (_, idx), values = max(own.items(), key=lambda item: len(item[1]))
+                label = f"{name}[{', '.join(map(str, idx))}]"
+                assert lv.render_reuse_histogram(name, idx) == render_histogram(
+                    values, title=f"reuse distances of {label}"
+                ), name
         assert session.pipeline.runs("local.trace") == 0
         folded = session.metrics.counter("locality.analytic.hits").value
         assert bool(folded) == folds
