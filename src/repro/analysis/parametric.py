@@ -24,7 +24,6 @@ from repro.symbolic.expr import Expr
 
 __all__ = [
     "evaluate_metrics",
-    "evaluate_metrics_grid",
     "ParameterSweep",
     "SweepResult",
     "LocalSweepPoint",
@@ -47,42 +46,6 @@ def evaluate_metrics(
         try:
             out[key] = float(expr.evaluate(env))
         except EvaluationError as exc:
-            raise AnalysisError(
-                f"metric for {key!r} cannot be evaluated: {exc}"
-            ) from exc
-    return out
-
-
-def evaluate_metrics_grid(
-    metrics: Mapping[K, Expr],
-    envs: Sequence[Mapping[str, int | float]],
-    *,
-    metrics_registry=None,
-    tracer=None,
-) -> dict[K, list[float]]:
-    """Batched :func:`evaluate_metrics`: all of *envs* in one compiled call.
-
-    Each metric expression is compiled once (hash-consed and cached
-    process-wide, see :mod:`repro.symbolic.compiled`) and evaluated over
-    the whole grid as vectorized array ops.  Returns one value list per
-    metric, ordered like *envs*.  Raises
-    :class:`~repro.errors.AnalysisError` naming the first metric that
-    cannot be evaluated, matching :func:`evaluate_metrics`.
-    """
-    from repro.symbolic.compiled import compile_expr
-    from repro.symbolic.expr import Number
-
-    out: dict[K, list[float]] = {}
-    for key, expr in metrics.items():
-        # Constant metrics (common: fixed-size edges) skip the compile
-        # machinery entirely — a broadcast beats any program.
-        if isinstance(expr, Number):
-            out[key] = [float(expr.value)] * len(envs)
-            continue
-        try:
-            fn = compile_expr(expr, metrics=metrics_registry, tracer=tracer)
-            out[key] = [float(v) for v in fn.eval_points(envs)]
-        except (EvaluationError, KeyError) as exc:
             raise AnalysisError(
                 f"metric for {key!r} cannot be evaluated: {exc}"
             ) from exc

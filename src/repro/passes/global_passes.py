@@ -16,7 +16,7 @@ from typing import Any
 from repro.analysis.intensity import scope_intensities
 from repro.analysis.movement import edge_movement_bytes, total_movement_bytes
 from repro.analysis.opcount import program_ops, scope_ops
-from repro.analysis.parametric import evaluate_metrics_grid
+from repro.analysis.parametric import evaluate_metrics
 from repro.passes.base import Pass, PassContext
 
 __all__ = [
@@ -102,43 +102,16 @@ class _EvalPass(Pass):
     Keyed only by ``env`` plus the upstream pass's key (embedded in this
     pass's own key), so a slider move re-runs just this evaluation while
     an unchanged environment over unchanged content is a pure cache hit.
-
-    Evaluation goes through the compiled engine
-    (:mod:`repro.symbolic.compiled`): each metric expression is lowered
-    once per distinct structure and cached process-wide, so repeated
-    slider moves over the same product pay only the vectorized
-    evaluation.  :meth:`evaluate_grid` exposes the batched form — one
-    compiled call for a whole parameter grid.
+    A pass evaluates one environment, so it walks each expression with
+    the tree evaluator (:func:`~repro.analysis.parametric.evaluate_metrics`);
+    grids of environments go through the compiled engine
+    (:class:`~repro.analysis.parametric.ParameterSweep`).
     """
 
     source = ""
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> Any:
-        env = ctx.require_env(self.name)
-        grid = self.evaluate_grid(
-            inputs[self.source],
-            [env],
-            metrics=ctx.metrics,
-            tracer=ctx.timings,
-        )
-        return self._first_point(grid)
-
-    @classmethod
-    def evaluate_grid(
-        cls, product: Any, envs, *, metrics=None, tracer=None
-    ) -> Any:
-        """Evaluate *product* at every environment of *envs*, batched.
-
-        Mirrors the shape of the single-point product, with each scalar
-        replaced by a list ordered like *envs*.
-        """
-        return evaluate_metrics_grid(
-            product, envs, metrics_registry=metrics, tracer=tracer
-        )
-
-    @staticmethod
-    def _first_point(grid: Any) -> Any:
-        return {key: values[0] for key, values in grid.items()}
+        return evaluate_metrics(inputs[self.source], ctx.require_env(self.name))
 
 
 class MovementEvalPass(_EvalPass):
@@ -147,22 +120,11 @@ class MovementEvalPass(_EvalPass):
     uses = ("env",)
     source = "global.movement"
 
-    @classmethod
-    def evaluate_grid(
-        cls, product: Any, envs, *, metrics=None, tracer=None
-    ) -> Any:
+    def run(self, ctx: PassContext, inputs: dict[str, Any]) -> Any:
+        env = ctx.require_env(self.name)
         return {
-            mode: evaluate_metrics_grid(
-                mode_metrics, envs, metrics_registry=metrics, tracer=tracer
-            )
-            for mode, mode_metrics in product.items()
-        }
-
-    @staticmethod
-    def _first_point(grid: Any) -> Any:
-        return {
-            mode: {key: values[0] for key, values in per_mode.items()}
-            for mode, per_mode in grid.items()
+            mode: evaluate_metrics(mode_metrics, env)
+            for mode, mode_metrics in inputs[self.source].items()
         }
 
 

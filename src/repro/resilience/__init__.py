@@ -5,8 +5,8 @@ under overload and component failure (DESIGN.md §16):
 
 - :mod:`~repro.resilience.admission` — bounded per-endpoint concurrency
   with fast-fail 429 load shedding;
-- :mod:`~repro.resilience.deadline` — request deadlines propagated down
-  to cooperative cancellation of in-flight analyses;
+- :mod:`~repro.resilience.deadline` — request deadlines that bound waits
+  and, armed on a run's cancel token, the run's work;
 - :mod:`~repro.resilience.breaker` — circuit breakers around the worker
   pool and the persistent disk cache;
 - :mod:`~repro.resilience.drain` — SIGTERM-initiated graceful drain;

@@ -1,17 +1,20 @@
-"""Request deadlines propagated through the analysis layers.
+"""Request deadlines: a bound on a client's wait and on a run's work.
 
 A :class:`Deadline` is an absolute point on the monotonic clock.  The
 serve layer creates one from the ``X-Repro-Deadline-Ms`` header (or a
-``deadline_ms`` body field), hands it to the coalescer — whose waiters
-individually stop waiting when *their* deadline passes — and arms it
-against the evaluation's :class:`~repro.analysis.executor.CancelToken`
-so in-flight work stops cooperatively at the next point boundary.
+``deadline_ms`` body field).  It bounds *waits* in the coalescer, whose
+waiters individually stop waiting when *their* deadline passes, and at
+admission.  For streams and searches it bounds *work*: :meth:`Deadline.arm`
+cancels the run's :class:`~repro.analysis.executor.CancelToken`, the one
+stop signal the executor and the tuning search read, so in-flight work
+stops cooperatively at the next point boundary.
 
 Deadline expiry and client disconnect share the cancellation machinery
 but stay distinguishable: an armed deadline cancels with the reason
 ``"deadline exceeded"``, which ends up verbatim in the
 :class:`~repro.analysis.executor.SweepPointError` records of abandoned
-points and in terminal stream events.
+points, makes a search report ``stopped == "deadline"`` and selects the
+stream's terminal deadline record.
 """
 
 from __future__ import annotations
@@ -81,7 +84,9 @@ class Deadline:
         Returns the daemon :class:`threading.Timer`; the caller cancels
         it once the work finished in time.
         """
-        timer = threading.Timer(self.remaining(), token.cancel, args=(reason,))
+        # Timer waits longer than TIMEOUT_MAX raise in the timer thread.
+        wait = min(self.remaining(), threading.TIMEOUT_MAX)
+        timer = threading.Timer(wait, token.cancel, args=(reason,))
         timer.daemon = True
         timer.start()
         return timer

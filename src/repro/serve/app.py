@@ -109,47 +109,33 @@ def _parse_symbols(
     return out
 
 
-def _parse_deadline_header(request: Request) -> Deadline | None:
-    """The request deadline from ``X-Repro-Deadline-Ms`` (or ``None``)."""
-    raw = request.header("x-repro-deadline-ms")
-    if raw is None:
-        return None
-    try:
-        ms = float(raw)
-    except ValueError:
-        raise HttpError(
-            400, f"bad X-Repro-Deadline-Ms value {raw!r} (milliseconds)"
-        ) from None
-    if ms <= 0:
-        raise HttpError(400, "X-Repro-Deadline-Ms must be positive")
-    return Deadline.after_ms(ms)
-
-
-def _deadline_from_body(
-    body: Mapping[str, Any], header: Deadline | None
+def _parse_deadline(
+    raw: Any, source: str, tighter: Deadline | None = None
 ) -> Deadline | None:
-    """The effective stream deadline: ``deadline_ms`` body field, header,
-    or the tighter of the two."""
-    raw = body.get("deadline_ms")
+    """A deadline *raw* milliseconds from now, read from the
+    ``X-Repro-Deadline-Ms`` header or a ``deadline_ms`` body field named
+    by *source*; ``None`` when absent.  The earlier of it and *tighter*
+    wins."""
     if raw is None:
-        return header
+        return tighter
     try:
         ms = float(raw)
     except (TypeError, ValueError):
         raise HttpError(
-            400, f"bad deadline_ms value {raw!r} (milliseconds)"
+            400, f"bad {source} value {raw!r} (milliseconds)"
         ) from None
-    if ms <= 0:
-        raise HttpError(400, "deadline_ms must be positive")
-    return Deadline.after_ms(ms).tighten(header)
+    if not ms > 0:
+        raise HttpError(400, f"{source} must be positive")
+    return Deadline.after_ms(ms).tighten(tighter)
 
 
-def _parse_cache_model(query: Mapping[str, str]) -> tuple[int, int]:
+def _parse_cache_model(fields: Mapping[str, Any]) -> tuple[int, int]:
+    """``line_size`` and ``capacity`` from a query string or a JSON body."""
     try:
-        line_size = int(query.get("line_size", "64"))
-        capacity = int(query.get("capacity", "512"))
-    except ValueError as exc:
-        raise HttpError(400, f"bad cache-model parameter: {exc}") from None
+        line_size = int(fields.get("line_size", 64))
+        capacity = int(fields.get("capacity", 512))
+    except (TypeError, ValueError):
+        raise HttpError(400, "line_size and capacity must be integers") from None
     if line_size <= 0 or capacity <= 0:
         raise HttpError(400, "line_size and capacity must be positive")
     return line_size, capacity
@@ -388,7 +374,9 @@ class AnalysisServer:
                         503, "server is draining", headers={"Retry-After": "1"}
                     )
                 entered = True
-                request.deadline = _parse_deadline_header(request)
+                request.deadline = _parse_deadline(
+                    request.header("x-repro-deadline-ms"), "X-Repro-Deadline-Ms"
+                )
                 try:
                     if request.deadline is None:
                         await self.admission.acquire(request.path, endpoint)
@@ -697,129 +685,47 @@ class AnalysisServer:
             raise HttpError(422, f"grid expands to {points} points (max 10000)")
         names = grid if isinstance(grid, dict) else (n for p in grid for n in p)
         require_symbols(names, self._symbols, "grid parameter")
-        try:
-            line_size = int(body.get("line_size", 64))
-            capacity = int(body.get("capacity", 512))
-        except (TypeError, ValueError):
-            raise HttpError(400, "line_size and capacity must be integers") from None
-        if line_size <= 0 or capacity <= 0:
-            raise HttpError(400, "line_size and capacity must be positive")
-        deadline = _deadline_from_body(body, request.deadline)
-
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
-        token = CancelToken()
-        timer = None if deadline is None else deadline.arm(token)
-        _END = object()
-
-        def on_result(index: int, outcome: Any) -> None:
-            loop.call_soon_threadsafe(queue.put_nowait, (index, outcome))
-
+        line_size, capacity = _parse_cache_model(body)
+        deadline = _parse_deadline(
+            body.get("deadline_ms"), "deadline_ms", request.deadline
+        )
         base = self._base
 
-        def run_sweep() -> Any:
-            try:
-                with self._session_lock:
-                    with self.tracer.span("serve:sweep.run"):
-                        return self.session.sweep(
-                            grid,
-                            line_size=line_size,
-                            capacity_lines=capacity,
-                            on_error="record",
-                            cancel=token,
-                            on_result=on_result,
-                            base=base,
-                        )
-            finally:
-                loop.call_soon_threadsafe(queue.put_nowait, _END)
-
-        start = time.perf_counter()
-        sweep_task = asyncio.ensure_future(
-            loop.run_in_executor(None, run_sweep)
-        )
-        await conn.send_stream_head()
-        streamed = 0
-        try:
-            await conn.send_stream_line(
-                {"event": "start", "program": self.session.sdfg.name}
-            )
-            while True:
-                item = await queue.get()
-                if item is _END:
-                    break
-                index, outcome = item
+        def run_sweep(token: CancelToken, emit: Callable[[dict], None]) -> dict:
+            def on_result(index: int, outcome: Any) -> None:
                 if isinstance(outcome, SweepPointError):
-                    event = {
+                    emit({
                         "event": "point",
                         "index": index,
                         "params": dict(outcome.params),
                         "status": "failed",
                         "kind": outcome.kind,
                         "error": outcome.message,
-                    }
+                    })
                 else:
-                    event = {
+                    emit({
                         "event": "point",
                         "index": index,
                         "status": "ok",
                         **outcome.to_dict(),
-                    }
-                await conn.send_stream_line(event)
-                streamed += 1
-            try:
-                run = await sweep_task
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - producer thread died
-                # The status line is long gone; a silent close would look
-                # like success to a streaming client.  Emit a terminal
-                # error record so the truncation is machine-detectable.
-                self.metrics.counter("serve.stream_errors").inc()
-                await conn.send_stream_line(
-                    {
-                        "event": "error",
-                        "kind": type(exc).__name__,
-                        "error": str(exc),
-                        "points_streamed": streamed,
-                    }
+                    })
+
+            with self.tracer.span("serve:sweep.run"):
+                run = self.session.sweep(
+                    grid,
+                    line_size=line_size,
+                    capacity_lines=capacity,
+                    on_error="record",
+                    cancel=token,
+                    on_result=on_result,
+                    base=base,
                 )
-                return False
-            if token.cancelled and token.reason == DEADLINE_REASON:
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                await conn.send_stream_line(
-                    {
-                        "event": "error",
-                        "kind": "deadline",
-                        "error": DEADLINE_REASON,
-                        "points": len(run),
-                        "failed": len(run.errors),
-                        "points_streamed": streamed,
-                        "seconds": time.perf_counter() - start,
-                    }
-                )
-                return False
-            await conn.send_stream_line(
-                {
-                    "event": "end",
-                    "points": len(run),
-                    "failed": len(run.errors),
-                    "seconds": time.perf_counter() - start,
-                }
-            )
-        except (ConnectionError, OSError):
-            # Client dropped mid-stream: stop the sweep cooperatively.
-            self.metrics.counter("serve.disconnects").inc()
-            token.cancel("sweep client disconnected")
-            await asyncio.wait({sweep_task})
-        except asyncio.CancelledError:
-            token.cancel("server shutting down")
-            raise
-        finally:
-            if timer is not None:
-                timer.cancel()
-            if not sweep_task.done():
-                await asyncio.wait({sweep_task})
-        return False  # close-delimited stream
+            return {"points": len(run), "failed": len(run.errors)}
+
+        return await self._stream(
+            conn, deadline, run_sweep,
+            start={"event": "start", "program": self.session.sdfg.name},
+        )
 
     async def _handle_tune(self, conn: Connection, request: Request) -> bool:
         body = request.json()
@@ -841,12 +747,11 @@ class AnalysisServer:
             or not all(isinstance(t, str) for t in transforms)
         ):
             raise HttpError(400, "transforms must be a list of names")
+        line_size, capacity = _parse_cache_model(body)
         try:
             beam = int(body.get("beam", 6))
             depth = int(body.get("depth", 4))
             budget = int(body.get("budget", 128))
-            line_size = int(body.get("line_size", 64))
-            capacity = int(body.get("capacity", 512))
             timeout = body.get("timeout")
             timeout = None if timeout is None else float(timeout)
         except (TypeError, ValueError):
@@ -855,79 +760,124 @@ class AnalysisServer:
             raise HttpError(400, "beam, depth and budget must be >= 1")
         if budget > 10_000:
             raise HttpError(422, f"budget {budget} too large (max 10000)")
-        if line_size <= 0 or capacity <= 0:
-            raise HttpError(400, "line_size and capacity must be positive")
-        deadline = _deadline_from_body(body, request.deadline)
+        deadline = _parse_deadline(
+            body.get("deadline_ms"), "deadline_ms", request.deadline
+        )
 
+        def run_tune(token: CancelToken, emit: Callable[[dict], None]) -> None:
+            # The search streams its own start, round, candidate and end
+            # events; tuples inside descriptors go out as JSON arrays.
+            with self.tracer.span("serve:tune.run"):
+                self.session.tune(
+                    params,
+                    transforms=transforms,
+                    beam=beam,
+                    depth=depth,
+                    budget=budget,
+                    line_size=line_size,
+                    capacity_lines=capacity,
+                    timeout=timeout,
+                    cancel=token,
+                    on_event=emit,
+                )
+
+        return await self._stream(conn, deadline, run_tune)
+
+    async def _stream(
+        self,
+        conn: Connection,
+        deadline: Deadline | None,
+        produce: Callable[[CancelToken, Callable[[dict], None]], dict | None],
+        start: dict | None = None,
+    ) -> bool:
+        """Stream one run as close-delimited NDJSON: the one pump behind
+        ``/v1/sweep`` and ``/v1/tune``.
+
+        ``produce(token, emit)`` runs on the thread pool under the session
+        lock; every ``emit(event)`` becomes one line, after *start*.
+        *token* is the run's one stop signal: *deadline* arms it, and a
+        disconnect or a server shutdown cancels it.  One rule closes the
+        stream:
+
+        - the producer raised: an ``error`` record naming the exception's
+          type (``serve.stream_errors`` counts the non-library ones);
+        - the deadline cut the run: the ``deadline`` record, counted in
+          ``serve.deadline_exceeded``;
+        - otherwise an ``end`` record, when the producer returned a
+          summary (a tune streams its own ``end``).
+
+        Error records carry ``points_streamed``, the events streamed
+        before them; the deadline record and ``end`` also carry the
+        summary and ``seconds``.
+        """
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
         token = CancelToken()
+        timer = None if deadline is None else deadline.arm(token)
         _END = object()
 
-        def on_event(event: dict) -> None:
+        def emit(event: dict) -> None:
             loop.call_soon_threadsafe(queue.put_nowait, event)
 
-        def run_tune() -> Any:
+        def run() -> dict | None:
             try:
                 with self._session_lock:
-                    with self.tracer.span("serve:tune.run"):
-                        return self.session.tune(
-                            params,
-                            transforms=transforms,
-                            beam=beam,
-                            depth=depth,
-                            budget=budget,
-                            line_size=line_size,
-                            capacity_lines=capacity,
-                            timeout=timeout,
-                            cancel=token,
-                            on_event=on_event,
-                            deadline=deadline,
-                        )
+                    return produce(token, emit)
             finally:
                 loop.call_soon_threadsafe(queue.put_nowait, _END)
 
-        tune_task = asyncio.ensure_future(loop.run_in_executor(None, run_tune))
+        began = time.perf_counter()
+        task = asyncio.ensure_future(loop.run_in_executor(None, run))
         await conn.send_stream_head()
+        streamed = 0
         try:
-            while True:
-                item = await queue.get()
-                if item is _END:
-                    break
-                # Search events carry tuples inside descriptors; NDJSON
-                # encodes them as arrays, which is what clients expect.
-                await conn.send_stream_line(item)
+            if start is not None:
+                await conn.send_stream_line(start)
+            while (event := await queue.get()) is not _END:
+                await conn.send_stream_line(event)
+                streamed += 1
             try:
-                await tune_task
+                summary = await task
             except asyncio.CancelledError:
                 raise
-            except ReproError as exc:
-                # The stream head is already out; deliver the failure as
-                # the final event instead of a late HTTP error.
+            except Exception as exc:  # noqa: BLE001 - the producer died
+                # The status line is long gone; a silent close would look
+                # like success to a streaming client.
+                if not isinstance(exc, ReproError):
+                    self.metrics.counter("serve.stream_errors").inc()
+                await conn.send_stream_line({
+                    "event": "error",
+                    "kind": type(exc).__name__,
+                    "error": str(exc),
+                    "points_streamed": streamed,
+                })
+                return False
+            seconds = time.perf_counter() - began
+            if token.reason == DEADLINE_REASON:
+                self.metrics.counter("serve.deadline_exceeded").inc()
+                await conn.send_stream_line({
+                    "event": "error",
+                    "kind": "deadline",
+                    "error": DEADLINE_REASON,
+                    **(summary or {}),
+                    "points_streamed": streamed,
+                    "seconds": seconds,
+                })
+            elif summary is not None:
                 await conn.send_stream_line(
-                    {"event": "error", "error": str(exc)}
-                )
-            except Exception as exc:  # noqa: BLE001 - producer thread died
-                # Non-domain failures (a crashed producer thread) must
-                # also terminate the stream with a machine-readable
-                # record, not a bare connection close.
-                self.metrics.counter("serve.stream_errors").inc()
-                await conn.send_stream_line(
-                    {
-                        "event": "error",
-                        "kind": type(exc).__name__,
-                        "error": str(exc),
-                    }
+                    {"event": "end", **summary, "seconds": seconds}
                 )
         except (ConnectionError, OSError):
-            # Client dropped mid-stream: stop the search cooperatively.
+            # Client dropped mid-stream: stop the run cooperatively.
             self.metrics.counter("serve.disconnects").inc()
-            token.cancel("tune client disconnected")
-            await asyncio.wait({tune_task})
+            token.cancel("client disconnected")
+            await asyncio.wait({task})
         except asyncio.CancelledError:
             token.cancel("server shutting down")
             raise
         finally:
-            if not tune_task.done():
-                await asyncio.wait({tune_task})
+            if timer is not None:
+                timer.cancel()
+            if not task.done():
+                await asyncio.wait({task})
         return False  # close-delimited stream

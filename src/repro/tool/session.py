@@ -42,7 +42,6 @@ from repro.passes import (
 )
 from repro.passes.store import _LRUBacking
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.deadline import Deadline
 from repro.sdfg.nodes import MapEntry
 from repro.sdfg.sdfg import SDFG
 from repro.storage import DEFAULT_MAX_BYTES, DiskCache, TieredBacking
@@ -50,7 +49,7 @@ from repro.sdfg.serialize import data_fingerprint, state_fingerprint
 from repro.sdfg.state import SDFGState
 from repro.simulation import CacheModel, MemoryModel, related_access_counts
 from repro.simulation.arrays import build_array_trace, per_container_outcomes
-from repro.simulation.movement import edge_physical_movement
+from repro.simulation.movement import edge_physical_movement, misses_to_bytes
 from repro.simulation.simulator import SimulationResult
 from repro.transforms.report import TransformReport
 from repro.tuning import TuningResult, TuningSearch
@@ -500,7 +499,6 @@ class Session:
         workers: int | None = None,
         cancel: CancelToken | None = None,
         on_event: Callable[[dict[str, Any]], None] | None = None,
-        deadline: Deadline | None = None,
     ) -> TuningResult:
         """Search transform sequences minimizing modeled data movement.
 
@@ -513,6 +511,11 @@ class Session:
         adopt the winner, ``session.load(result.best.sdfg)``.  A name in
         *params* that is not a program symbol raises
         :class:`~repro.errors.UnknownSymbolError`.
+
+        *cancel* is the run's one stop signal: the search arms it with
+        *timeout*, and a caller bounds the run by arming it with a
+        :class:`~repro.resilience.deadline.Deadline` (``stopped`` then
+        reads ``"deadline"``) or by cancelling it.
         """
         self._require_symbols(params)
         search = TuningSearch(
@@ -533,7 +536,7 @@ class Session:
             metrics=self.metrics,
             breaker=self.pool_breaker,
         )
-        return search.run(cancel=cancel, on_event=on_event, deadline=deadline)
+        return search.run(cancel=cancel, on_event=on_event)
 
     def pass_report(self) -> str:
         """Per-pass timings, cache hits/misses, and invalidation reasons."""
@@ -641,17 +644,17 @@ class GlobalView:
         intensity = self.pipeline.run("global.intensity.eval", self._context(env))
         return Heatmap(intensity, method=method)
 
-    def _totals(self) -> dict[str, Any]:
-        return self.pipeline.run("global.totals", self._whole_program_context())
+    def _totals(self, env: Mapping[str, int] | None = None) -> dict[str, Any]:
+        """Whole-program totals: symbolic, or evaluated at *env*."""
+        product = "global.totals" if env is None else "global.totals.eval"
+        return self.pipeline.run(product, self._whole_program_context(env))
 
     def total_movement(self, env: Mapping[str, int] | None = None, unique: bool = True):
         """Whole-program logical movement (symbolic, or evaluated)."""
-        expr = self._totals()["movement_unique" if unique else "movement_counted"]
-        return expr if env is None else float(expr.evaluate(env))
+        return self._totals(env)["movement_unique" if unique else "movement_counted"]
 
     def total_ops(self, env: Mapping[str, int] | None = None):
-        expr = self._totals()["ops"]
-        return expr if env is None else float(expr.evaluate(env))
+        return self._totals(env)["ops"]
 
     def scaling_sweep(
         self,
@@ -758,8 +761,8 @@ class LocalView:
     """The local view (Section V): parameterized simulation and locality.
 
     A thin facade: miss counts, access counts, reuse distances and
-    movement resolve through the analytic passes (``local.analytic`` →
-    ``local.classify`` → ``local.physmove``), the views that replay
+    movement (misses × line size) resolve through the analytic passes
+    (``local.analytic`` → ``local.classify``), the views that replay
     events (playback, related accesses, set-associative misses) through
     the simulated trace (``local.trace``).  Every product is memoized in
     the pipeline's store under *content-addressed* keys, and the view
@@ -966,7 +969,7 @@ class LocalView:
 
     def physical_movement(self) -> dict[str, int]:
         """Estimated bytes moved to/from memory per container (Fig. 7)."""
-        return self._product("local.physmove")
+        return misses_to_bytes(self.miss_counts(), self.cache.line_size)
 
     def edge_movement(self):
         """Physical-movement estimate per dataflow edge (Fig. 5c overlay)."""

@@ -24,7 +24,15 @@ The search explores sequences of content-keyed transform matches
   them;
 - **selection** — the best *beam* children (fewest moved bytes) form the
   next frontier; the search runs until *depth* rounds, the evaluation
-  *budget*, the wall-clock *timeout*, or a frontier with no new children.
+  *budget*, a frontier with no new children, or a cancelled token.
+
+One signal stops a search: its :class:`~repro.analysis.executor.CancelToken`.
+The wall-clock *timeout* arms that token (reason ``"timeout"``), a caller
+arms it with a request :class:`~repro.resilience.deadline.Deadline`
+(``"deadline"``) or cancels it outright (``"cancelled"``).  The search
+reads only the token: it checks it before each round and each child, and
+:func:`~repro.analysis.executor.sweep_points` checks it before each
+point, so a stop lands within one point's evaluation.
 
 Observability: one ``tune.run`` span wraps the search with one
 ``tune.round`` span per frontier expansion, and the metrics registry
@@ -47,7 +55,7 @@ from repro.analysis.executor import (
     sweep_points,
 )
 from repro.errors import TransformError, TuningError
-from repro.resilience.deadline import Deadline
+from repro.resilience.deadline import DEADLINE_REASON, Deadline
 from repro.passes import PassContext, Pipeline, build_pipeline
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import sdfg_fingerprint
@@ -56,6 +64,13 @@ from repro.transforms.report import TransformReport
 from repro.tuning.objective import CandidateScore, MovementObjective
 
 __all__ = ["Candidate", "TuningResult", "TuningSearch"]
+
+#: Cancellation reason of a search's own *timeout*.
+TIMEOUT_REASON = "timeout"
+
+#: A cancelled search's ``stopped`` value by its token's reason; any
+#: other reason reads ``"cancelled"``.
+_STOPPED = {DEADLINE_REASON: "deadline", TIMEOUT_REASON: "timeout"}
 
 
 class Candidate:
@@ -181,7 +196,9 @@ class TuningSearch:
     budget:
         Maximum number of scored candidates, baseline included.
     timeout:
-        Overall wall-clock budget in seconds (``None`` disables).
+        Overall wall-clock budget in seconds (``None`` disables): it arms
+        the run's cancel token, so it stops a round at the next point
+        (``<= 0`` scores the baseline only).
     workers:
         Fan candidate evaluation out over a process pool when > 1 (its
         workers ship each child's analytic product home to the shared
@@ -286,19 +303,37 @@ class TuningSearch:
         self,
         cancel: CancelToken | None = None,
         on_event: Callable[[dict[str, Any]], None] | None = None,
-        deadline: "Deadline | None" = None,
     ) -> TuningResult:
         """Run the search; returns the scored trajectory and best variant.
 
-        *deadline* (a :class:`~repro.resilience.deadline.Deadline`) is
-        the caller's request deadline; it tightens the search's own
-        ``timeout`` budget and stops the search with reason
-        ``"deadline"`` — distinguishable from ``"timeout"`` (the
-        search's configured budget) in the result and terminal event.
+        The search runs under *cancel* (a fresh token when ``None``) and
+        arms it with its own ``timeout`` for the run's duration.  It ends
+        ``"deadline"`` when a caller's armed
+        :class:`~repro.resilience.deadline.Deadline` cancels the token,
+        ``"timeout"`` when the timeout does, and ``"cancelled"`` on any
+        other reason; children cut off mid-round are left unscored.
         """
+        token = cancel if cancel is not None else CancelToken()
+        timer = None
+        if self.timeout is not None:
+            if self.timeout <= 0:
+                token.cancel(TIMEOUT_REASON)
+            else:
+                timer = Deadline.after(self.timeout).arm(
+                    token, reason=TIMEOUT_REASON
+                )
+        try:
+            return self._run(token, on_event)
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    def _run(
+        self,
+        token: CancelToken,
+        on_event: Callable[[dict[str, Any]], None] | None,
+    ) -> TuningResult:
         start = time.monotonic()
-        budget_at = None if self.timeout is None else start + self.timeout
-        deadline_at = None if deadline is None else deadline.at
         hits_before = self._pass_hits()
 
         def emit(event: dict[str, Any]) -> None:
@@ -332,31 +367,15 @@ class TuningSearch:
             })
 
             for round_index in range(1, self.depth + 1):
-                if cancel is not None and cancel.cancelled:
-                    stopped = "cancelled"
-                    break
-                now = time.monotonic()
-                if deadline_at is not None and now >= deadline_at:
-                    stopped = "deadline"
-                    break
-                if budget_at is not None and now >= budget_at:
-                    stopped = "timeout"
+                if token.cancelled:
                     break
                 if evaluated >= self.budget:
                     stopped = "budget"
                     break
                 with self._span("tune.round", round=round_index):
-                    stop_at = (
-                        budget_at
-                        if deadline_at is None
-                        else deadline_at
-                        if budget_at is None
-                        else min(budget_at, deadline_at)
-                    )
                     children, skipped = self._expand(
                         frontier, visited, round_index,
-                        limit=self.budget - evaluated,
-                        deadline=stop_at, cancel=cancel,
+                        limit=self.budget - evaluated, cancel=token,
                     )
                     deduplicated += skipped
                     if not children:
@@ -364,7 +383,7 @@ class TuningSearch:
                         break
                     rounds = round_index
                     self._count("tuning.rounds")
-                    scored = self._evaluate(children, ops, cancel=cancel)
+                    scored = self._evaluate(children, ops, cancel=token)
                     evaluated += len(scored)
                     self._count("tuning.candidates.evaluated", len(scored))
                     emit({
@@ -397,6 +416,8 @@ class TuningSearch:
                 if not frontier:
                     stopped = "converged"
                     break
+            if token.cancelled:
+                stopped = _STOPPED.get(token.reason, "cancelled")
 
         seconds = time.monotonic() - start
         result = TuningResult(
@@ -425,8 +446,7 @@ class TuningSearch:
         visited: set[str],
         round_index: int,
         limit: int,
-        deadline: float | None,
-        cancel: CancelToken | None,
+        cancel: CancelToken,
     ) -> tuple[list[Candidate], int]:
         """All not-yet-visited children of the frontier, up to *limit*."""
         children: list[Candidate] = []
@@ -434,14 +454,7 @@ class TuningSearch:
         for parent in frontier:
             for transform in self.transforms:
                 for match in transform.enumerate_matches(parent.sdfg):
-                    if len(children) >= limit:
-                        return children, skipped
-                    if cancel is not None and cancel.cancelled:
-                        return children, skipped
-                    if (
-                        deadline is not None
-                        and time.monotonic() >= deadline
-                    ):
+                    if len(children) >= limit or cancel.cancelled:
                         return children, skipped
                     variant = parent.sdfg.copy()
                     try:
@@ -467,13 +480,14 @@ class TuningSearch:
         return children, skipped
 
     def _evaluate(
-        self, children: list[Candidate], ops: float, cancel: CancelToken | None
+        self, children: list[Candidate], ops: float, cancel: CancelToken
     ) -> list[Candidate]:
         """Score *children* as one sweep batch; returns the scored ones.
 
         Each child's scoring context adopts the graph fingerprints of the
         context it was deduplicated on.  Every score carries *ops*, the
-        search's one operation count.
+        search's one operation count.  A child the token cut off is left
+        unscored; only a child whose evaluation failed counts as failed.
         """
         points = []
         for child in children:
@@ -495,7 +509,8 @@ class TuningSearch:
         scored: list[Candidate] = []
         for child, outcome in zip(children, outcomes):
             if isinstance(outcome, SweepPointError):
-                self._count("tuning.candidates.failed")
+                if outcome.kind != "cancelled":
+                    self._count("tuning.candidates.failed")
                 continue
             child.score = self.objective.from_point(outcome, ops)
             scored.append(child)

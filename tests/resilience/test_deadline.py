@@ -63,3 +63,18 @@ class TestArming:
         timer.cancel()
         time.sleep(0.1)
         assert not token.cancelled
+
+    def test_far_deadline_keeps_its_timer_waiting(self):
+        """A wait past the platform's timer limit is clamped, not raised
+        in the timer thread (a deadline or timeout from a request body
+        can be any float)."""
+        token = CancelToken()
+        timer = Deadline.after(1e300).arm(token)
+        try:
+            time.sleep(0.05)
+            assert timer.is_alive()
+            assert not token.cancelled
+        finally:
+            timer.cancel()
+            timer.join(timeout=2.0)
+        assert not timer.is_alive()

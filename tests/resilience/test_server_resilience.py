@@ -170,7 +170,7 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_bad_deadline_header_400(self, server):
-        for value in ("nope", "0", "-5"):
+        for value in ("nope", "0", "-5", "nan"):
             status, _, body = get(
                 server, "/v1/local/view?I=4&J=4&K=2",
                 headers={"X-Repro-Deadline-Ms": value},
@@ -206,6 +206,25 @@ class TestDeadlines:
         assert terminal["event"] == "error"
         assert terminal["kind"] == "deadline"
         assert terminal["points_streamed"] < 12  # it really was cut short
+        assert server.metrics.counter("serve.deadline_exceeded").value == 1
+
+    def test_tune_deadline_emits_terminal_error_event(self, server):
+        chaos_mod.install("eval.slow:kind=sleep:delay=0.1")
+        status, events = post_stream(
+            server,
+            "/v1/tune",
+            {"params": {"I": 8, "J": 8, "K": 5}, "deadline_ms": 250},
+        )
+        assert status == 200
+        assert events[0]["event"] == "start"
+        end, terminal = events[-2:]
+        # The search's own end event, with the best candidate so far...
+        assert end["event"] == "end"
+        assert end["stopped"] == "deadline"
+        assert end["best"]["moved_bytes"] > 0
+        # ...then the stream's deadline record.
+        assert terminal["event"] == "error"
+        assert terminal["kind"] == "deadline"
         assert server.metrics.counter("serve.deadline_exceeded").value == 1
 
 

@@ -108,4 +108,5 @@ class TestTuneEndpoint:
         })
         assert status == 200  # stream head was already committed
         assert events[-1]["event"] == "error"
+        assert events[-1]["kind"] == "TuningError"
         assert "not_a_transform" in events[-1]["error"]

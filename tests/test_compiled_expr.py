@@ -315,13 +315,20 @@ class TestCompileObservability:
 
         session = Session(hdiff.build_sdfg())
         clear_compile_cache()
-        env = {"I": 16, "J": 16, "K": 4}
         view = session.global_view()
-        view.movement_heatmap(env=env)
-        misses = session.metrics.counter("expr.compile.misses").value
-        assert misses > 0
-        # A slider move over the same product only re-evaluates: every
-        # expression is already compiled.
+        misses = session.metrics.counter("expr.compile.misses")
+        hits = session.metrics.counter("expr.compile.hits")
+        # A slider move evaluates one environment with the tree
+        # evaluator: it compiles nothing.
+        view.movement_heatmap(env={"I": 16, "J": 16, "K": 4})
         view.movement_heatmap(env={"I": 32, "J": 32, "K": 4})
-        assert session.metrics.counter("expr.compile.misses").value == misses
-        assert session.metrics.counter("expr.compile.hits").value >= misses
+        assert (misses.value, hits.value) == (0, 0)
+        # A scaling sweep evaluates its grid through the compiled engine;
+        # a second sweep over the same metric reuses the compiled program.
+        base = {"I": 16, "J": 16, "K": 4}
+        view.scaling_sweep("I", [16, 32, 64], base)
+        compiled = misses.value
+        assert compiled > 0
+        view.scaling_sweep("I", [8, 128], base)
+        assert misses.value == compiled
+        assert hits.value >= compiled

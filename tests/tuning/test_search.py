@@ -1,10 +1,14 @@
 """Tests for the auto-tuning beam search over transform sequences."""
 
+import time
+
 import pytest
 
 from repro.analysis.executor import CancelToken
 from repro.apps import cloudsc, hdiff
 from repro.errors import TuningError
+from repro.resilience import chaos as chaos_mod
+from repro.resilience.deadline import Deadline
 from repro.tuning import MovementObjective, TuningSearch
 
 #: hdiff's manually tuned variant (paper Fig. 8: permute + reorder) moves
@@ -151,6 +155,14 @@ class TestControls:
         result = cloudsc_search(timeout=0.0).run()
         assert result.stopped == "timeout"
 
+    def test_timer_never_outlives_the_run(self):
+        """The timeout arms the caller's token only while the search runs."""
+        token = CancelToken()
+        result = cloudsc_search(budget=5, timeout=0.3).run(cancel=token)
+        assert result.stopped in ("budget", "depth")
+        time.sleep(0.4)
+        assert not token.cancelled
+
     def test_baseline_never_mutated(self):
         from repro.sdfg.serialize import sdfg_fingerprint, to_json
 
@@ -231,6 +243,48 @@ class TestControls:
         )
         assert result.evaluated > 1
         assert runs() == before + 1
+
+
+class TestStopSignal:
+    """One token stops a search, mid-round: a caller's armed deadline or
+    the search's own timeout cancels it, and scoring stops at the next
+    point instead of finishing the round (23 hdiff children, 0.1 s each
+    under the chaos spec)."""
+
+    @pytest.fixture()
+    def slow_points(self):
+        chaos_mod.install("eval.slow:kind=sleep:delay=0.1")
+        yield
+        chaos_mod.uninstall()
+
+    def run_with_deadline(self, search, seconds):
+        token = CancelToken()
+        timer = Deadline.after(seconds).arm(token)
+        try:
+            return search.run(cancel=token)
+        finally:
+            timer.cancel()
+
+    def test_deadline_cuts_the_round(self, slow_points):
+        began = time.monotonic()
+        result = self.run_with_deadline(hdiff_search(hdiff.build_sdfg()), 0.25)
+        assert time.monotonic() - began < 1.0
+        assert result.stopped == "deadline"
+        assert result.rounds == 1
+
+    def test_timeout_cuts_the_round(self, slow_points):
+        began = time.monotonic()
+        result = hdiff_search(hdiff.build_sdfg(), timeout=0.25).run()
+        assert time.monotonic() - began < 1.0
+        assert result.stopped == "timeout"
+
+    def test_cancelled_children_are_not_failures(self, slow_points):
+        search = hdiff_search(hdiff.build_sdfg())
+        result = self.run_with_deadline(search, 0.25)
+        counters = search.metrics.to_dict()["counters"]
+        assert counters["sweep.cancelled"] > 0
+        assert counters.get("tuning.candidates.failed", 0) == 0
+        assert len(result.trajectory) == result.evaluated
 
 
 class TestPooledTune:
