@@ -8,8 +8,9 @@ fan-out: a worker-pool sweep over an 8-point grid must not lose to the
 serial loop (and must beat it when the machine has >1 core) — and the
 adaptive executor must refuse the pool whenever it cannot win.  A third
 records the compiled batched expression engine: evaluating the symbolic
-movement product over a 64-point grid in one vectorized call must beat
-the per-point tree interpreter by >= 1.5x.
+movement product over a 64-point grid through ``ParameterSweep``'s grid
+path, one batched call per metric, must beat the per-point tree
+interpreter by >= 1.5x.
 
 A fourth row records the analytic locality engine: closed-form reuse
 distances must beat trace enumeration by >= 50x on the largest common
@@ -197,9 +198,8 @@ def test_sweep_scaling():
 def test_grid_eval_speedup():
     """Batched compiled evaluation vs per-point tree interpretation."""
     from repro.analysis.movement import edge_movement_bytes
-    from repro.analysis.parametric import evaluate_metrics
-    from repro.symbolic.compiled import clear_compile_cache, evaluate_grid
-    from repro.symbolic.expr import Number
+    from repro.analysis.parametric import ParameterSweep, evaluate_metrics
+    from repro.symbolic.compiled import clear_compile_cache
 
     sdfg = hdiff.build_sdfg()
     state = next(iter(sdfg.states()))
@@ -209,16 +209,11 @@ def test_grid_eval_speedup():
     )
     assert len(envs) == 64
 
+    sweeper = ParameterSweep(envs[0])
+
     def batched():
-        # Constant metrics broadcast; each other metric is one compiled call.
-        return {
-            key: (
-                [float(expr.value)] * len(envs)
-                if isinstance(expr, Number)
-                else [float(v) for v in evaluate_grid(expr, envs)]
-            )
-            for key, expr in product.items()
-        }
+        # ParameterSweep's grid path, once per metric.
+        return {key: sweeper._eval_grid(expr, envs) for key, expr in product.items()}
 
     clear_compile_cache()
     batched()  # compile once, outside timing

@@ -20,7 +20,7 @@ import itertools
 from typing import Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.errors import AnalysisError, EvaluationError
-from repro.symbolic.expr import Expr
+from repro.symbolic.expr import Expr, Number
 
 __all__ = [
     "evaluate_metrics",
@@ -138,6 +138,10 @@ class ParameterSweep:
     ) -> list[float]:
         from repro.symbolic.compiled import compile_expr
 
+        if isinstance(metric, Number):
+            # A constant needs no program: broadcasting it costs a
+            # fraction of compiling and running one.
+            return [float(metric.value)] * len(envs)
         fn = compile_expr(
             metric, metrics=self.metrics_registry, tracer=self.tracer
         )

@@ -27,7 +27,6 @@ __all__ = [
     "MovementEvalPass",
     "OpCountEvalPass",
     "IntensityEvalPass",
-    "ProgramTotalsEvalPass",
     "global_passes",
 ]
 
@@ -142,13 +141,6 @@ class IntensityEvalPass(_EvalPass):
     source = "global.intensity"
 
 
-class ProgramTotalsEvalPass(_EvalPass):
-    name = "global.totals.eval"
-    depends_on = ("global.totals",)
-    uses = ("env",)
-    source = "global.totals"
-
-
 def global_passes() -> tuple[Pass, ...]:
     """One fresh instance of every global-view pass."""
     return (
@@ -159,5 +151,4 @@ def global_passes() -> tuple[Pass, ...]:
         MovementEvalPass(),
         OpCountEvalPass(),
         IntensityEvalPass(),
-        ProgramTotalsEvalPass(),
     )

@@ -2,11 +2,10 @@
 
 ``local.analytic`` runs the locality engine (:mod:`repro.locality`) and
 is the one locality product: ``local.classify`` reads miss counts from
-it at the modeled capacity, ``local.point`` assembles a sweep outcome
-(its bytes are misses × line size,
-:func:`~repro.simulation.movement.misses_to_bytes`), and the local view
-reads its per-element counts and reuse-distance lists from it.  The
-product carries full reuse-distance histograms, so ``capacity`` keys only
+it at the modeled capacity, ``local.physmove`` turns them into bytes,
+``local.point`` assembles a sweep outcome, and the local view reads its
+per-element counts and reuse-distance lists from it.  The product
+carries full reuse-distance histograms, so ``capacity`` keys only
 classification and what follows it: a capacity re-sweep reuses the
 engine's work.  An engine error propagates like any pass error.
 
@@ -27,13 +26,13 @@ from repro.analysis.timing import maybe_span
 from repro.locality import AnalyticLocality, analyze_locality
 from repro.passes.base import Pass, PassContext
 from repro.simulation import simulate_state
-from repro.simulation.movement import misses_to_bytes
 from repro.simulation.simulator import SimulationResult
 
 __all__ = [
     "AnalyticPass",
     "TracePass",
     "ClassifyPass",
+    "PhysicalMovementPass",
     "SweepPointPass",
     "count_locality",
     "local_passes",
@@ -124,21 +123,34 @@ class ClassifyPass(Pass):
             return analytic.miss_counts(ctx.capacity_lines)
 
 
+class PhysicalMovementPass(Pass):
+    """Estimated physical traffic per container: misses × line size."""
+
+    name = "local.physmove"
+    depends_on = ("local.classify",)
+    uses = ("line",)
+
+    def run(self, ctx: PassContext, inputs: dict[str, Any]) -> dict[str, int]:
+        return {
+            name: counts.misses * ctx.line_size
+            for name, counts in inputs["local.classify"].items()
+        }
+
+
 class SweepPointPass(Pass):
-    """Assemble one :class:`LocalSweepPoint` from the analytic product
-    and its classification; the moved bytes are misses × line size."""
+    """Assemble one :class:`LocalSweepPoint` from the analytic product,
+    its classification and the physical movement."""
 
     name = "local.point"
-    depends_on = ("local.analytic", "local.classify")
+    depends_on = ("local.analytic", "local.classify", "local.physmove")
     uses = ("env",)
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> LocalSweepPoint:
         env = ctx.require_env(self.name)
-        misses = inputs["local.classify"]
         return LocalSweepPoint(
             params=dict(env),
-            misses=misses,
-            moved_bytes=misses_to_bytes(misses, ctx.line_size),
+            misses=inputs["local.classify"],
+            moved_bytes=inputs["local.physmove"],
             total_accesses=inputs["local.analytic"].total_events,
             seconds=perf_counter() - ctx.created_at,
         )
@@ -150,5 +162,6 @@ def local_passes() -> tuple[Pass, ...]:
         AnalyticPass(),
         TracePass(),
         ClassifyPass(),
+        PhysicalMovementPass(),
         SweepPointPass(),
     )

@@ -824,6 +824,11 @@ class AnalysisServer:
                 with self._session_lock:
                     return produce(token, emit)
             finally:
+                # Disarm before the end is queued: only a cut during the
+                # run reads as the deadline, however slowly the client
+                # reads what the run streamed.
+                if timer is not None:
+                    timer.cancel()
                 loop.call_soon_threadsafe(queue.put_nowait, _END)
 
         began = time.perf_counter()
@@ -876,8 +881,6 @@ class AnalysisServer:
             token.cancel("server shutting down")
             raise
         finally:
-            if timer is not None:
-                timer.cancel()
             if not task.done():
                 await asyncio.wait({task})
         return False  # close-delimited stream

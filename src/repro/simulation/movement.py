@@ -7,9 +7,8 @@ estimates combine the miss counts of the edge's source and destination
 nodes with the line size (the paper's formulation; we sum the two nodes'
 misses and document this reading in DESIGN.md).
 
-:func:`misses_to_bytes` and :func:`edge_physical_movement` are the
-production entry points; they take per-container miss counts.
-:func:`per_container_misses`,
+:func:`edge_physical_movement` is the production entry point; it takes
+per-container miss counts.  :func:`per_container_misses`,
 :func:`per_element_misses` and :func:`container_physical_movement` walk
 per-event :class:`~repro.simulation.trace.AccessEvent` traces: they are
 the references the array pipeline (:mod:`~repro.simulation.arrays`) is
@@ -28,20 +27,11 @@ from repro.simulation.stackdist import line_trace, stack_distances
 from repro.simulation.trace import AccessEvent
 
 __all__ = [
-    "misses_to_bytes",
     "per_container_misses",
     "per_element_misses",
     "container_physical_movement",
     "edge_physical_movement",
 ]
-
-
-def misses_to_bytes(
-    misses: Mapping[str, MissCounts], line_size: int
-) -> dict[str, int]:
-    """Estimated bytes moved between memory and cache per container:
-    misses × line size."""
-    return {name: counts.misses * line_size for name, counts in misses.items()}
 
 
 def _distances_with_events(

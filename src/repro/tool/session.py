@@ -49,7 +49,7 @@ from repro.sdfg.serialize import data_fingerprint, state_fingerprint
 from repro.sdfg.state import SDFGState
 from repro.simulation import CacheModel, MemoryModel, related_access_counts
 from repro.simulation.arrays import build_array_trace, per_container_outcomes
-from repro.simulation.movement import edge_physical_movement, misses_to_bytes
+from repro.simulation.movement import edge_physical_movement
 from repro.simulation.simulator import SimulationResult
 from repro.transforms.report import TransformReport
 from repro.tuning import TuningResult, TuningSearch
@@ -644,17 +644,17 @@ class GlobalView:
         intensity = self.pipeline.run("global.intensity.eval", self._context(env))
         return Heatmap(intensity, method=method)
 
-    def _totals(self, env: Mapping[str, int] | None = None) -> dict[str, Any]:
-        """Whole-program totals: symbolic, or evaluated at *env*."""
-        product = "global.totals" if env is None else "global.totals.eval"
-        return self.pipeline.run(product, self._whole_program_context(env))
+    def _totals(self) -> dict[str, Any]:
+        return self.pipeline.run("global.totals", self._whole_program_context())
 
     def total_movement(self, env: Mapping[str, int] | None = None, unique: bool = True):
         """Whole-program logical movement (symbolic, or evaluated)."""
-        return self._totals(env)["movement_unique" if unique else "movement_counted"]
+        expr = self._totals()["movement_unique" if unique else "movement_counted"]
+        return expr if env is None else float(expr.evaluate(env))
 
     def total_ops(self, env: Mapping[str, int] | None = None):
-        return self._totals(env)["ops"]
+        expr = self._totals()["ops"]
+        return expr if env is None else float(expr.evaluate(env))
 
     def scaling_sweep(
         self,
@@ -761,8 +761,8 @@ class LocalView:
     """The local view (Section V): parameterized simulation and locality.
 
     A thin facade: miss counts, access counts, reuse distances and
-    movement (misses × line size) resolve through the analytic passes
-    (``local.analytic`` → ``local.classify``), the views that replay
+    movement resolve through the analytic passes (``local.analytic`` →
+    ``local.classify`` → ``local.physmove``), the views that replay
     events (playback, related accesses, set-associative misses) through
     the simulated trace (``local.trace``).  Every product is memoized in
     the pipeline's store under *content-addressed* keys, and the view
@@ -969,7 +969,7 @@ class LocalView:
 
     def physical_movement(self) -> dict[str, int]:
         """Estimated bytes moved to/from memory per container (Fig. 7)."""
-        return misses_to_bytes(self.miss_counts(), self.cache.line_size)
+        return self._product("local.physmove")
 
     def edge_movement(self):
         """Physical-movement estimate per dataflow edge (Fig. 5c overlay)."""

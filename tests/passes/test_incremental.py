@@ -21,6 +21,7 @@ from repro.transforms import (
 LOCAL_CHAIN = (
     "local.analytic",
     "local.classify",
+    "local.physmove",
 )
 
 #: The simulated trace feeds only the views that replay events:
@@ -133,7 +134,8 @@ class TestIncrementalCounters:
         # carries full histograms), nor of the enumeration chain.
         for product in ("local.analytic",) + ENUMERATION_CHAIN:
             assert after[product] == before[product], product
-        assert after["local.classify"] == before["local.classify"] + 1
+        for product in ("local.classify", "local.physmove"):
+            assert after[product] == before[product] + 1, product
 
     def test_stride_padding_keeps_trace_cached(self, app):
         sdfg, sizes, _, pad_array = app_case(app)

@@ -284,13 +284,12 @@ class TestDefaultPipeline:
         for product in (
             "global.movement", "global.movement.eval", "global.opcount",
             "global.intensity", "global.totals", "local.analytic",
-            "local.trace", "local.classify", "local.point",
+            "local.trace", "local.classify", "local.physmove", "local.point",
         ):
             assert product in pipeline
         # The engine answers the reuse views: no second stack-distance
-        # pass over the simulated trace.  Physical movement is misses ×
-        # line size over the classification, not a stored product.
-        for product in ("local.layout", "local.stackdist", "local.physmove"):
+        # pass over the simulated trace.
+        for product in ("local.layout", "local.stackdist"):
             assert product not in pipeline
         names = [p.name for p in pipeline.order()]
         assert names.index("local.analytic") < names.index("local.classify")
@@ -298,4 +297,6 @@ class TestDefaultPipeline:
     def test_miss_counts_come_from_the_analytic_product_alone(self):
         deps = {p.name: p.depends_on for p in build_pipeline().passes()}
         assert deps["local.classify"] == ("local.analytic",)
-        assert deps["local.point"] == ("local.analytic", "local.classify")
+        assert deps["local.point"] == (
+            "local.analytic", "local.classify", "local.physmove"
+        )

@@ -22,7 +22,7 @@ from repro.resilience import chaos as chaos_mod
 from repro.resilience.deadline import DeadlineExceeded
 from repro.serve.app import AnalysisServer, ServeShutdownWarning
 from repro.serve.coalesce import Coalescer
-from repro.serve.http import json_response
+from repro.serve.http import Connection, json_response
 from repro.tool.session import Session
 
 
@@ -226,6 +226,33 @@ class TestDeadlines:
         assert terminal["event"] == "error"
         assert terminal["kind"] == "deadline"
         assert server.metrics.counter("serve.deadline_exceeded").value == 1
+
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/v1/sweep", {"grid": {"I": [4, 5, 6, 7], "J": [4], "K": [2]}}),
+            ("/v1/tune", {"params": {"I": 8, "J": 8, "K": 5}, "budget": 2}),
+        ],
+        ids=["sweep", "tune"],
+    )
+    def test_deadline_after_the_run_is_not_a_cut(
+        self, server, monkeypatch, path, payload
+    ):
+        """A deadline that passes while a finished run's events are still
+        being written leaves the stream's own end in place."""
+        send = Connection.send_stream_line
+
+        async def slow_send(self, event):
+            await asyncio.sleep(0.2)
+            await send(self, event)
+
+        monkeypatch.setattr(Connection, "send_stream_line", slow_send)
+        status, events = post_stream(server, path, {**payload, "deadline_ms": 500})
+        assert status == 200
+        assert 0.2 * (len(events) - 1) > 0.5  # the writes outlast the deadline
+        assert events[-1]["event"] == "end"
+        assert events[-1].get("stopped") != "deadline"
+        assert server.metrics.counter("serve.deadline_exceeded").value == 0
 
 
 class TestStreamTerminalErrors:

@@ -17,12 +17,12 @@ from repro.tool.session import Session
 
 PARAMS = {"I": 8, "J": 8, "K": 4}
 #: The passes a local-view query actually executes (the analytic engine
-#: short-circuits the enumeration chain, so the trace is not part of the
-#: hot path, and physical movement is misses × line size over
-#: ``local.classify``).
+#: short-circuits the enumeration chain, so trace/layout/stackdist are
+#: not part of the hot path).
 LOCAL_CHAIN = (
     "local.analytic",
     "local.classify",
+    "local.physmove",
 )
 
 
@@ -112,7 +112,7 @@ session = Session(hdiff.build_sdfg(), cache_dir=sys.argv[1])
 lv = session.local_view({"I": 8, "J": 8, "K": 4})
 lv.miss_counts(); lv.physical_movement()
 runs = sum(session.pipeline.runs(n) for n in (
-    "local.analytic", "local.classify"))
+    "local.analytic", "local.classify", "local.physmove"))
 print(f"runs={runs} hits={session.metrics.counter('disk.hits').value}")
 """
         outputs = [
@@ -122,7 +122,7 @@ print(f"runs={runs} hits={session.metrics.counter('disk.hits').value}")
             ).stdout.strip()
             for _ in range(2)
         ]
-        assert outputs[0].startswith("runs=2")
+        assert outputs[0].startswith("runs=3")
         assert outputs[1].split()[0] == "runs=0"
         assert int(outputs[1].split()[1].removeprefix("hits=")) > 0
 
@@ -170,17 +170,6 @@ print(session.pipeline.runs("local.analytic"), session.pipeline.runs("local.clas
             capture_output=True, text=True, check=True,
         ).stdout.split()
         assert output == ["0", "3"]
-
-    def test_distinct_view_writes_three_entries(self, tmp_path):
-        """A served view's point writes its analytic product, its
-        classification and the point itself: three puts, no fourth for
-        the bytes, which the point computes from the classification."""
-        session = Session(hdiff.build_sdfg(), cache_dir=tmp_path)
-        writes = []
-        for point in self.GRID:
-            session.sweep([dict(point)])
-            writes.append(session.metrics.counter("disk.writes").value)
-        assert writes == [3, 6, 9]
 
     def test_serial_resweep_also_warm(self, tmp_path):
         cold = Session(hdiff.build_sdfg(), cache_dir=tmp_path)
